@@ -13,11 +13,11 @@ analysis over the stdlib ``ast``:
   order), which keeps the false-positive rate near zero at the cost of
   missing cross-function flows.
 * **Taints.**  A taint records *what kind* of nondeterminism a value
-  carries (``unordered``, ``rng``, ``clock``, ``stats``), *where* it
-  was introduced, and whether the value still *is* the tainted object
-  (``direct``) or merely embeds it inside a container -- the bit that
-  decides whether wrapping the carrier in ``sorted(...)`` at the sink
-  is a safe mechanical fix.
+  carries (``unordered``, ``rng``, ``clock``, ``identity``,
+  ``stats``), *where* it was introduced, and whether the value still
+  *is* the tainted object (``direct``) or merely embeds it inside a
+  container -- the bit that decides whether wrapping the carrier in
+  ``sorted(...)`` at the sink is a safe mechanical fix.
 * **Propagation.**  Assignments (plain, augmented, annotated, tuple
   unpacking, walrus), ``for``/comprehension targets, f-strings, binary
   and boolean operators, subscripts, and in-place mutations
@@ -29,7 +29,10 @@ analysis over the stdlib ``ast``:
   clear ``unordered``, and seeded ``random.Random(seed)`` instances
   never introduce ``rng`` in the first place.  Sanitizers are
   kind-specific on purpose: ``sum(times)`` is order-neutral but still
-  clock-derived.
+  clock-derived.  ``identity`` (an ``id()``/``hash()`` value, which
+  changes from process to process) is dropped where it only *looks
+  up* an object -- a dict key or a subscript -- since the value found
+  does not depend on the address.
 
 The result of a file pass is a list of :class:`Flow` records -- taint
 kind, sink, minimal carrier expression, and (where one exists) a
@@ -60,7 +63,11 @@ __all__ = [
 UNORDERED = "unordered"
 RNG = "rng"
 CLOCK = "clock"
+IDENTITY = "identity"
 STATS = "stats"
+
+#: kinds a value read from the host process carries (RPR013's sources).
+_HOST_KINDS = (RNG, CLOCK, IDENTITY)
 
 # -- flow categories (one per dataflow rule) -------------------------------
 
@@ -85,6 +92,10 @@ WALL_CLOCK_CALLS = frozenset(
 
 _AMBIENT_RNG_CALLS = frozenset({"os.urandom", "uuid.uuid4"})
 
+#: builtins whose value is an object's address or a per-process salted
+#: hash (``PYTHONHASHSEED``): stable inside one process only.
+_IDENTITY_CALLS = frozenset({"id", "hash"})
+
 EMIT_SINKS = frozenset({"json.dump", "json.dumps"})
 EMIT_SINK_SUFFIXES = ("format_table",)
 
@@ -101,6 +112,14 @@ _ARRAY_SINKS = frozenset(
         "numpy.fromiter",
         "array.array",
     }
+)
+
+#: (callee suffix, positional index, keyword) of the seed and name
+#: arguments that fix generated keys, certificates and domain names
+#: (RPR013 sinks, besides every ``seed=`` keyword).
+_SEED_ARGS = (
+    ("KeyPair.generate", 0, "seed"),
+    ("TestPki", 0, "test_id"),
 )
 
 #: builtins that preserve both the value and its iteration order.
@@ -380,7 +399,7 @@ class _ScopeAnalyzer:
             out = frozenset()
             for key in node.keys:
                 if key is not None:
-                    out |= _embed(self._eval(key))
+                    out |= _embed(_strip(self._eval(key), IDENTITY))
             for value in node.values:
                 out |= _embed(self._eval(value))
             return out
@@ -389,7 +408,7 @@ class _ScopeAnalyzer:
         if isinstance(node, ast.DictComp):
             gen_taints = self._eval_generators(node.generators)
             local = dict(self.env)
-            key_taints = _embed(self._eval(node.key))
+            key_taints = _embed(_strip(self._eval(node.key), IDENTITY))
             value_taints = _embed(self._eval(node.value))
             self.env = local
             # a dict built by iterating an unordered source has
@@ -425,7 +444,7 @@ class _ScopeAnalyzer:
         if isinstance(node, ast.Subscript):
             taints = self._eval(node.value)
             if isinstance(node.slice, ast.expr):
-                taints |= self._eval(node.slice)
+                taints |= _strip(self._eval(node.slice), IDENTITY)
             return _embed(taints)
         if isinstance(node, ast.Attribute):
             base = self._eval(node.value)
@@ -514,6 +533,10 @@ class _ScopeAnalyzer:
             return arg_taints | {
                 Taint(CLOCK, node.lineno, node.col_offset, f"{resolved}()")
             }
+        if resolved in _IDENTITY_CALLS:
+            return _embed(arg_taints) | {
+                Taint(IDENTITY, node.lineno, node.col_offset, f"{resolved}()")
+            }
         if resolved is not None and self._is_ambient_rng(resolved, node):
             return arg_taints | {
                 Taint(RNG, node.lineno, node.col_offset, f"{resolved}()")
@@ -552,9 +575,9 @@ class _ScopeAnalyzer:
 
         # Unknown plain function: assume it may impose an order or sort
         # its keys (keeps the false-positive rate down), but a value
-        # computed *from* a clock/RNG read stays derived from it.
+        # computed *from* a host read stays derived from it.
         return _embed(
-            frozenset(t for t in arg_taints if t.kind in (RNG, CLOCK))
+            frozenset(t for t in arg_taints if t.kind in _HOST_KINDS)
         )
 
     def _eval_method_call(
@@ -640,9 +663,34 @@ class _ScopeAnalyzer:
             emit = digest = f"{node.func.value.id}.update (digest)"
         return emit, digest
 
+    def _seed_args(
+        self, node: ast.Call, resolved: str | None
+    ) -> list[tuple[str, ast.expr]]:
+        """(sink name, argument) for each seed or name argument."""
+        callee = resolved or "call"
+        names = {"seed"}
+        found: list[tuple[str, ast.expr]] = []
+        for suffix, index, keyword in _SEED_ARGS:
+            if callee == suffix or callee.endswith("." + suffix):
+                names.add(keyword)
+                if len(node.args) > index:
+                    found.append((f"{callee}({keyword}=...)", node.args[index]))
+        found.extend(
+            (f"{callee}({kw.arg}=...)", kw.value)
+            for kw in node.keywords
+            if kw.arg in names
+        )
+        return found
+
     def _check_sinks(
         self, node: ast.Call, resolved: str | None, arg_nodes: list[ast.expr]
     ) -> None:
+        for sink_name, arg in self._seed_args(node, resolved):
+            for kind in _HOST_KINDS:
+                for carrier, taint in self._carriers(arg, kind):
+                    self._record(
+                        CAT_DIGEST_NONDET, sink_name, node, carrier, taint, None
+                    )
         emit, digest = self._sink_names(node, resolved)
         if emit is None and digest is None:
             return
@@ -659,7 +707,7 @@ class _ScopeAnalyzer:
                         self._as_dict_suggestion(carrier),
                     )
             if digest is not None:
-                for kind in (RNG, CLOCK):
+                for kind in _HOST_KINDS:
                     for carrier, taint in self._carriers(arg, kind):
                         self._record(
                             CAT_DIGEST_NONDET, digest, node, carrier, taint, None

@@ -129,16 +129,23 @@ class UnorderedEmitRule(Rule):
 
 
 # --------------------------------------------------------------------------
-# RPR013 -- no ambient-RNG / wall-clock values in digest inputs (dataflow)
+# RPR013 -- no host-read values in digest inputs, seeds or names (dataflow)
 # --------------------------------------------------------------------------
+
+_HOST_SOURCE_KINDS = {
+    dataflow.CLOCK: "wall-clock",
+    dataflow.RNG: "ambient-RNG",
+    dataflow.IDENTITY: "object-identity",
+}
 
 
 class NondeterministicDigestInputRule(Rule):
     code = "RPR013"
     name = "no-nondeterministic-digest-input"
     summary = (
-        "ambient-RNG or wall-clock *values* must not flow into corpus "
-        "arrays, Calibration fields, or digest inputs"
+        "ambient-RNG, wall-clock or id()/hash() *values* must not flow "
+        "into corpus arrays, Calibration fields, digest inputs, seeds, "
+        "or generated names"
     )
 
     def check_file(self, tree: ast.Module, ctx: FileContext) -> None:
@@ -146,16 +153,14 @@ class NondeterministicDigestInputRule(Rule):
             if flow.category != dataflow.CAT_DIGEST_NONDET:
                 continue
             taint = flow.taint
-            source_kind = (
-                "wall-clock" if taint.kind == dataflow.CLOCK else "ambient-RNG"
-            )
             ctx.report(
                 flow.carrier,
                 self.code,
-                f"{source_kind} value from {taint.detail} (line "
-                f"{taint.line}) flows into {flow.sink_name}; corpus "
-                "arrays, calibration fields, and digest inputs must be "
-                "derived from the seed (SimClock / seeded random.Random)",
+                f"{_HOST_SOURCE_KINDS[taint.kind]} value from {taint.detail} "
+                f"(line {taint.line}) flows into {flow.sink_name}; corpus "
+                "arrays, calibration fields, digest inputs, seeds, and "
+                "names must be derived from the seed (SimClock / seeded "
+                "random.Random / stable ids)",
                 suggestion=flow.suggestion,
             )
 

@@ -13,6 +13,7 @@ children.  The decoder produces :class:`DecodedValue` trees.
 from __future__ import annotations
 
 import datetime
+import functools
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -115,8 +116,14 @@ def encode_null() -> bytes:
     return encode_tlv(Tag.NULL, b"")
 
 
+@functools.lru_cache(maxsize=256)
 def encode_oid(dotted: str) -> bytes:
-    """Encode a dotted-decimal OBJECT IDENTIFIER string."""
+    """Encode a dotted-decimal OBJECT IDENTIFIER string.
+
+    Memoised (bounded): certificates, CRLs and OCSP responses reuse a
+    handful of OIDs hundreds of thousands of times per sweep.  Invalid
+    OIDs raise on every call, since failures are never cached.
+    """
     try:
         arcs = [int(part) for part in dotted.split(".")]
     except ValueError as exc:

@@ -7,6 +7,11 @@ real signed certificates, a private :class:`~repro.net.transport.Network`
 with CRL/OCSP endpoints, failure injection for the four unavailability
 modes, and OCSP staples served through an nginx-like cache modified (as
 the paper modified nginx) to staple any status.
+
+Building a PKI (key generation and certificate signing) is the expensive
+part, so one instance can serve many client runs: :meth:`TestPki.checker`
+hands every run a fresh client, and :meth:`TestPki.restart_servers` puts
+the server side back to its just-built state between runs.
 """
 
 from __future__ import annotations
@@ -112,6 +117,7 @@ class TestPki:
         ]
         self.trusted_roots = frozenset({root.certificate.fingerprint})
         self._staple: OcspResponse | None = None
+        #: the web server, started by the first handshake.
         self.tls_server: TlsServer | None = None
 
     # -- construction helpers ---------------------------------------------
@@ -204,23 +210,37 @@ class TestPki:
                 else None
             ),
         )
-        cache = StapleCache(policy=StaplePolicy.ANY_STATUS)
-        cache.warm(self._staple)
-        self.tls_server = TlsServer(
-            chain=self.chain,
-            stapling_enabled=True,
-            staple_cache=cache,
-        )
+        self.tls_server = None  # the next handshake staples
         if firewall_responder:
             for url in self.leaf.ocsp_urls:
                 self.network.set_failure(url, FailureMode.NO_RESPONSE)
+
+    def restart_servers(self) -> None:
+        """Put every server back to its just-built state.
+
+        The next client run then sees the same bytes as against a fresh
+        PKI with the same id and scenario: CRL numbers (which the served
+        CRLs encode) start again at 1, and the web server restarts with
+        a newly warmed staple cache.
+        """
+        for ca in self.cas:
+            if ca.crl_publisher is not None:
+                ca.crl_publisher.restart_numbering()
+        self.tls_server = None
+
+    def _start_server(self) -> TlsServer:
+        if self._staple is None:
+            return TlsServer(chain=self.chain, stapling_enabled=False)
+        cache = StapleCache(policy=StaplePolicy.ANY_STATUS)
+        cache.warm(self._staple)
+        return TlsServer(chain=self.chain, stapling_enabled=True, staple_cache=cache)
 
     # -- client side ------------------------------------------------------------
 
     def handshake(self, status_request: bool):
         """Serve the connection; returns (chain, staple or None)."""
         if self.tls_server is None:
-            self.tls_server = TlsServer(chain=self.chain, stapling_enabled=False)
+            self.tls_server = self._start_server()
         result = self.tls_server.handshake(self.now, status_request=status_request)
         return result.chain, result.staple
 

@@ -218,18 +218,25 @@ class TestOutcome:
 
 @dataclass
 class BrowserTestHarness:
-    """Builds each case's PKI and runs browser models against it."""
+    """Builds each case's PKI once and runs browser models against it."""
 
     now: datetime.datetime = datetime.datetime(
         2015, 3, 31, 12, 0, tzinfo=datetime.timezone.utc
     )
+    #: TestCase -> its PKI, built on the case's first run.
     _pki_cache: dict = field(default_factory=dict)
 
-    def build_pki(self, case: TestCase, browser: BrowserModel) -> TestPki:
-        """A fresh PKI per (case, browser) -- the paper regenerates
-        certificates per test to defeat caching effects."""
+    def build_pki(self, case: TestCase) -> TestPki:
+        """The case's PKI with its scenario applied.
+
+        Unique chain per test case, fresh client state per browser run:
+        the paper regenerated certificates per test to defeat caching,
+        and here every cache lives in the per-run client (fetcher,
+        checker) and server state that :meth:`run_case` renews, so the
+        signed chain itself can be shared by every browser.
+        """
         pki = TestPki(
-            test_id=f"{case.test_id}-{id(browser) % 10_000}",
+            test_id=case.test_id,
             n_intermediates=case.n_intermediates,
             protocols=case.protocols,
             ev=case.ev,
@@ -254,7 +261,10 @@ class BrowserTestHarness:
         return pki
 
     def run_case(self, browser: BrowserModel, case: TestCase) -> TestOutcome:
-        pki = self.build_pki(case, browser)
+        pki = self._pki_cache.get(case)
+        if pki is None:
+            pki = self._pki_cache[case] = self.build_pki(case)
+        pki.restart_servers()
         chain, staple = pki.handshake(status_request=browser.requests_staple())
         ctx = ChainContext(
             chain=chain,
@@ -266,7 +276,7 @@ class BrowserTestHarness:
         checked_unknown = any(
             record.outcome.value == "unknown" for record in result.checks
         )
-        fetcher = getattr(pki, "last_fetcher", None)
+        fetcher = pki.last_fetcher
         return TestOutcome(
             case=case,
             browser_label=browser.label,
@@ -276,8 +286,8 @@ class BrowserTestHarness:
             staple_used=result.staple_used,
             performed_any_check=result.performed_any_check,
             checked_unknown=checked_unknown,
-            bytes_downloaded=fetcher.bytes_downloaded if fetcher else 0,
-            revocation_fetches=fetcher.fetches if fetcher else 0,
+            bytes_downloaded=fetcher.bytes_downloaded,
+            revocation_fetches=fetcher.fetches,
         )
 
     def run_suite(

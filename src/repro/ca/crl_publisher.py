@@ -154,6 +154,11 @@ class CrlPublisher:
             url=url,
         )
 
+    def restart_numbering(self) -> None:
+        """Number the next CRL of every shard 1 again, as a newly
+        deployed publisher would (the browser suite's per-run reset)."""
+        self._crl_numbers = dict.fromkeys(self._crl_numbers, 0)
+
     def encode_all(self, at: datetime.datetime) -> list[CertificateRevocationList]:
         return [self.encode(shard.url, at) for shard in self.shards]
 

@@ -299,6 +299,97 @@ def test_caller_supplied_timestamp_is_clean():
     )
 
 
+def test_object_identity_in_a_generated_name_is_caught():
+    # The Table 2 harness once named each test PKI after a memory
+    # address, so certificate bytes changed from process to process.
+    findings = lint(
+        """
+        from repro.browsers.certgen import TestPki
+
+        def build_pki(case, browser):
+            return TestPki(
+                test_id=f"{case.test_id}-{id(browser) % 10_000}",
+                n_intermediates=1,
+                protocols={"crl"},
+                ev=False,
+            )
+        """,
+        "RPR013",
+    )
+    assert len(findings) == 1
+    (finding,) = findings
+    assert finding.message.startswith("object-identity value from id()")
+    assert "TestPki(test_id=...)" in finding.message
+    assert finding.suggestion is None
+
+
+def test_identity_through_a_variable_into_a_positional_key_seed():
+    findings = lint(
+        """
+        from repro.pki.keys import KeyPair
+
+        def keys_for(obj):
+            label = f"obj/{hash(obj)}"
+            return KeyPair.generate(label)
+        """,
+        "RPR013",
+    )
+    assert len(findings) == 1
+    assert "hash()" in findings[0].message
+    assert "KeyPair.generate(seed=...)" in findings[0].message
+
+
+def test_host_reads_into_any_seed_keyword():
+    findings = lint(
+        """
+        import random
+        import time
+
+        def rngs(name):
+            return [
+                random.Random(seed=hash(name)),
+                random.Random(seed=int(time.time())),
+            ]
+        """,
+        "RPR013",
+    )
+    assert sorted(f.message.split(" value")[0] for f in findings) == [
+        "object-identity",
+        "wall-clock",
+    ]
+
+
+def test_identity_as_a_lookup_key_is_clean():
+    # id() that only selects an object (dict key, subscript) never
+    # reaches the value that is found.
+    assert not lint(
+        """
+        from repro.browsers.certgen import TestPki
+        from repro.pki.keys import KeyPair
+
+        def dedup(outcomes, names):
+            models = {id(m): m for m, _ in outcomes}.values()
+            keys = [KeyPair.generate(f"model/{m.label}") for m in models]
+            return keys, TestPki(names[id(keys)], 1, {"crl"}, ev=False)
+        """,
+        "RPR013",
+    )
+
+
+def test_stable_names_and_seeds_are_clean():
+    assert not lint(
+        """
+        import random
+        from repro.browsers.certgen import TestPki
+
+        def build(case, seed):
+            rng = random.Random(seed=f"suite/{case.test_id}")
+            return rng, TestPki(case.test_id, 1, {"crl"}, ev=False)
+        """,
+        "RPR013",
+    )
+
+
 # -- RPR014: stats exported without the fixed-key helper -----------------
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.asn1 import der
 from repro.asn1.oid import OID, OIDRegistry, REGISTRY
 
 
@@ -50,3 +51,21 @@ class TestRegistry:
     def test_contains(self):
         assert OID.AD_OCSP in REGISTRY
         assert "1.2.3.99" not in REGISTRY
+
+
+class TestEncodeOidMemo:
+    """``der.encode_oid`` is memoised; the memo must be invisible."""
+
+    def test_invalid_oid_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(der.Asn1Error):
+                der.encode_oid("5.1.2")
+
+    def test_memo_is_bounded_and_exact(self):
+        maxsize = der.encode_oid.cache_info().maxsize
+        assert maxsize is not None
+        dotted = [f"1.3.6.1.4.1.{arc}" for arc in range(maxsize + 10)]
+        first = [der.encode_oid(oid) for oid in dotted]
+        assert der.encode_oid.cache_info().currsize <= maxsize
+        assert [der.encode_oid(oid) for oid in dotted] == first
+        assert [der.decode_all(enc).as_oid() for enc in first] == dotted
