@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import datetime
 import hashlib
-import random
 from dataclasses import dataclass
 
-from repro.crlset.format import CrlSetSnapshot, serial_to_bytes
+from repro.crlset.format import CrlSetSnapshot, serial_length, serial_to_bytes
 from repro.revocation.reason import is_crlset_eligible
+from repro.scan.bulk import gc_paused
 from repro.scan.calibration import Calibration
 from repro.scan.crawl_index import CrawlIndex
 from repro.scan.crl_model import EcosystemCrl
@@ -110,6 +110,7 @@ class _CrlTrack:
         #: entry keys currently listed on the (lagged) crawled CRL.
         self.active: set[tuple[bytes, int]] = set()
         self.byte_size = 36  # parent hash + count, charged once per CRL
+        #: on the last build day's CRLSet (set by ``_included_urls``).
         self.included = False
         self.parent_removed = False
 
@@ -121,6 +122,10 @@ class _CrlTrack:
         return len(self.active) + hidden
 
 
+#: one queued change to a crawled CRL: (track, entry key, CRLSet bytes).
+_Event = tuple[_CrlTrack, tuple[bytes, int], int]
+
+
 class CrlSetBuilder:
     """Builds the daily CRLSet series for an ecosystem."""
 
@@ -128,7 +133,6 @@ class CrlSetBuilder:
         self,
         ecosystem: Ecosystem,
         removal_brand: str = "VerisignEV",
-        seed: int = 11,
         blocked_spki_count: int = 11,
         apply_reason_filter: bool = True,
         max_entries_override: int | None = None,
@@ -156,7 +160,6 @@ class CrlSetBuilder:
             if size_cap_override is not None
             else self.calibration.crlset_size_cap_bytes
         )
-        self._rng = random.Random(seed)
         self._blocked_spkis = frozenset(
             hashlib.sha256(f"blocked-spki-{i}".encode()).digest()
             for i in range(blocked_spki_count)
@@ -187,6 +190,7 @@ class CrlSetBuilder:
 
     # -- the sweep ----------------------------------------------------------
 
+    @gc_paused()
     def run(
         self,
         start: datetime.date | None = None,
@@ -203,9 +207,13 @@ class CrlSetBuilder:
         end = end or cal.measurement_end
 
         tracks: dict[str, _CrlTrack] = {}
-        histories: dict[tuple[bytes, int], EntryHistory] = {}
-        adds_by_day: dict[datetime.date, list[tuple[str, tuple[bytes, int]]]] = {}
-        removes_by_day: dict[datetime.date, list[tuple[str, tuple[bytes, int]]]] = {}
+        keys: list[tuple[bytes, int]] = []
+        entry_histories: list[EntryHistory] = []
+        # Events are keyed by day ordinal.
+        adds_by_day: dict[int, list[_Event]] = {}
+        removes_by_day: dict[int, list[_Event]] = {}
+        first, last = start.toordinal(), end.toordinal()
+        filter_reasons = self.apply_reason_filter
 
         for crl in self.ecosystem.crls:
             if not crl.covered:
@@ -216,36 +224,36 @@ class CrlSetBuilder:
                 partial_fraction=self._partial_fraction(crl.url),
             )
             tracks[crl.url] = track
+            parent, url, lag = crl.issuer_key_hash, crl.url, track.lag_days
+            fraction = track.partial_fraction
             for entry in crl.entries:
-                key = (crl.issuer_key_hash, entry.serial_number)
+                serial = entry.serial_number
+                key = (parent, serial)
                 history = EntryHistory(
-                    parent=crl.issuer_key_hash,
-                    serial=entry.serial_number,
-                    crl_url=crl.url,
-                    revoked_at=entry.revoked_at,
-                    cert_not_after=entry.cert_not_after,
-                    eligible=(
-                        is_crlset_eligible(entry.reason)
-                        if self.apply_reason_filter
-                        else True
-                    ),
-                    in_partial_subset=self._in_partial_subset(
-                        entry.serial_number, track.partial_fraction
-                    ),
+                    parent,
+                    serial,
+                    url,
+                    entry.revoked_at,
+                    entry.cert_not_after,
+                    not filter_reasons or is_crlset_eligible(entry.reason),
+                    fraction >= 1.0 or self._in_partial_subset(serial, fraction),
                 )
-                histories[key] = history
+                keys.append(key)
+                entry_histories.append(history)
                 if not history.eligible or not history.in_partial_subset:
                     continue  # never enters the CRLSet
-                add_day = entry.revoked_at + datetime.timedelta(days=track.lag_days)
-                remove_day = entry.cert_not_after + _DAY
-                if add_day <= end and remove_day > max(add_day, start):
-                    adds_by_day.setdefault(max(add_day, start), []).append(
-                        (crl.url, key)
-                    )
-                    if remove_day <= end:
-                        removes_by_day.setdefault(remove_day, []).append(
-                            (crl.url, key)
-                        )
+                add_day = entry.revoked_at.toordinal() + lag
+                if add_day < first:
+                    add_day = first
+                remove_day = entry.cert_not_after.toordinal() + 1
+                if add_day <= last and remove_day > add_day:
+                    event = (track, key, 1 + serial_length(serial))
+                    adds_by_day.setdefault(add_day, []).append(event)
+                    if remove_day <= last:
+                        removes_by_day.setdefault(remove_day, []).append(event)
+        # One history per key: a repeated key keeps its first position
+        # and its last history.
+        histories = dict(zip(keys, entry_histories))
 
         members: set[tuple[bytes, int]] = set()
         daily_counts: dict[datetime.date, int] = {}
@@ -253,40 +261,31 @@ class CrlSetBuilder:
         daily_removals: dict[datetime.date, int] = {}
         dropped_urls: set[str] = set()
         parents_ever: set[bytes] = set()
-        entry_sizes: dict[tuple[bytes, int], int] = {}
-
-        def entry_size(key: tuple[bytes, int]) -> int:
-            size = entry_sizes.get(key)
-            if size is None:
-                size = 1 + len(serial_to_bytes(key[1]))
-                entry_sizes[key] = size
-            return size
 
         day = start
         removal_applied = False
         #: included-URL set as of the last build day (None forces a full
         #: rebuild: first day, or the parent-removal discontinuity).
         prev_included: frozenset[str] | None = None
-        #: key -> url for entries whose crawled state changed since the
+        #: key -> track for entries whose crawled state changed since the
         #: last build day (the only membership candidates when the
         #: included-URL set is unchanged).
-        pending: dict[tuple[bytes, int], str] = {}
+        pending: dict[tuple[bytes, int], _CrlTrack] = {}
         while day <= end:
             in_gap = cal.crlset_gap_start <= day < cal.crlset_gap_end
             added_today = 0
             removed_today = 0
 
             # 1. underlying crawled-CRL state always advances.
-            for url, key in adds_by_day.get(day, ()):
-                track = tracks[url]
+            ordinal = day.toordinal()
+            for track, key, size in adds_by_day.get(ordinal, ()):
                 track.active.add(key)
-                track.byte_size += entry_size(key)
-                pending[key] = url
-            for url, key in removes_by_day.get(day, ()):
-                track = tracks[url]
+                track.byte_size += size
+                pending[key] = track
+            for track, key, size in removes_by_day.get(ordinal, ()):
                 track.active.discard(key)
-                track.byte_size -= entry_size(key)
-                pending[key] = url
+                track.byte_size -= size
+                pending[key] = track
 
             # 2. the parent-removal event.
             if not removal_applied and day >= cal.crlset_parent_removal_date:
@@ -305,7 +304,7 @@ class CrlSetBuilder:
                     and included_urls == prev_included
                 ):
                     added_today, removed_today = self._sync_pending(
-                        tracks, members, histories, pending, included_urls, day
+                        members, histories, pending, day
                     )
                 else:
                     added_today, removed_today = self._sync_full(
@@ -377,32 +376,25 @@ class CrlSetBuilder:
         day: datetime.date,
     ) -> tuple[int, int]:
         """Rebuild membership as the union of every included active set."""
-        new_members: set[tuple[bytes, int]] = set()
-        for url in included_urls:
-            new_members |= tracks[url].active
-
-        added = 0
-        removed = 0
-        for key in new_members - members:
+        new_members = set().union(*(tracks[url].active for url in included_urls))
+        arrived = new_members - members
+        gone = members - new_members
+        for key in arrived:
             history = histories[key]
             if history.first_appeared is None:
                 history.first_appeared = day
             history.removed_at = None
-            added += 1
-        for key in members - new_members:
+        for key in gone:
             histories[key].removed_at = day
-            removed += 1
-        members.clear()
-        members.update(new_members)
-        return added, removed
+        members -= gone
+        members |= arrived
+        return len(arrived), len(gone)
 
     def _sync_pending(
         self,
-        tracks: dict[str, _CrlTrack],
         members: set[tuple[bytes, int]],
         histories: dict[tuple[bytes, int], EntryHistory],
-        pending: dict[tuple[bytes, int], str],
-        included_urls: frozenset[str],
+        pending: dict[tuple[bytes, int], _CrlTrack],
         day: datetime.date,
     ) -> tuple[int, int]:
         """Delta path: the included-URL set is unchanged since the last
@@ -413,10 +405,10 @@ class CrlSetBuilder:
         :meth:`_sync_full`."""
         added = 0
         removed = 0
-        for key, url in pending.items():
-            if url not in included_urls:
+        for key, track in pending.items():
+            if not track.included:
                 continue
-            if key in tracks[url].active:
+            if key in track.active:
                 if key not in members:
                     members.add(key)
                     history = histories[key]

@@ -17,16 +17,26 @@ import datetime
 import struct
 from dataclasses import dataclass, field
 
-__all__ = ["CrlSetSnapshot", "serial_to_bytes", "serialized_size"]
+__all__ = [
+    "CrlSetSnapshot",
+    "serial_length",
+    "serial_to_bytes",
+    "serialized_size",
+]
 
 _MAGIC = b"CRLS"
 
 
-def serial_to_bytes(serial: int) -> bytes:
-    """Minimal big-endian encoding of a serial number."""
+def serial_length(serial: int) -> int:
+    """Length of :func:`serial_to_bytes`' encoding, without building it."""
     if serial < 0:
         raise ValueError("serial numbers are non-negative")
-    return serial.to_bytes(max(1, (serial.bit_length() + 7) // 8), "big")
+    return max(1, (serial.bit_length() + 7) // 8)
+
+
+def serial_to_bytes(serial: int) -> bytes:
+    """Minimal big-endian encoding of a serial number."""
+    return serial.to_bytes(serial_length(serial), "big")
 
 
 def serialized_size(parents: dict[bytes, set[int]]) -> int:
@@ -35,7 +45,7 @@ def serialized_size(parents: dict[bytes, set[int]]) -> int:
     for parent, serials in parents.items():
         size += 32 + 4
         for serial in serials:
-            size += 1 + len(serial_to_bytes(serial))
+            size += 1 + serial_length(serial)
     return size
 
 

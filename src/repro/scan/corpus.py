@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import datetime
 import hashlib
+import itertools
 
 import numpy as np
 
 from repro.revocation.reason import ReasonCode
+from repro.scan.bulk import DayInterner
 from repro.scan.crl_model import CrlEntryRecord, EcosystemCrl
 from repro.scan.hidden import HiddenPopulation
 from repro.scan.records import LeafRecord
@@ -77,29 +79,43 @@ _CRL_COLUMNS = ("crl_entry_count", "crl_assigned", "crl_hidden")
 ALL_COLUMNS = _LEAF_COLUMNS + _ENTRY_COLUMNS + _CRL_COLUMNS
 
 
-def _ordinal(day: datetime.date | None) -> int:
-    return 0 if day is None else day.toordinal()
+def _ordinals(days) -> np.ndarray:
+    """int32 proleptic ordinals, 0 for None."""
+    return np.array(
+        [0 if day is None else day.toordinal() for day in days], np.int32
+    )
 
 
-def _serial_blob(serials: list[int]) -> np.ndarray:
-    buffer = b"".join(s.to_bytes(_SERIAL_BYTES, "big") for s in serials)
+def _serial_blob(serials) -> np.ndarray:
+    width, order = itertools.repeat(_SERIAL_BYTES), itertools.repeat("big")
+    buffer = b"".join(map(int.to_bytes, serials, width, order))
     return np.frombuffer(buffer, dtype=np.uint8).reshape(-1, _SERIAL_BYTES)
 
 
-class _DateInterner:
-    """Ordinal -> date with shared objects: a corpus spans ~2 k distinct
-    days, so interning cuts decoded-corpus memory by an order of
-    magnitude at large scales."""
+def _serials(blob: np.ndarray) -> list[int]:
+    """The serial numbers in a ``(n, 21)`` blob column: one bytes slice
+    per serial out of a single ``tobytes()`` copy."""
+    data = blob.tobytes()
+    return [
+        int.from_bytes(data[i : i + _SERIAL_BYTES], "big")
+        for i in range(0, len(data), _SERIAL_BYTES)
+    ]
 
-    def __init__(self) -> None:
-        self._cache: dict[int, datetime.date] = {}
 
-    def __call__(self, ordinal: int) -> datetime.date:
-        day = self._cache.get(ordinal)
-        if day is None:
-            day = datetime.date.fromordinal(ordinal)
-            self._cache[ordinal] = day
-        return day
+#: int8 reason column value -> reason (-1 = no reason extension); an
+#: unknown value raises KeyError, so a damaged column fails the decode.
+_REASON_OF: dict[int, ReasonCode | None] = {
+    -1: None,
+    **{int(reason): reason for reason in ReasonCode},
+}
+
+
+def _column(arrays: dict[str, np.ndarray], name: str, rows: slice) -> np.ndarray:
+    """``arrays[name][rows]``; a column too short for ``rows`` raises."""
+    column = arrays[name][rows]
+    if len(column) != rows.stop - rows.start:
+        raise ValueError(f"corpus column {name} is truncated")
+    return column
 
 
 # ---------------------------------------------------------------------------
@@ -110,86 +126,66 @@ class _DateInterner:
 def _encode_leaves(
     leaves: list[LeafRecord], crl_index_of_url: dict[str, int]
 ) -> dict[str, np.ndarray]:
-    n = len(leaves)
-    not_before = np.empty(n, np.int32)
-    not_after = np.empty(n, np.int32)
-    birth = np.empty(n, np.int32)
-    death = np.empty(n, np.int32)
-    revoked = np.empty(n, np.int32)
-    reason = np.empty(n, np.int8)
-    is_ev = np.empty(n, np.uint8)
-    server_count = np.empty(n, np.int32)
-    stapling = np.empty(n, np.int32)
-    alexa = np.empty(n, np.int32)
-    intermediate = np.empty(n, np.int32)
-    crl_ref = np.empty(n, np.int32)
-    has_ocsp = np.empty(n, np.uint8)
-    serials: list[int] = []
-    for i, leaf in enumerate(leaves):
-        not_before[i] = leaf.not_before.toordinal()
-        not_after[i] = leaf.not_after.toordinal()
-        birth[i] = leaf.birth.toordinal()
-        death[i] = leaf.death.toordinal()
-        revoked[i] = _ordinal(leaf.revoked_at)
-        reason[i] = -1 if leaf.revocation_reason is None else int(
-            leaf.revocation_reason
-        )
-        is_ev[i] = leaf.is_ev
-        server_count[i] = leaf.server_count
-        stapling[i] = leaf.stapling_servers
-        alexa[i] = leaf.alexa_rank or 0
-        intermediate[i] = leaf.intermediate_id
-        crl_ref[i] = (
-            -1 if leaf.crl_url is None else crl_index_of_url[leaf.crl_url]
-        )
-        has_ocsp[i] = leaf.ocsp_url is not None
-        serials.append(leaf.serial_number)
     return {
-        "leaf_not_before": not_before,
-        "leaf_not_after": not_after,
-        "leaf_birth": birth,
-        "leaf_death": death,
-        "leaf_revoked": revoked,
-        "leaf_reason": reason,
-        "leaf_is_ev": is_ev,
-        "leaf_server_count": server_count,
-        "leaf_stapling": stapling,
-        "leaf_alexa": alexa,
-        "leaf_serial": _serial_blob(serials),
-        "leaf_intermediate": intermediate,
-        "leaf_crl": crl_ref,
-        "leaf_has_ocsp": has_ocsp,
+        "leaf_not_before": _ordinals([leaf.not_before for leaf in leaves]),
+        "leaf_not_after": _ordinals([leaf.not_after for leaf in leaves]),
+        "leaf_birth": _ordinals([leaf.birth for leaf in leaves]),
+        "leaf_death": _ordinals([leaf.death for leaf in leaves]),
+        "leaf_revoked": _ordinals([leaf.revoked_at for leaf in leaves]),
+        "leaf_reason": np.array(
+            [
+                -1 if leaf.revocation_reason is None else int(leaf.revocation_reason)
+                for leaf in leaves
+            ],
+            np.int8,
+        ),
+        "leaf_is_ev": np.array([leaf.is_ev for leaf in leaves], np.uint8),
+        "leaf_server_count": np.array(
+            [leaf.server_count for leaf in leaves], np.int32
+        ),
+        "leaf_stapling": np.array(
+            [leaf.stapling_servers for leaf in leaves], np.int32
+        ),
+        "leaf_alexa": np.array([leaf.alexa_rank or 0 for leaf in leaves], np.int32),
+        "leaf_serial": _serial_blob([leaf.serial_number for leaf in leaves]),
+        "leaf_intermediate": np.array(
+            [leaf.intermediate_id for leaf in leaves], np.int32
+        ),
+        "leaf_crl": np.array(
+            [
+                -1 if leaf.crl_url is None else crl_index_of_url[leaf.crl_url]
+                for leaf in leaves
+            ],
+            np.int32,
+        ),
+        "leaf_has_ocsp": np.array(
+            [leaf.ocsp_url is not None for leaf in leaves], np.uint8
+        ),
     }
 
 
 def _encode_crls(crls: list[EcosystemCrl]) -> dict[str, np.ndarray]:
-    entry_count = np.empty(len(crls), np.int32)
-    assigned = np.empty(len(crls), np.int32)
-    hidden = np.empty(len(crls), np.int64)
-    serials: list[int] = []
-    revoked: list[int] = []
-    reason: list[int] = []
-    expiry: list[int] = []
-    cert: list[int] = []
-    for i, crl in enumerate(crls):
-        entry_count[i] = len(crl.entries)
-        assigned[i] = crl.assigned_cert_count
-        hidden[i] = -1 if crl.hidden is None else crl.hidden.target_end
-        for entry in crl.entries:
-            serials.append(entry.serial_number)
-            revoked.append(entry.revoked_at.toordinal())
-            reason.append(-1 if entry.reason is None else int(entry.reason))
-            expiry.append(entry.cert_not_after.toordinal())
-            cert.append(-1 if entry.cert_id is None else entry.cert_id)
+    entries = [entry for crl in crls for entry in crl.entries]
     return {
-        "entry_serial": _serial_blob(serials),
-        "entry_revoked": np.asarray(revoked, np.int32),
-        "entry_reason": np.asarray(reason, np.int8),
-        "entry_expiry": np.asarray(expiry, np.int32),
-        "entry_cert": np.asarray(cert, np.int32),
-        "crl_entry_count": entry_count,
-        "crl_assigned": assigned,
-        "crl_hidden": hidden,
+        "entry_serial": _serial_blob([entry.serial_number for entry in entries]),
+        "entry_revoked": _ordinals([entry.revoked_at for entry in entries]),
+        "entry_reason": np.array(
+            [-1 if entry.reason is None else int(entry.reason) for entry in entries],
+            np.int8,
+        ),
+        "entry_expiry": _ordinals([entry.cert_not_after for entry in entries]),
+        "entry_cert": np.array(
+            [-1 if entry.cert_id is None else entry.cert_id for entry in entries],
+            np.int32,
+        ),
+        "crl_entry_count": np.array([len(crl.entries) for crl in crls], np.int32),
+        "crl_assigned": np.array(
+            [crl.assigned_cert_count for crl in crls], np.int32
+        ),
+        "crl_hidden": np.array(
+            [-1 if crl.hidden is None else crl.hidden.target_end for crl in crls],
+            np.int64,
+        ),
     }
 
 
@@ -330,59 +326,45 @@ def decode_brand_leaves(
     is always the *global* CRL list the ``leaf_crl`` indexes point into.
     """
     layout = state.layout
-    intern = _DateInterner()
-    not_before = arrays["leaf_not_before"]
-    not_after = arrays["leaf_not_after"]
-    birth = arrays["leaf_birth"]
-    death = arrays["leaf_death"]
-    revoked = arrays["leaf_revoked"]
-    reason = arrays["leaf_reason"]
-    is_ev = arrays["leaf_is_ev"]
-    server_count = arrays["leaf_server_count"]
-    stapling = arrays["leaf_stapling"]
-    alexa = arrays["leaf_alexa"]
-    serial = arrays["leaf_serial"]
-    intermediate = arrays["leaf_intermediate"]
-    crl_ref = arrays["leaf_crl"]
-    has_ocsp = arrays["leaf_has_ocsp"]
+    count = layout.cert_count
+    rows = slice(offset, offset + count)
+    days = DayInterner()
 
-    leaves: list[LeafRecord] = []
-    name = state.profile.name
-    for i in range(layout.cert_count):
-        row = offset + i
-        revoked_ordinal = int(revoked[row])
-        reason_value = int(reason[row])
-        crl_index = int(crl_ref[row])
-        intermediate_id = int(intermediate[row])
-        rank = int(alexa[row])
-        leaves.append(
-            LeafRecord(
-                cert_id=layout.cert_base + i,
-                brand=name,
-                intermediate_id=intermediate_id,
-                serial_number=int.from_bytes(serial[row].tobytes(), "big"),
-                not_before=intern(int(not_before[row])),
-                not_after=intern(int(not_after[row])),
-                birth=intern(int(birth[row])),
-                death=intern(int(death[row])),
-                is_ev=bool(is_ev[row]),
-                crl_url=None if crl_index < 0 else crls[crl_index].url,
-                ocsp_url=(
-                    state.ocsp_urls[intermediate_id - layout.intermediate_base]
-                    if has_ocsp[row]
-                    else None
-                ),
-                revoked_at=None if revoked_ordinal == 0 else intern(revoked_ordinal),
-                revocation_reason=(
-                    None if reason_value < 0 else ReasonCode(reason_value)
-                ),
-                server_count=int(server_count[row]),
-                stapling_servers=int(stapling[row]),
-                alexa_rank=rank or None,
-            )
-        )
-        state.leaf_ids.append(layout.cert_base + i)
-    return leaves
+    def column(name: str) -> list:
+        return _column(arrays, name, rows).tolist()
+
+    def dates(name: str) -> list[datetime.date | None]:
+        return [days[ordinal] if ordinal else None for ordinal in column(name)]
+
+    crl_urls = [crl.url for crl in crls]
+    ocsp_urls = state.ocsp_urls
+    intermediates = column("leaf_intermediate")
+    # Keys in LeafRecord field order: the records are built positionally.
+    fields = {
+        "cert_id": range(layout.cert_base, layout.cert_base + count),
+        "brand": itertools.repeat(state.profile.name, count),
+        "intermediate_id": intermediates,
+        "serial_number": _serials(_column(arrays, "leaf_serial", rows)),
+        "not_before": dates("leaf_not_before"),
+        "not_after": dates("leaf_not_after"),
+        "birth": dates("leaf_birth"),
+        "death": dates("leaf_death"),
+        "is_ev": [bool(flag) for flag in column("leaf_is_ev")],
+        "crl_url": [
+            None if index < 0 else crl_urls[index] for index in column("leaf_crl")
+        ],
+        "ocsp_url": [
+            ocsp_urls[intermediate - layout.intermediate_base] if has_ocsp else None
+            for intermediate, has_ocsp in zip(intermediates, column("leaf_has_ocsp"))
+        ],
+        "revoked_at": dates("leaf_revoked"),
+        "revocation_reason": [_REASON_OF[code] for code in column("leaf_reason")],
+        "server_count": column("leaf_server_count"),
+        "stapling_servers": column("leaf_stapling"),
+        "alexa_rank": [rank or None for rank in column("leaf_alexa")],
+    }
+    state.leaf_ids.extend(fields["cert_id"])
+    return list(map(LeafRecord, *fields.values()))
 
 
 def decode_crl_population(
@@ -401,37 +383,33 @@ def decode_crl_population(
     """
     from repro.scan.shardgen import _SYNTH_WINDOW_START
 
-    intern = _DateInterner()
-    entry_count = arrays["crl_entry_count"]
-    assigned = arrays["crl_assigned"]
-    hidden = arrays["crl_hidden"]
-    serial = arrays["entry_serial"]
-    revoked = arrays["entry_revoked"]
-    reason = arrays["entry_reason"]
-    expiry = arrays["entry_expiry"]
-    cert = arrays["entry_cert"]
+    crl_rows = slice(crl_offset, crl_offset + len(crls))
+    counts = _column(arrays, "crl_entry_count", crl_rows).tolist()
+    rows = slice(entry_offset, entry_offset + sum(counts))
+    days = DayInterner()
 
-    cursor = entry_offset
-    for i, crl in enumerate(crls):
-        row = crl_offset + i
-        count = int(entry_count[row])
-        entries = []
-        for j in range(cursor, cursor + count):
-            reason_value = int(reason[j])
-            cert_id = int(cert[j])
-            entries.append(
-                CrlEntryRecord(
-                    serial_number=int.from_bytes(serial[j].tobytes(), "big"),
-                    revoked_at=intern(int(revoked[j])),
-                    reason=None if reason_value < 0 else ReasonCode(reason_value),
-                    cert_not_after=intern(int(expiry[j])),
-                    cert_id=None if cert_id < 0 else cert_id,
-                )
-            )
+    def column(name: str) -> list:
+        return _column(arrays, name, rows).tolist()
+
+    # Keys in CrlEntryRecord field order: the records are built positionally.
+    fields = {
+        "serial_number": _serials(_column(arrays, "entry_serial", rows)),
+        "revoked_at": [days[ordinal] for ordinal in column("entry_revoked")],
+        "reason": [_REASON_OF[code] for code in column("entry_reason")],
+        "cert_not_after": [days[ordinal] for ordinal in column("entry_expiry")],
+        "cert_id": [None if cert < 0 else cert for cert in column("entry_cert")],
+    }
+    entries = list(map(CrlEntryRecord, *fields.values()))
+    cursor = 0
+    for crl, count, assigned, target in zip(
+        crls,
+        counts,
+        _column(arrays, "crl_assigned", crl_rows).tolist(),
+        _column(arrays, "crl_hidden", crl_rows).tolist(),
+    ):
+        crl.entries = entries[cursor : cursor + count]  # invalidates the series
         cursor += count
-        crl.entries = entries  # assignment invalidates the cached series
-        crl.assigned_cert_count = int(assigned[row])
-        target = int(hidden[row])
+        crl.assigned_cert_count = assigned
         if target >= 0:
             crl.hidden = HiddenPopulation(
                 target_end=target,

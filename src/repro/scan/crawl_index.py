@@ -23,8 +23,10 @@ enforced by ``tests/scan/test_crawl_index.py``.
 from __future__ import annotations
 
 import datetime
+import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable
 
 from repro.revocation.sizing import (
@@ -32,6 +34,7 @@ from repro.revocation.sizing import (
     representative_entry_size,
     revoked_entry_size,
 )
+from repro.scan.bulk import gc_paused
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.scan.crl_model import EcosystemCrl
@@ -59,36 +62,44 @@ class CrlSeries:
         "_size_model",
     )
 
+    @gc_paused()
     def __init__(self, crl: "EcosystemCrl") -> None:
-        sized = []
-        for entry in crl.entries:
-            if entry.revoked_at > entry.cert_not_after:
-                raise ValueError(
-                    f"entry {entry.serial_number} on {crl.url} revoked after "
-                    "certificate expiry; timeline decomposition needs "
-                    "revoked_at <= cert_not_after"
-                )
-            sized.append(
-                (
-                    entry.revoked_at,
-                    entry.cert_not_after,
-                    revoked_entry_size(
-                        entry.serial_number,
-                        with_reason=entry.reason is not None,
-                        generalized_time=entry.revoked_at.year > 2049,
-                    ),
-                )
+        entries = crl.entries
+        revoked = [entry.revoked_at for entry in entries]
+        expiry = [entry.cert_not_after for entry in entries]
+        if any(map(operator.gt, revoked, expiry)):
+            entry = next(e for e in entries if e.revoked_at > e.cert_not_after)
+            raise ValueError(
+                f"entry {entry.serial_number} on {crl.url} revoked after "
+                "certificate expiry; timeline decomposition needs "
+                "revoked_at <= cert_not_after"
             )
+        sizes = [
+            _ENTRY_SIZES[
+                entry.serial_number.bit_length() // 8 + 1,
+                entry.reason is not None,
+                entry.revoked_at.year > 2049,
+            ]
+            if entry.serial_number >= 0
+            else revoked_entry_size(
+                entry.serial_number,
+                with_reason=entry.reason is not None,
+                generalized_time=entry.revoked_at.year > 2049,
+            )
+            for entry in entries
+        ]
 
-        # Entries sorted by revocation day, with byte prefix sums.
-        by_revoked = sorted((rev, size) for rev, _exp, size in sized)
-        self._rev_days = [rev for rev, _ in by_revoked]
-        self._rev_cum_bytes = _prefix_sums(size for _, size in by_revoked)
+        # Entries sorted by revocation day, with byte prefix sums.  The
+        # order among equal days is irrelevant: queries only read sums
+        # at day boundaries.
+        by_revoked = sorted(range(len(entries)), key=revoked.__getitem__)
+        self._rev_days = [revoked[i] for i in by_revoked]
+        self._rev_cum_bytes = _prefix_sums([sizes[i] for i in by_revoked])
 
         # Entries sorted by expiry day (when they drop off the CRL).
-        by_expiry = sorted((exp, size) for _rev, exp, size in sized)
-        self._exp_days = [exp for exp, _ in by_expiry]
-        self._exp_cum_bytes = _prefix_sums(size for _, size in by_expiry)
+        by_expiry = sorted(range(len(entries)), key=expiry.__getitem__)
+        self._exp_days = [expiry[i] for i in by_expiry]
+        self._exp_cum_bytes = _prefix_sums([sizes[i] for i in by_expiry])
 
         self._additions = Counter(self._rev_days)
         self._hidden = crl.hidden
@@ -144,12 +155,26 @@ class CrlSeries:
 
 
 def _prefix_sums(values: Iterable[int]) -> list[int]:
-    sums = [0]
-    total = 0
-    for value in values:
-        total += value
-        sums.append(total)
-    return sums
+    return list(accumulate(values, initial=0))
+
+
+class _EntrySizes(dict):
+    """Encoded size of a CRL entry by ``(serial content width, has a
+    reason, GeneralizedTime revocation date)`` -- the only inputs
+    :func:`revoked_entry_size` reads for a non-negative serial, whose
+    content width is ``bit_length() // 8 + 1``."""
+
+    def __missing__(self, key: tuple[int, bool, bool]) -> int:
+        width, with_reason, generalized_time = key
+        # The smallest serial with that content width.
+        serial = 1 << 8 * (width - 1)
+        size = self[key] = revoked_entry_size(
+            serial, with_reason=with_reason, generalized_time=generalized_time
+        )
+        return size
+
+
+_ENTRY_SIZES = _EntrySizes()
 
 
 class CrawlIndex:

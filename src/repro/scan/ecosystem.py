@@ -30,6 +30,7 @@ from repro.pki.certificate import Certificate, CertificateBuilder
 from repro.pki.keys import KeyPair
 from repro.pki.name import Name
 from repro.scan import shardgen
+from repro.scan.bulk import gc_paused
 from repro.scan.calibration import Calibration
 from repro.scan.crl_model import EcosystemCrl
 from repro.scan.records import IntermediateRecord, LeafRecord
@@ -57,22 +58,21 @@ class LeafIndex:
     """
 
     def __init__(self, leaves: list[LeafRecord]) -> None:
-        n = len(leaves)
-        self.not_before = np.empty(n, np.int64)
-        self.not_after = np.empty(n, np.int64)
-        self.birth = np.empty(n, np.int64)
-        self.death = np.empty(n, np.int64)
-        self.revoked = np.empty(n, np.int64)
-        self.is_ev = np.empty(n, bool)
-        for i, leaf in enumerate(leaves):
-            self.not_before[i] = leaf.not_before.toordinal()
-            self.not_after[i] = leaf.not_after.toordinal()
-            self.birth[i] = leaf.birth.toordinal()
-            self.death[i] = leaf.death.toordinal()
-            self.revoked[i] = (
+        def ordinals(days) -> np.ndarray:
+            return np.array([day.toordinal() for day in days], np.int64)
+
+        self.not_before = ordinals([leaf.not_before for leaf in leaves])
+        self.not_after = ordinals([leaf.not_after for leaf in leaves])
+        self.birth = ordinals([leaf.birth for leaf in leaves])
+        self.death = ordinals([leaf.death for leaf in leaves])
+        self.revoked = np.array(
+            [
                 leaf.revoked_at.toordinal() if leaf.revoked_at else _NEVER
-            )
-            self.is_ev[i] = leaf.is_ev
+                for leaf in leaves
+            ],
+            np.int64,
+        )
+        self.is_ev = np.array([leaf.is_ev for leaf in leaves], bool)
 
     def fresh_mask(self, on: datetime.date) -> np.ndarray:
         ordinal = on.toordinal()
@@ -106,6 +106,7 @@ class Ecosystem:
     processes, shipping columnar parts back to the parent.
     """
 
+    @gc_paused()
     def __init__(
         self,
         calibration: Calibration | None = None,
@@ -124,6 +125,7 @@ class Ecosystem:
         self._finalize(assign_alexa=True)
 
     @classmethod
+    @gc_paused()
     def from_corpus(
         cls,
         calibration: Calibration,
@@ -168,6 +170,7 @@ class Ecosystem:
         return self
 
     @classmethod
+    @gc_paused()
     def from_parts(
         cls,
         calibration: Calibration,

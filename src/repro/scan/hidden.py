@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import datetime
 import math
+from functools import lru_cache
+
+import numpy as np
 
 __all__ = ["HiddenPopulation", "weekday_factor"]
 
@@ -24,12 +27,57 @@ def weekday_factor(day: datetime.date) -> float:
     return _WEEKDAY_FACTORS[day.weekday()]
 
 
+class _Window:
+    """The target-independent half of a schedule: the window's dates,
+    one weight per date (weekday pattern times the Heartbleed burst),
+    their sum, and the dates' offsets in busiest-first order.  Every CRL
+    of a study shares the same window, so :func:`_window` builds this
+    once and each :class:`HiddenPopulation` only scales it to its own
+    target."""
+
+    __slots__ = ("busiest", "dates", "days", "total_weight", "weights")
+
+    def __init__(
+        self,
+        window_start: datetime.date,
+        window_end: datetime.date,
+        heartbleed_date: datetime.date | None,
+        heartbleed_boost: float,
+        heartbleed_decay_days: float,
+    ) -> None:
+        days = (window_end - window_start).days + 1
+        self.dates = [window_start + datetime.timedelta(days=i) for i in range(days)]
+        weights = []
+        for day in self.dates:
+            weight = weekday_factor(day)
+            if heartbleed_date is not None and day >= heartbleed_date:
+                age = (day - heartbleed_date).days
+                weight *= 1.0 + heartbleed_boost * math.exp(
+                    -age / heartbleed_decay_days
+                )
+            weights.append(weight)
+        self.days = days
+        self.weights = np.array(weights)
+        # Summed left to right: numpy's pairwise sum can round differently.
+        self.total_weight = sum(weights)
+        # A stable sort, so equal weights keep day order.
+        self.busiest = np.array(
+            sorted(range(days), key=lambda i: -weights[i]), dtype=np.intp
+        )
+
+
+@lru_cache(maxsize=16)
+def _window(*key) -> _Window:
+    return _Window(*key)
+
+
 class HiddenPopulation:
     """A deterministic daily schedule of CRL entry additions/removals.
 
     Exactness: ``count_at(window_end) == target_end`` by construction --
     additions are distributed proportionally to weekday/Heartbleed weights
-    and removals absorb the difference.
+    and removals absorb the difference.  Queries index per-day lists by
+    the day's offset into the window.
     """
 
     def __init__(
@@ -53,63 +101,66 @@ class HiddenPopulation:
         self.window_end = window_end
         self.target_end = target_end
 
-        days = (window_end - window_start).days + 1
-        dates = [window_start + datetime.timedelta(days=i) for i in range(days)]
-
-        weights = []
-        for day in dates:
-            weight = weekday_factor(day)
-            if heartbleed_date is not None and day >= heartbleed_date:
-                age = (day - heartbleed_date).days
-                weight *= 1.0 + heartbleed_boost * math.exp(
-                    -age / heartbleed_decay_days
-                )
-            weights.append(weight)
-        total_weight = sum(weights)
-
+        window = _window(
+            window_start,
+            window_end,
+            heartbleed_date,
+            heartbleed_boost,
+            heartbleed_decay_days,
+        )
+        days = window.days
         additions_total = round(target_end * churn)
-        self._additions: dict[datetime.date, int] = {}
-        allocated = 0
-        for day, weight in zip(dates, weights):
-            amount = int(additions_total * weight / total_weight)
-            self._additions[day] = amount
-            allocated += amount
+        # int(additions_total * weight / total_weight) per day, elementwise.
+        additions = (additions_total * window.weights / window.total_weight).astype(
+            np.int64
+        )
         # Distribute the integer remainder over the busiest days.
-        remainder = additions_total - allocated
-        for day, _ in sorted(
-            zip(dates, weights), key=lambda pair: -pair[1]
-        )[: max(0, remainder)]:
-            self._additions[day] += 1
+        remainder = additions_total - int(additions.sum())
+        additions[window.busiest[: max(0, remainder)]] += 1
 
+        # Removals are spread evenly; the first `extra` days take one more.
         removals_total = additions_total - round(target_end * growth)
-        self._removals: dict[datetime.date, int] = {}
-        per_day = removals_total // days
-        extra = removals_total - per_day * days
-        for i, day in enumerate(dates):
-            self._removals[day] = per_day + (1 if i < extra else 0)
+        per_day, extra = divmod(removals_total, days)
+        removals = np.full(days, per_day, np.int64)
+        removals[:extra] += 1
 
-        net = sum(self._additions.values()) - sum(self._removals.values())
-        self._initial = target_end - net
+        self._initial = target_end - (int(additions.sum()) - removals_total)
+        self._start = window_start.toordinal()
+        self._days = days
+        self._dates = window.dates
+        self._additions: list[int] = additions.tolist()
+        self._removals: list[int] = removals.tolist()
+        self._cumulative: list[int] = (
+            self._initial + np.cumsum(additions - removals)
+        ).tolist()
 
-        # Cumulative counts for O(1)-ish queries.
-        self._cumulative: dict[datetime.date, int] = {}
-        running = self._initial
-        for day in dates:
-            running += self._additions[day] - self._removals[day]
-            self._cumulative[day] = running
+    def _offset(self, day: datetime.date) -> int:
+        return day.toordinal() - self._start
 
     def additions_on(self, day: datetime.date) -> int:
-        return self._additions.get(day, 0)
+        offset = self._offset(day)
+        return self._additions[offset] if 0 <= offset < self._days else 0
 
     def removals_on(self, day: datetime.date) -> int:
-        return self._removals.get(day, 0)
+        offset = self._offset(day)
+        return self._removals[offset] if 0 <= offset < self._days else 0
 
     def count_at(self, day: datetime.date) -> int:
-        if day < self.window_start:
+        offset = self._offset(day)
+        if offset < 0:
             return self._initial
-        if day > self.window_end:
-            day = self.window_end
-        return self._cumulative[day]
+        return self._cumulative[min(offset, self._days - 1)]
+
+    def active_days(self) -> list[tuple[datetime.date, int, int]]:
+        """``(day, additions, removals)`` for each window day on which
+        the schedule adds or removes entries, in day order."""
+        return [
+            (day, added, removed)
+            for day, added, removed in zip(
+                self._dates, self._additions, self._removals
+            )
+            if added or removed
+        ]
 
     @property
     def initial_count(self) -> int:

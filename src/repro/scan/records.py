@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from repro.revocation.reason import ReasonCode
 
-__all__ = ["IntermediateRecord", "LeafRecord", "SyntheticRevocation"]
+__all__ = ["IntermediateRecord", "LeafRecord"]
 
 
 @dataclass(slots=True)
@@ -95,19 +95,3 @@ class IntermediateRecord:
     @property
     def has_revocation_info(self) -> bool:
         return self.has_crl or self.has_ocsp
-
-
-@dataclass(slots=True)
-class SyntheticRevocation:
-    """A CRL entry for a certificate never observed in scans.
-
-    The paper's CRLs carry 11.46 M entries but only ~420 k belong to
-    scan-observed certificates; the rest are modelled either in bulk
-    (hidden counts, for the big CRLs) or -- on CRLs small enough to be
-    CRLSet-eligible -- as these individually identified records.
-    """
-
-    serial_number: int
-    revoked_at: datetime.date
-    reason: ReasonCode | None
-    cert_not_after: datetime.date

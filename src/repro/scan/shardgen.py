@@ -28,14 +28,18 @@ from __future__ import annotations
 
 import bisect
 import datetime
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
+from operator import itemgetter
 
 from repro.ca.authority import CertificateAuthority
 from repro.ca.profiles import PAPER_CA_PROFILES, CaProfile
 from repro.revocation.reason import ReasonCode
 from repro.revocation.sizing import representative_entry_size
+from repro.scan.bulk import DayInterner, gc_paused
 from repro.scan.calibration import Calibration
 from repro.scan.crl_model import CrlEntryRecord, EcosystemCrl
 from repro.scan.hidden import HiddenPopulation
@@ -82,25 +86,31 @@ def _dt(day: datetime.date) -> datetime.datetime:
     return datetime.datetime(day.year, day.month, day.day, tzinfo=_UTC)
 
 
-def _draw_mix(rng, mix):
-    """Draw from a ((value, probability), ...) mixture."""
-    roll = rng.random()
-    cumulative = 0.0
-    for value, probability in mix:
-        cumulative += probability
-        if roll < cumulative:
-            return value
-    return mix[-1][0]
+class _Mix:
+    """A mixture drawn with one ``rng.random()`` roll: the first value
+    whose running probability total exceeds the roll, else the last
+    value.  ``pairs`` is ``((value, probability), ...)``; the running
+    totals are summed once, in declaration order, and searched by
+    bisection."""
+
+    __slots__ = ("_cumulative", "_values")
+
+    def __init__(self, pairs) -> None:
+        pairs = tuple(pairs)
+        self._cumulative = list(accumulate(probability for _, probability in pairs))
+        values = [value for value, _ in pairs]
+        self._values = values + values[-1:]
+
+    def draw(self, rng):
+        return self._values[bisect.bisect_right(self._cumulative, rng.random())]
 
 
-def _draw_mix_triple(rng, mix):
-    roll = rng.random()
-    cumulative = 0.0
-    for entry in mix:
-        cumulative += entry[-1]
-        if roll < cumulative:
-            return entry
-    return mix[-1]
+def _reason_mix(cal: Calibration) -> _Mix:
+    """The calibration's reason-code mixture, as :class:`ReasonCode` values."""
+    return _Mix(
+        (None if name is None else ReasonCode[name], probability)
+        for name, probability in cal.reason_mix
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +327,14 @@ def _build_brand_crls(cal: Calibration, state: BrandState, rng) -> None:
     plain = representative_entry_size(_serial_bytes(profile), False)
     with_reason = representative_entry_size(_serial_bytes(profile), True)
     effective_entry = 0.7 * plain + 0.3 * with_reason
+    reissue_mix = _Mix(cal.crl_reissue_hours_mix)
 
     for i, factor in enumerate(factors):
         ca = state.intermediate_cas[i % len(state.intermediate_cas)]
         record = state.intermediate_records[i % len(state.intermediate_records)]
         target_bytes = profile.avg_crl_kb * 1024.0 * factor
         target_entries = max(1, int((target_bytes - 400.0) / effective_entry))
-        reissue_hours = _draw_mix(rng, cal.crl_reissue_hours_mix)
+        reissue_hours = reissue_mix.draw(rng)
         crl = EcosystemCrl(
             url=f"http://crl.{profile.name.lower()}.example/crl{i}.crl",
             brand=profile.name,
@@ -366,23 +377,6 @@ def _issue_distribution(cal: Calibration):
     return months, cum_weights, cum_weights[-1]
 
 
-def _sample_issue_date(rng, cal, months, cum_weights, total_weight):
-    """Sample (issue date, validity days), conditioned on the cert's
-    alive window overlapping the scan window (the Leaf Set is, by
-    definition, the set of certificates the scans observed)."""
-    scan_start, scan_end = cal.scan_start, cal.scan_end
-    for _ in range(40):
-        month = months[bisect.bisect(cum_weights, rng.random() * total_weight)]
-        day = rng.randint(1, 28)
-        issue = datetime.date(month.year, month.month, day)
-        validity = _draw_mix(rng, cal.validity_mix)
-        not_after = issue + datetime.timedelta(days=validity)
-        # Must be advertisable within the scan window.
-        if not_after >= scan_start and issue <= scan_end:
-            return issue, validity
-    return scan_start, 365
-
-
 def _draw_stapling(rng, cal: Calibration, server_count: int, is_ev: bool) -> int:
     all_p = cal.ev_stapling_all_fraction if is_ev else cal.stapling_all_fraction
     partial_p = (
@@ -406,80 +400,105 @@ def build_brand_leaves(
     Each :data:`LEAF_BLOCK`-sized block draws from its own substream, so
     any block -- hence any brand, hence any shard -- can be generated
     independently and still merge byte-identically.
+
+    Per leaf, in draw order: the issue date and validity (rejection-
+    sampled until the certificate overlaps the scan window: the Leaf Set
+    is, by definition, what the scans observed), the first-advertised
+    lag, the death, the issuing intermediate, the serial, the CRL
+    pointer, the OCSP pointer, EV, the server count and the stapling
+    servers.
     """
     cal = calibration
     profile = state.profile
     layout = state.layout
     months, cum_weights, total_weight = _issue_distribution(cal)
+    # Day arithmetic runs on ordinals; records get interned dates.  Day
+    # d of a month is its "day 0" ordinal plus d.
+    month_day0 = [month.toordinal() - 1 for month in months]
+    days = DayInterner()
+    validity_mix = _Mix(cal.validity_mix)
+    server_count_mix = _Mix((entry, entry[-1]) for entry in cal.server_count_mix)
+    scan_start, scan_end = cal.scan_start.toordinal(), cal.scan_end.toordinal()
+    birth_lag_max = cal.birth_lag_max_days
+    early_death = cal.early_death_fraction
+    past_expiry = cal.advertise_past_expiry
+    overrun_max = cal.expiry_overrun_max_days
+    ocsp_inclusion = cal.ocsp_inclusion_after_adoption
+    ocsp_since, ocsp_ramp = profile.ocsp_since.toordinal(), profile.ocsp_ramp_days
+    crl_inclusion, ev_fraction = profile.crl_inclusion, profile.ev_fraction
     count = layout.cert_count
-    n_crls = len(state.crls)
+    n_intermediates = len(state.intermediate_cas)
+    intermediate_ids = [
+        record.intermediate_id for record in state.intermediate_records
+    ]
+    crl_urls = [crl.url for crl in state.crls]
+    n_crls = len(crl_urls)
+    ocsp_urls = state.ocsp_urls
     random_long = profile.serial_style == "random_long"
+    brand = profile.name
     crl_assigned = [0] * n_crls
     leaves: list[LeafRecord] = []
+    bisect_right = bisect.bisect_right
 
     for block_start in range(0, count, LEAF_BLOCK):
         rng = substream(
             cal.seed, "leaves", profile.name, block_start // LEAF_BLOCK
         )
+        random, randint, randrange = rng.random, rng.randint, rng.randrange
         for i in range(block_start, min(block_start + LEAF_BLOCK, count)):
-            issue, validity = _sample_issue_date(
-                rng, cal, months, cum_weights, total_weight
-            )
-            not_after = issue + datetime.timedelta(days=validity)
-            birth = issue + datetime.timedelta(
-                days=rng.randint(0, cal.birth_lag_max_days)
-            )
-            if rng.random() < cal.early_death_fraction:
-                # Replaced mid-life (rekeyed, reissued, site retired).
-                death = birth + datetime.timedelta(
-                    days=rng.randint(30, max(31, validity))
-                )
-            elif rng.random() < cal.advertise_past_expiry:
-                death = not_after + datetime.timedelta(
-                    days=rng.randint(1, cal.expiry_overrun_max_days)
-                )
+            for _ in range(40):
+                month = month_day0[
+                    bisect_right(cum_weights, random() * total_weight)
+                ]
+                issue = month + randint(1, 28)
+                validity = validity_mix.draw(rng)
+                not_after = issue + validity
+                if not_after >= scan_start and issue <= scan_end:
+                    break
             else:
-                death = not_after - datetime.timedelta(days=rng.randint(0, 21))
+                issue, validity = scan_start, 365
+                not_after = issue + validity
+            birth = issue + randint(0, birth_lag_max)
+            if random() < early_death:
+                # Replaced mid-life (rekeyed, reissued, site retired).
+                death = birth + randint(30, max(31, validity))
+            elif random() < past_expiry:
+                death = not_after + randint(1, overrun_max)
+            else:
+                death = not_after - randint(0, 21)
             death = max(death, birth)
 
-            intermediate_index = rng.randrange(len(state.intermediate_cas))
+            intermediate_index = randrange(n_intermediates)
             serial = rng.getrandbits(160) if random_long else 1000 + i
 
             crl_url = None
-            if n_crls and rng.random() < profile.crl_inclusion:
-                crl_index = rng.randrange(n_crls)
+            if n_crls and random() < crl_inclusion:
+                crl_index = randrange(n_crls)
                 crl_assigned[crl_index] += 1
-                crl_url = state.crls[crl_index].url
+                crl_url = crl_urls[crl_index]
 
             ocsp_url = None
-            adoption = profile.ocsp_since
-            if profile.ocsp_ramp_days:
-                adoption = adoption + datetime.timedelta(
-                    days=rng.randint(0, profile.ocsp_ramp_days)
-                )
-            if issue >= adoption and (
-                rng.random() < cal.ocsp_inclusion_after_adoption
-            ):
-                ocsp_url = state.ocsp_urls[intermediate_index]
+            adoption = ocsp_since
+            if ocsp_ramp:
+                adoption += randint(0, ocsp_ramp)
+            if issue >= adoption and random() < ocsp_inclusion:
+                ocsp_url = ocsp_urls[intermediate_index]
 
-            is_ev = rng.random() < profile.ev_fraction
-            low, high, _ = _draw_mix_triple(rng, cal.server_count_mix)
-            server_count = rng.randint(low, high)
+            is_ev = random() < ev_fraction
+            low, high, _ = server_count_mix.draw(rng)
+            server_count = randint(low, high)
             stapling_servers = _draw_stapling(rng, cal, server_count, is_ev)
 
-            cert_id = layout.cert_base + i
             leaves.append(
                 LeafRecord(
-                    cert_id=cert_id,
-                    brand=profile.name,
-                    intermediate_id=state.intermediate_records[
-                        intermediate_index
-                    ].intermediate_id,
+                    cert_id=layout.cert_base + i,
+                    brand=brand,
+                    intermediate_id=intermediate_ids[intermediate_index],
                     serial_number=serial,
-                    not_before=issue,
-                    not_after=not_after,
-                    birth=birth,
-                    death=death,
+                    not_before=days[issue],
+                    not_after=days[not_after],
+                    birth=days[birth],
+                    death=days[death],
                     is_ev=is_ev,
                     crl_url=crl_url,
                     ocsp_url=ocsp_url,
@@ -487,7 +506,7 @@ def build_brand_leaves(
                     stapling_servers=stapling_servers,
                 )
             )
-            state.leaf_ids.append(cert_id)
+    state.leaf_ids.extend(range(layout.cert_base, layout.cert_base + count))
 
     for crl, assigned in zip(state.crls, crl_assigned):
         crl.assigned_cert_count += assigned
@@ -519,13 +538,15 @@ def _steady_revocation_date(rng, cal: Calibration, leaf: LeafRecord):
 
 
 def _revoke_leaf(
-    rng, cal: Calibration, state: BrandState, leaf: LeafRecord, when
+    rng,
+    cal: Calibration,
+    state: BrandState,
+    leaf: LeafRecord,
+    when,
+    reasons: _Mix,
 ) -> None:
     leaf.revoked_at = when
-    reason_name = _draw_mix(rng, cal.reason_mix)
-    leaf.revocation_reason = (
-        None if reason_name is None else ReasonCode[reason_name]
-    )
+    leaf.revocation_reason = reasons.draw(rng)
     if rng.random() >= cal.keep_advertising_after_revoke:
         # Most administrators deploy the replacement certificate right
         # around the revocation (often just before requesting it).
@@ -557,6 +578,7 @@ def assign_brand_revocations(
     if not leaves or target == 0:
         return
     rng = substream(cal.seed, "revoke", profile.name)
+    reasons = _reason_mix(cal)
 
     steady_p = min(cal.steady_cap, profile.revoked_fraction * cal.steady_share)
     steady_count = min(target, round(len(leaves) * steady_p))
@@ -565,7 +587,7 @@ def assign_brand_revocations(
     for index in chosen:
         leaf = leaves[index]
         _revoke_leaf(
-            rng, cal, state, leaf, _steady_revocation_date(rng, cal, leaf)
+            rng, cal, state, leaf, _steady_revocation_date(rng, cal, leaf), reasons
         )
         revoked.add(index)
 
@@ -596,7 +618,7 @@ def assign_brand_revocations(
             )
             when = heartbleed + datetime.timedelta(days=offset)
             when = min(when, leaf.not_after)
-            _revoke_leaf(rng, cal, state, leaf, when)
+            _revoke_leaf(rng, cal, state, leaf, when, reasons)
             revoked.add(index)
 
         # Any shortfall (tiny corpora) becomes late steady churn.
@@ -604,7 +626,12 @@ def assign_brand_revocations(
         for index in leftovers[: max(0, target - len(revoked))]:
             leaf = leaves[index]
             _revoke_leaf(
-                rng, cal, state, leaf, _steady_revocation_date(rng, cal, leaf)
+                rng,
+                cal,
+                state,
+                leaf,
+                _steady_revocation_date(rng, cal, leaf),
+                reasons,
             )
 
 
@@ -622,6 +649,9 @@ def populate_brand_synthetic(calibration: Calibration, state: BrandState) -> Non
     so even CRLs within a brand are order-independent."""
     cal = calibration
     profile = state.profile
+    reasons = _reason_mix(cal)
+    days = DayInterner()
+    random_long = profile.serial_style == "random_long"
     for local_index, crl in enumerate(state.crls):
         target = getattr(crl, "_target_entries", 0)
         observed_end = sum(
@@ -630,80 +660,88 @@ def populate_brand_synthetic(calibration: Calibration, state: BrandState) -> Non
         synthetic_needed = max(0, target - observed_end)
         if synthetic_needed == 0:
             continue
-        if target > MATERIALIZE_THRESHOLD:
-            crl.hidden = HiddenPopulation(
-                target_end=synthetic_needed,
-                window_start=_SYNTH_WINDOW_START,
-                window_end=cal.measurement_end,
-                heartbleed_date=cal.heartbleed_date,
-            )
-            continue
-        rng = substream(cal.seed, "synth", profile.name, local_index)
-        serial_band = SYNTH_SERIAL_BASE + SYNTH_SERIAL_STRIDE * (
-            state.layout.crl_base + local_index
-        )
-        random_long = profile.serial_style == "random_long"
-        counter = 0
-
-        def next_serial():
-            nonlocal counter
-            if random_long:
-                return rng.getrandbits(160)
-            serial = serial_band + counter
-            counter += 1
-            return serial
-
-        def make_entry(revoked_at):
-            reason_name = _draw_mix(rng, cal.reason_mix)
-            return CrlEntryRecord(
-                serial_number=next_serial(),
-                revoked_at=revoked_at,
-                reason=None if reason_name is None else ReasonCode[reason_name],
-                cert_not_after=revoked_at,  # finalised by the FIFO sweep
-                cert_id=None,
-            )
-
         schedule = HiddenPopulation(
             target_end=synthetic_needed,
             window_start=_SYNTH_WINDOW_START,
             window_end=cal.measurement_end,
             heartbleed_date=cal.heartbleed_date,
         )
-        # Materialised entries follow the *same* additions/removals
-        # schedule as the bulk-modelled big CRLs: entries expire in FIFO
-        # order on the schedule's removal days, so the visible count on
-        # any day matches the schedule exactly (and equals the size
-        # target at the measurement end).
-        fifo: list[CrlEntryRecord] = []
-        for _ in range(schedule.initial_count):
-            revoked_at = _SYNTH_WINDOW_START - datetime.timedelta(
-                days=rng.randint(1, 500)
+        if target > MATERIALIZE_THRESHOLD:
+            crl.hidden = schedule
+            continue
+        rng = substream(cal.seed, "synth", profile.name, local_index)
+        serial_band = SYNTH_SERIAL_BASE + SYNTH_SERIAL_STRIDE * (
+            state.layout.crl_base + local_index
+        )
+        crl.entries.extend(
+            _synthetic_entries(
+                rng, cal, schedule, reasons, days, None if random_long else serial_band
             )
-            fifo.append(make_entry(revoked_at))
-        fifo.sort(key=lambda entry: entry.revoked_at)
-        cursor = 0
-        day = _SYNTH_WINDOW_START
-        while day <= cal.measurement_end:
-            for _ in range(schedule.additions_on(day)):
-                fifo.append(make_entry(day))
-            for _ in range(schedule.removals_on(day)):
-                if cursor < len(fifo):
-                    entry = fifo[cursor]
-                    entry.cert_not_after = max(
-                        entry.revoked_at, day - datetime.timedelta(days=1)
-                    )
-                    cursor += 1
-            day += datetime.timedelta(days=1)
-        # Survivors expire after the study window.
-        for entry in fifo[cursor:]:
-            entry.cert_not_after = cal.measurement_end + datetime.timedelta(
-                days=rng.randint(30, 700)
-            )
-        for entry in fifo:
-            crl.add_entry(entry)
-        # The FIFO sweep finalised cert_not_after on entries already
-        # appended; drop any timeline built against interim state.
+        )
         crl.invalidate_series()
+
+
+def _synthetic_entries(
+    rng,
+    cal: Calibration,
+    schedule: HiddenPopulation,
+    reasons: _Mix,
+    days: DayInterner,
+    serial_band: int | None,
+) -> list[CrlEntryRecord]:
+    """One materialised CRL's synthetic entries, in FIFO order.
+
+    They follow the *same* additions/removals schedule as the
+    bulk-modelled big CRLs: entries expire in FIFO order on the
+    schedule's removal days, so the visible count on any day matches the
+    schedule exactly (and equals the size target at the measurement
+    end).  Serials are random 160-bit draws, or consecutive from
+    ``serial_band`` when it is given.
+
+    Draw order: per initial entry its revocation offset, reason and
+    serial; per added entry (in day order) its reason and serial; per
+    survivor (in FIFO order) its expiry offset.  Removals draw nothing,
+    so the entries are drawn first and their expiries fixed afterwards.
+    """
+    randint, draw_reason = rng.randint, reasons.draw
+    next_serial = (
+        partial(rng.getrandbits, 160)
+        if serial_band is None
+        else itertools.count(serial_band).__next__
+    )
+    start = _SYNTH_WINDOW_START.toordinal()
+    # (revoked_at, reason, serial) per entry.  The initial entries are
+    # listed oldest first; those revoked on the same day keep draw order.
+    fifo = [
+        (days[start - randint(1, 500)], draw_reason(rng), next_serial())
+        for _ in range(schedule.initial_count)
+    ]
+    fifo.sort(key=itemgetter(0))
+    active = schedule.active_days()
+    for day, added, _ in active:
+        fifo.extend([(day, draw_reason(rng), next_serial()) for _ in range(added)])
+
+    # Removals take the oldest listed entries, which stop being listed
+    # the day before (never before their own revocation day).
+    expiry: list[datetime.date | None] = [None] * len(fifo)
+    cursor = 0
+    listed = schedule.initial_count
+    for day, added, removed in active:
+        listed += added
+        stop = min(cursor + removed, listed)
+        if stop > cursor:
+            last_listed = days[day.toordinal() - 1]
+            for i in range(cursor, stop):
+                expiry[i] = max(fifo[i][0], last_listed)
+            cursor = stop
+    # Survivors expire after the study window.
+    end = cal.measurement_end.toordinal()
+    for i in range(cursor, len(fifo)):
+        expiry[i] = days[end + randint(30, 700)]
+    return [
+        CrlEntryRecord(serial, revoked_at, reason, expires)
+        for (revoked_at, reason, serial), expires in zip(fifo, expiry)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +793,7 @@ def _shard_layouts(
     return [(by_name[name], layouts[name]) for name in brand_names]
 
 
+@gc_paused()
 def build_shard_parts(
     calibration: Calibration,
     brand_names: tuple[str, ...],

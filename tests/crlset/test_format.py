@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crlset.format import CrlSetSnapshot, serial_to_bytes, serialized_size
+from repro.crlset.format import (
+    CrlSetSnapshot,
+    serial_length,
+    serial_to_bytes,
+    serialized_size,
+)
 
 
 def parent(i: int) -> bytes:
@@ -39,6 +44,13 @@ class TestSerials:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             serial_to_bytes(-1)
+        with pytest.raises(ValueError):
+            serial_length(-1)
+
+    @given(st.integers(min_value=0, max_value=1 << 200))
+    @settings(max_examples=100)
+    def test_length_matches_encoding(self, serial):
+        assert serial_length(serial) == len(serial_to_bytes(serial))
 
 
 class TestSnapshot:

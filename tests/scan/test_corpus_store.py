@@ -8,6 +8,7 @@ workers depend on that.
 
 from __future__ import annotations
 
+import datetime
 import sqlite3
 
 import pytest
@@ -44,28 +45,63 @@ def reloaded(calibration, store_path) -> Ecosystem:
     return Ecosystem.from_corpus(calibration, arrays, meta)
 
 
+@pytest.fixture(scope="module")
+def from_workers(calibration) -> Ecosystem:
+    """Built in worker processes and decoded from their columnar parts."""
+    return Ecosystem(calibration, workers=2)
+
+
+@pytest.fixture(scope="module")
+def decoded(reloaded, from_workers) -> dict[str, Ecosystem]:
+    """Both decode paths: a store reload and the worker-parts merge."""
+    return {"store": reloaded, "workers": from_workers}
+
+
 class TestRoundTrip:
-    def test_corpus_digest_survives_the_store(self, generated, reloaded):
+    def test_corpus_digest_survives_the_store(self, generated, decoded):
         original = corpus.corpus_digest(corpus.encode_corpus(generated)[0])
-        restored = corpus.corpus_digest(corpus.encode_corpus(reloaded)[0])
-        assert restored == original
+        for path, ecosystem in decoded.items():
+            restored = corpus.corpus_digest(corpus.encode_corpus(ecosystem)[0])
+            assert restored == original, path
 
-    def test_leaf_records_are_equal(self, generated, reloaded):
-        assert len(reloaded.leaves) == len(generated.leaves)
-        stride = max(1, len(generated.leaves) // 200)
-        for a, b in zip(
-            generated.leaves[::stride], reloaded.leaves[::stride]
-        ):
-            assert a == b
+    def test_leaf_records_are_equal(self, generated, decoded):
+        for path, ecosystem in decoded.items():
+            assert len(ecosystem.leaves) == len(generated.leaves), path
+            for a, b in zip(generated.leaves, ecosystem.leaves):
+                assert a == b, (path, a.cert_id)
 
-    def test_crl_population_is_equal(self, calibration, generated, reloaded):
-        end = calibration.measurement_end
-        assert len(reloaded.crls) == len(generated.crls)
-        for a, b in zip(generated.crls, reloaded.crls):
-            assert a.url == b.url
-            assert a.assigned_cert_count == b.assigned_cert_count
-            assert len(a.entries) == len(b.entries)
-            assert a.series.entry_count(end) == b.series.entry_count(end)
+    def test_brand_leaf_ids_are_equal(self, generated, decoded):
+        for path, ecosystem in decoded.items():
+            assert list(ecosystem.brands) == list(generated.brands), path
+            for name, state in generated.brands.items():
+                assert ecosystem.brands[name].leaf_ids == state.leaf_ids, (path, name)
+
+    def test_crl_population_is_equal(self, generated, decoded):
+        for path, ecosystem in decoded.items():
+            assert len(ecosystem.crls) == len(generated.crls), path
+            for a, b in zip(generated.crls, ecosystem.crls):
+                assert a.url == b.url, path
+                assert a.assigned_cert_count == b.assigned_cert_count, (path, a.url)
+                assert a.entries == b.entries, (path, a.url)
+
+    def test_hidden_populations_agree_on_every_day(self, generated, decoded):
+        for path, ecosystem in decoded.items():
+            pairs = [
+                (a.hidden, b.hidden)
+                for a, b in zip(generated.crls, ecosystem.crls)
+                if a.hidden is not None or b.hidden is not None
+            ]
+            assert pairs, path  # the corpus has bulk-modelled CRLs
+            for a, b in pairs:
+                assert a is not None and b is not None, path
+                window = (a.window_start, a.window_end)
+                assert (b.window_start, b.window_end) == window, path
+                day = a.window_start
+                while day <= a.window_end:
+                    assert b.count_at(day) == a.count_at(day), (path, day)
+                    assert b.additions_on(day) == a.additions_on(day), (path, day)
+                    assert b.removals_on(day) == a.removals_on(day), (path, day)
+                    day += datetime.timedelta(days=1)
 
     def test_meta_describes_the_corpus(self, store_path, generated):
         meta = corpus_store.read_meta(store_path)

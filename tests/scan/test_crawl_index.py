@@ -10,8 +10,11 @@ from __future__ import annotations
 import datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pki.name import Name
+from repro.revocation.reason import ReasonCode
 from repro.scan.crawl_index import CrawlIndex, CrlSeries
 from repro.scan.crawler import CrlCrawler
 from repro.scan.crl_model import CrlEntryRecord, EcosystemCrl
@@ -133,6 +136,44 @@ class TestSeriesInvalidation:
         )
         with pytest.raises(ValueError):
             CrlSeries(crl)
+
+
+class TestEntrySizes:
+    """Series byte sums come from a size table keyed by serial content
+    width, reason presence and time form; they must equal re-encoding
+    every entry, across width boundaries, both time forms, and the
+    negative-serial fallback."""
+
+    BOUNDARY_SERIALS = [0, 1, 127, 128, 255, 256, 1 << 63, 1 << 159, -1, -129]
+    SERIALS = st.sampled_from(BOUNDARY_SERIALS) | st.integers(0, 1 << 160)
+
+    @given(
+        st.lists(
+            st.tuples(
+                SERIALS,
+                st.sampled_from([None, ReasonCode.KEY_COMPROMISE]),
+                st.sampled_from([2014, 2049, 2050]),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_materialized_bytes_match_encoding(self, specs):
+        entries = [
+            CrlEntryRecord(
+                serial_number=serial,
+                revoked_at=datetime.date(year, 6, 1),
+                reason=reason,
+                cert_not_after=datetime.date(2060, 1, 1),
+            )
+            for serial, reason, year in specs
+        ]
+        crl = _make_crl(entries)
+        day = datetime.date(2055, 1, 1)
+        encoded = sum(
+            len(EcosystemCrl._to_revoked_entry(entry).to_der()) for entry in entries
+        )
+        assert CrlSeries(crl).materialized_bytes(day) == encoded
 
 
 class TestCrawlIndex:
