@@ -316,20 +316,42 @@ class DecodedValue:
         raise Asn1Error(f"tag 0x{self.tag:02x} is not a string type")
 
     def as_datetime(self) -> datetime.datetime:
-        text = self.value.decode("ascii")
+        """Decode a DER UTCTime (``YYMMDDHHMMSSZ``) or GeneralizedTime
+        (``YYYYMMDDHHMMSSZ``).
+
+        DER fixes both forms to whole seconds in UTC, so anything else --
+        another length, a non-digit, fractional seconds, an offset, a
+        missing ``Z``, or an impossible date -- raises :class:`Asn1Error`.
+        """
+        value = self.value
         if self.tag == Tag.UTC_TIME:
-            # RFC 5280 4.1.2.5.1: two-digit years 00-49 are 20xx and
-            # 50-99 are 19xx (Python's %y pivots at 69 instead).
-            two_digit = int(text[:2])
-            century = 2000 if two_digit < 50 else 1900
-            parsed = datetime.datetime.strptime(
-                f"{century + two_digit:04d}{text[2:]}", "%Y%m%d%H%M%SZ"
-            )
+            width = 13
         elif self.tag == Tag.GENERALIZED_TIME:
-            parsed = datetime.datetime.strptime(text, "%Y%m%d%H%M%SZ")
+            width = 15
         else:
             raise Asn1Error(f"tag 0x{self.tag:02x} is not a time type")
-        return parsed.replace(tzinfo=datetime.timezone.utc)
+        if len(value) != width or value[-1] != 0x5A or not value[:-1].isdigit():
+            raise Asn1Error(f"not a DER time: {value!r}")
+        if width == 13:
+            # RFC 5280 4.1.2.5.1: two-digit years 00-49 are 20xx and
+            # 50-99 are 19xx.
+            year = int(value[:2])
+            year += 2000 if year < 50 else 1900
+        else:
+            year = int(value[:4])
+        fields = value[width - 11 : -1]  # MMDDHHMMSS
+        try:
+            return datetime.datetime(
+                year,
+                int(fields[0:2]),
+                int(fields[2:4]),
+                int(fields[4:6]),
+                int(fields[6:8]),
+                int(fields[8:10]),
+                tzinfo=datetime.timezone.utc,
+            )
+        except ValueError as exc:
+            raise Asn1Error(f"not a DER time: {value!r}: {exc}") from exc
 
     def as_bit_string(self) -> bytes:
         if self.tag != Tag.BIT_STRING or not self.value:

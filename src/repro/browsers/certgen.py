@@ -12,6 +12,16 @@ Building a PKI (key generation and certificate signing) is the expensive
 part, so one instance can serve many client runs: :meth:`TestPki.checker`
 hands every run a fresh client, and :meth:`TestPki.restart_servers` puts
 the server side back to its just-built state between runs.
+
+Replayed runs mostly see the same wire artefacts, so none is derived
+twice: the CA's CRL publishers and OCSP responders memoise each signed
+response (and its DER), every run's fetcher shares this PKI's memo of
+parsed responses, and certificates cache their decoded extensions.  Each
+memo is keyed by all the inputs of what it holds (every signed field;
+the exact response bytes), so a scenario change -- :meth:`TestPki.revoke`,
+:meth:`TestPki.make_unavailable`, :meth:`TestPki.set_staple` -- makes new
+keys rather than stale hits, and nothing needs invalidating.  The memos
+live and die with their publisher, responder, PKI or certificate.
 """
 
 from __future__ import annotations
@@ -119,6 +129,9 @@ class TestPki:
         self._staple: OcspResponse | None = None
         #: the web server, started by the first handshake.
         self.tls_server: TlsServer | None = None
+        #: (kind[, url], response bytes) -> parsed response, shared by
+        #: every run's fetcher (see :meth:`checker`).
+        self._decoded: dict = {}
 
     # -- construction helpers ---------------------------------------------
 
@@ -245,8 +258,14 @@ class TestPki:
         return result.chain, result.staple
 
     def checker(self) -> RevocationChecker:
+        """A fresh client: its own cache, negative cache, breaker, stats
+        and RNG.  Only the parse of identical response bytes is shared
+        with earlier runs."""
         fetcher = NetworkFetcher(
-            self.network, clock_now=lambda: self.now, cache=ClientCache()
+            self.network,
+            clock_now=lambda: self.now,
+            cache=ClientCache(),
+            decoded=self._decoded,
         )
         #: kept for trace capture (§6.2: "we also capture network traces").
         self.last_fetcher = fetcher

@@ -194,20 +194,21 @@ def compute_table2(
     columns = columns or table2_columns()
     cases = cases if cases is not None else generate_test_suite()
 
+    # Which rows a case feeds depends only on the case: decide it once.
+    rows_of = {
+        case: tuple(row for row in ROWS if row.selects(case)) for case in cases
+    }
     matrix: dict[str, list[Mark]] = {row.key: [] for row in ROWS}
     for _label, models in columns:
-        per_model: list[tuple[BrowserModel, list[TestOutcome]]] = []
+        cells: dict[str, list[tuple[BrowserModel, TestOutcome]]] = {
+            row.key: [] for row in ROWS
+        }
         for model in models:
-            per_model.append((model, harness.run_suite(model, cases)))
+            for outcome in harness.run_suite(model, cases):
+                for row in rows_of[outcome.case]:
+                    cells[row.key].append((model, outcome))
         for row in ROWS:
-            cell: list[tuple[BrowserModel, TestOutcome]] = []
-            for model, outcomes in per_model:
-                cell.extend(
-                    (model, outcome)
-                    for outcome in outcomes
-                    if row.selects(outcome.case)
-                )
-            matrix[row.key].append(_classify(cell, row))
+            matrix[row.key].append(_classify(cells[row.key], row))
     return matrix
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass, field
 
+from repro.ca.signed_memo import SignedMemo
 from repro.pki.keys import KeyPair
 from repro.pki.name import Name
 from repro.revocation.crl import CertificateRevocationList, RevokedEntry
@@ -81,6 +82,7 @@ class CrlPublisher:
         ]
         self._shard_by_url = {shard.url: shard for shard in self.shards}
         self._crl_numbers: dict[str, int] = {shard.url: 0 for shard in self.shards}
+        self._signed = SignedMemo()
 
     # -- assignment --------------------------------------------------------
 
@@ -140,18 +142,32 @@ class CrlPublisher:
 
     def encode(self, url: str, at: datetime.datetime) -> CertificateRevocationList:
         """Produce the real signed CRL a client downloading ``url`` at
-        ``at`` would receive."""
+        ``at`` would receive.
+
+        Signed CRLs are memoised on the publisher (:class:`SignedMemo`),
+        keyed by every signed input (issuer, URL, window, CRL number,
+        entries).  The number goes up on every call, so the memo answers
+        only after :meth:`restart_numbering` -- the browser suite's
+        per-run reset, which replays the same CRL for every browser.  A
+        revocation changes the entries and so the key; nothing needs
+        invalidating.
+        """
         shard = self._shard_by_url[url]
         this_update, next_update = self.window(at)
         self._crl_numbers[url] += 1
-        return CertificateRevocationList.build(
-            issuer=self.issuer_name,
-            issuer_keys=self._keys,
-            entries=shard.entries_at(at),
-            this_update=this_update,
-            next_update=next_update,
-            crl_number=self._crl_numbers[url],
-            url=url,
+        number = self._crl_numbers[url]
+        entries = tuple(shard.entries_at(at))
+        return self._signed.get(
+            (self.issuer_name, url, this_update, next_update, number, entries),
+            lambda: CertificateRevocationList.build(
+                issuer=self.issuer_name,
+                issuer_keys=self._keys,
+                entries=entries,
+                this_update=this_update,
+                next_update=next_update,
+                crl_number=number,
+                url=url,
+            ),
         )
 
     def restart_numbering(self) -> None:

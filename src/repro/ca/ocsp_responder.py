@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime
 from typing import Callable
 
+from repro.ca.signed_memo import SignedMemo
 from repro.pki.keys import KeyPair
 from repro.revocation.ocsp import (
     CertStatus,
@@ -45,6 +46,7 @@ class OcspResponder:
         self.validity_period = validity_period
         self.force_unknown = force_unknown
         self.queries_served = 0
+        self._signed = SignedMemo()
 
     def respond(self, request: OcspRequest, at: datetime.datetime) -> OcspResponse:
         self.queries_served += 1
@@ -88,13 +90,25 @@ class OcspResponder:
         revocation_time: datetime.datetime | None = None,
         revocation_reason: ReasonCode | None = None,
     ) -> OcspResponse:
-        return OcspResponse.build(
-            responder_keys=self._keys,
-            cert_status=status,
-            issuer_key_hash=self.issuer_key_hash,
-            serial_number=serial,
-            this_update=this_update,
-            next_update=next_update,
-            revocation_time=revocation_time,
-            revocation_reason=revocation_reason,
+        """Sign one response, memoised on the responder (:class:`SignedMemo`).
+
+        The key is every signed input (issuer key hash, status, serial,
+        window, revocation time and reason), so a revocation or
+        ``force_unknown`` yields a new key; nothing needs invalidating.
+        """
+        return self._signed.get(
+            (
+                self.issuer_key_hash, status, serial, this_update, next_update,
+                revocation_time, revocation_reason,
+            ),
+            lambda: OcspResponse.build(
+                responder_keys=self._keys,
+                cert_status=status,
+                issuer_key_hash=self.issuer_key_hash,
+                serial_number=serial,
+                this_update=this_update,
+                next_update=next_update,
+                revocation_time=revocation_time,
+                revocation_reason=revocation_reason,
+            ),
         )

@@ -284,6 +284,8 @@ class NetworkFetcher:
         breaker: CircuitBreaker | None = None,
         seed: int = 0,
         obs: Observability | None = None,
+        *,
+        decoded: dict | None = None,
     ) -> None:
         self._network = network
         self._now = clock_now
@@ -294,6 +296,9 @@ class NetworkFetcher:
         self._rng = random.Random(f"fetcher/{seed}")
         self.stats = FetchStats()
         self._negative: ClientCache = ClientCache()
+        #: parsed responses shared with other fetchers of the same
+        #: servers (internal; see :meth:`_parser`).
+        self._decoded = decoded
 
     # Legacy counter names, kept for existing callers.
     @property
@@ -317,7 +322,11 @@ class NetworkFetcher:
         return self._fetch(
             key=("crl", url),
             request=HttpRequest("GET", url),
-            parse=lambda body: CertificateRevocationList.from_der(body, url=url),
+            parse=self._parser(
+                lambda body: CertificateRevocationList.from_der(body, url=url),
+                "crl",
+                url,
+            ),
         )
 
     def fetch_ocsp(
@@ -348,13 +357,36 @@ class NetworkFetcher:
             request=HttpRequest(
                 "GET" if use_get else "POST", url, body=ocsp_request.to_der()
             ),
-            parse=OcspResponse.from_der,
+            parse=self._parser(OcspResponse.from_der, "ocsp"),
             # Unsuccessful OCSP statuses (tryLater, unauthorized, ...)
             # parse fine but must not be cached as answers.
             cacheable=lambda parsed: parsed.is_successful,
         )
 
     # -- engine ------------------------------------------------------------
+
+    def _parser(self, parse, *scope):
+        """``parse``, answered from the shared ``decoded`` memo when one
+        was given.
+
+        The key is ``scope`` plus the exact response bytes (a CRL's
+        parsed form also carries its URL), so equal bytes parse equal
+        and the memo never needs invalidating.  Parsed CRLs and OCSP
+        responses are immutable, so fetchers can share them; a parse
+        that raises is not remembered.
+        """
+        decoded = self._decoded
+        if decoded is None:
+            return parse
+
+        def memoised(body: bytes):
+            key = (*scope, body)
+            parsed = decoded.get(key)
+            if parsed is None:
+                parsed = decoded[key] = parse(body)
+            return parsed
+
+        return memoised
 
     def _fetch(
         self,

@@ -13,6 +13,7 @@ CA machinery (:mod:`repro.ca`) and the browser test suite
 from __future__ import annotations
 
 import datetime
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -195,48 +196,55 @@ class Certificate:
                 return ext
         return None
 
-    @property
-    def basic_constraints(self) -> BasicConstraints:
-        ext = self.extension(OID.BASIC_CONSTRAINTS)
+    # Decoded extension views are cached per instance (in ``__dict__``,
+    # like the CRL's serial index): the dataclass is frozen, so a view
+    # can never go stale, and ``dataclasses.replace`` builds a new
+    # instance that starts without any.  A decode that raises is not
+    # cached, so a malformed extension raises on every access.
+
+    def _decode_extension(self, oid: str, view):
+        ext = self.extension(oid)
         if ext is None:
-            return BasicConstraints(is_ca=False)
-        return BasicConstraints.from_extension(ext)
+            return view()
+        try:
+            return view.from_extension(ext)
+        except der.Asn1Error:
+            raise
+        except (IndexError, ValueError, KeyError, TypeError) as exc:
+            raise der.Asn1Error(f"malformed {view.__name__}: {exc}") from exc
+
+    @functools.cached_property
+    def basic_constraints(self) -> BasicConstraints:
+        return self._decode_extension(OID.BASIC_CONSTRAINTS, BasicConstraints)
 
     @property
     def is_ca(self) -> bool:
         return self.basic_constraints.is_ca
 
-    @property
+    @functools.cached_property
     def crl_distribution_points(self) -> CrlDistributionPoints:
-        ext = self.extension(OID.CRL_DISTRIBUTION_POINTS)
-        if ext is None:
-            return CrlDistributionPoints()
-        return CrlDistributionPoints.from_extension(ext)
+        return self._decode_extension(
+            OID.CRL_DISTRIBUTION_POINTS, CrlDistributionPoints
+        )
 
-    @property
+    @functools.cached_property
     def authority_info_access(self) -> AuthorityInfoAccess:
-        ext = self.extension(OID.AUTHORITY_INFO_ACCESS)
-        if ext is None:
-            return AuthorityInfoAccess()
-        return AuthorityInfoAccess.from_extension(ext)
+        return self._decode_extension(OID.AUTHORITY_INFO_ACCESS, AuthorityInfoAccess)
 
-    @property
+    @functools.cached_property
     def certificate_policies(self) -> CertificatePolicies:
-        ext = self.extension(OID.CERTIFICATE_POLICIES)
-        if ext is None:
-            return CertificatePolicies()
-        return CertificatePolicies.from_extension(ext)
+        return self._decode_extension(OID.CERTIFICATE_POLICIES, CertificatePolicies)
 
-    @property
+    @functools.cached_property
     def is_ev(self) -> bool:
         return self.certificate_policies.is_ev
 
-    @property
+    @functools.cached_property
     def crl_urls(self) -> tuple[str, ...]:
         """Potentially reachable (http[s]) CRL distribution points."""
         return self.crl_distribution_points.reachable_urls
 
-    @property
+    @functools.cached_property
     def ocsp_urls(self) -> tuple[str, ...]:
         """Potentially reachable OCSP responder URLs."""
         return self.authority_info_access.reachable_ocsp_urls

@@ -152,12 +152,17 @@ class CertificateRevocationList:
         return der.encode_sequence(*parts)
 
     def to_der(self) -> bytes:
-        algorithm = der.encode_sequence(
-            der.encode_oid(self.signature_algorithm_oid), der.encode_null()
-        )
-        return der.encode_sequence(
-            self._tbs_der(), algorithm, der.encode_bit_string(self.signature)
-        )
+        """The DER encoding, built once per (immutable) instance."""
+        cached = self.__dict__.get("_der_cache")
+        if cached is None:
+            algorithm = der.encode_sequence(
+                der.encode_oid(self.signature_algorithm_oid), der.encode_null()
+            )
+            cached = der.encode_sequence(
+                self._tbs_der(), algorithm, der.encode_bit_string(self.signature)
+            )
+            object.__setattr__(self, "_der_cache", cached)
+        return cached
 
     @property
     def encoded_size(self) -> int:

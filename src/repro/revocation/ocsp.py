@@ -113,9 +113,14 @@ class OcspResponse:
         return der.encode_sequence(*parts)
 
     def to_der(self) -> bytes:
-        return der.encode_sequence(
-            self._tbs_der(), der.encode_bit_string(self.signature)
-        )
+        """The DER encoding, built once per (immutable) instance."""
+        cached = self.__dict__.get("_der_cache")
+        if cached is None:
+            cached = der.encode_sequence(
+                self._tbs_der(), der.encode_bit_string(self.signature)
+            )
+            object.__setattr__(self, "_der_cache", cached)
+        return cached
 
     @property
     def encoded_size(self) -> int:

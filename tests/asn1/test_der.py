@@ -147,6 +147,132 @@ class TestStringsAndTimes:
         assert der.decode_all(der.encode_utc_time(when)).as_datetime() == when
 
 
+def _strptime_reference(tag: int, content: bytes) -> datetime.datetime:
+    """The decoder's former ``strptime`` path, kept as an oracle for the
+    values both accept."""
+    text = content.decode("ascii")
+    if tag == der.Tag.UTC_TIME:
+        two_digit = int(text[:2])
+        century = 2000 if two_digit < 50 else 1900
+        text = f"{century + two_digit:04d}{text[2:]}"
+    parsed = datetime.datetime.strptime(text, "%Y%m%d%H%M%SZ")
+    return parsed.replace(tzinfo=UTC)
+
+
+def _time_node(tag: int, content: bytes) -> der.DecodedValue:
+    return der.decode_all(der.encode_tlv(tag, content))
+
+
+UTC_TIME, GENERALIZED_TIME = der.Tag.UTC_TIME, der.Tag.GENERALIZED_TIME
+
+
+class TestStrictTime:
+    """``as_datetime`` reads exactly the DER forms, fixed width, and
+    rejects everything else with ``Asn1Error``."""
+
+    @given(
+        st.datetimes(
+            min_value=datetime.datetime(1950, 1, 1),
+            max_value=datetime.datetime(2049, 12, 31, 23, 59, 59),
+        )
+    )
+    @settings(max_examples=300)
+    def test_every_utc_time_matches_strptime(self, when):
+        when = when.replace(microsecond=0, tzinfo=UTC)
+        node = der.decode_all(der.encode_utc_time(when))
+        assert node.as_datetime() == _strptime_reference(UTC_TIME, node.value)
+        assert node.as_datetime() == when
+
+    @given(
+        st.datetimes(
+            min_value=datetime.datetime(1000, 1, 1),
+            max_value=datetime.datetime(9999, 12, 31, 23, 59, 59),
+        )
+    )
+    @settings(max_examples=300)
+    def test_every_generalized_time_matches_strptime(self, when):
+        when = when.replace(microsecond=0, tzinfo=UTC)
+        node = der.decode_all(der.encode_generalized_time(when))
+        assert node.as_datetime() == _strptime_reference(GENERALIZED_TIME, node.value)
+        assert node.as_datetime() == when
+
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            (b"491231235959Z", datetime.datetime(2049, 12, 31, 23, 59, 59)),
+            (b"500101000000Z", datetime.datetime(1950, 1, 1)),
+            (b"000229000000Z", datetime.datetime(2000, 2, 29)),
+        ],
+    )
+    def test_utc_time_century_pivot(self, content, expected):
+        assert _time_node(UTC_TIME, content).as_datetime() == expected.replace(
+            tzinfo=UTC
+        )
+
+    @pytest.mark.parametrize(
+        "tag, content",
+        [
+            # wrong length; strptime read this one and the first
+            # single-digit case below as 2015-03-31 12:00 UTC
+            (UTC_TIME, b"1503311200Z"),
+            (UTC_TIME, b"15033112000000Z"),
+            (UTC_TIME, b""),
+            (GENERALIZED_TIME, b"150331120000Z"),
+            (GENERALIZED_TIME, b"201503311200Z"),
+            (GENERALIZED_TIME, b"2015331120000Z"),
+            # single-digit fields: short, or padded back to width with a
+            # space or a sign (which int() would accept)
+            (UTC_TIME, b"15331120000Z"),
+            (UTC_TIME, b"15 331120000Z"),
+            (UTC_TIME, b"150331 20000Z"),
+            (UTC_TIME, b"+50331120000Z"),
+            (GENERALIZED_TIME, b"2015 331120000Z"),
+            # non-digits
+            (UTC_TIME, b"15O331120000Z"),
+            (UTC_TIME, b"1503311200-0Z"),
+            (GENERALIZED_TIME, b"2015033112000xZ"),
+            # fractional seconds
+            (UTC_TIME, b"150331120000.5Z"),
+            (GENERALIZED_TIME, b"20150331120000.5Z"),
+            (GENERALIZED_TIME, b"2015033112000.5Z"),
+            # offsets instead of Z
+            (UTC_TIME, b"150331120000+0000"),
+            (GENERALIZED_TIME, b"20150331120000+0000"),
+            (UTC_TIME, b"1503311200+00Z"),
+            # missing or wrong terminator
+            (UTC_TIME, b"150331120000"),
+            (UTC_TIME, b"1503311200000"),
+            (UTC_TIME, b"150331120000z"),
+            (GENERALIZED_TIME, b"20150331120000"),
+            (GENERALIZED_TIME, b"201503311200000"),
+            # impossible dates and times
+            (UTC_TIME, b"151331120000Z"),
+            (UTC_TIME, b"150001120000Z"),
+            (UTC_TIME, b"150332120000Z"),
+            (UTC_TIME, b"150300120000Z"),
+            (UTC_TIME, b"150229120000Z"),
+            (UTC_TIME, b"150331240000Z"),
+            (UTC_TIME, b"150331126000Z"),
+            (UTC_TIME, b"150331120060Z"),
+            (GENERALIZED_TIME, b"20151331120000Z"),
+            (GENERALIZED_TIME, b"20150332120000Z"),
+            (GENERALIZED_TIME, b"20150229120000Z"),
+            (GENERALIZED_TIME, b"21000229120000Z"),
+            (GENERALIZED_TIME, b"20150331240000Z"),
+            (GENERALIZED_TIME, b"00000101000000Z"),
+            # non-ASCII
+            (UTC_TIME, b"\xb950331120000Z"),
+        ],
+    )
+    def test_rejects_non_der_time(self, tag, content):
+        with pytest.raises(der.Asn1Error):
+            _time_node(tag, content).as_datetime()
+
+    def test_rejects_non_time_tag(self):
+        with pytest.raises(der.Asn1Error):
+            _time_node(der.Tag.PRINTABLE_STRING, b"150331120000Z").as_datetime()
+
+
 class TestComposite:
     def test_sequence_children(self):
         encoded = der.encode_sequence(der.encode_integer(1), der.encode_null())

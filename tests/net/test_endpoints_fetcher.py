@@ -13,6 +13,8 @@ from repro.net.fetcher import NetworkFetcher
 from repro.net.http import HttpRequest
 from repro.net.transport import FailureMode, Network
 from repro.pki.keys import KeyPair
+from repro.pki.name import Name
+from repro.revocation.crl import CertificateRevocationList
 from repro.revocation.ocsp import CertStatus, OcspRequest
 
 UTC = datetime.timezone.utc
@@ -145,3 +147,75 @@ class TestOcspEndpoint:
         fetcher.fetch_crl(url)
         assert fetcher.bytes_downloaded > 0
         assert fetcher.latency_total > datetime.timedelta(0)
+
+
+class TestSharedParseMemo:
+    """``decoded=``: fetchers of the same servers share parsed responses,
+    keyed by the exact bytes (plus the URL for CRLs), and nothing else."""
+
+    def _fetcher(self, network, decoded=None):
+        return NetworkFetcher(
+            network, clock_now=lambda: NOW, cache=ClientCache(), decoded=decoded
+        )
+
+    def test_equal_bytes_parse_once(self, ca, wired):
+        network, _, url = wired
+        decoded: dict = {}
+        leaf = ca.issue_leaf("m.example", KeyPair.generate("m").public_key, NB, NA)
+        first, second = self._fetcher(network, decoded), self._fetcher(network, decoded)
+        crl = first.fetch_crl(url)
+        ca.crl_publisher.restart_numbering()  # serve the same bytes again
+        assert second.fetch_crl(url) is crl
+        ocsp_url = "http://ocsp.endpoint.example/q"
+        ocsp = first.fetch_ocsp(ocsp_url, ca.issuer_key_hash, leaf.serial_number)
+        assert second.fetch_ocsp(ocsp_url, ca.issuer_key_hash, leaf.serial_number) is ocsp
+        # Both clients went to the wire: only the parse is shared.
+        assert first.fetches == second.fetches == 2
+        assert len(decoded) == 2
+
+    def test_without_a_memo_every_fetch_parses(self, ca, wired):
+        network, _, url = wired
+        first, second = self._fetcher(network), self._fetcher(network)
+        crl = first.fetch_crl(url)
+        ca.crl_publisher.restart_numbering()
+        again = second.fetch_crl(url)
+        assert again == crl and again is not crl
+
+    def test_new_bytes_parse_anew(self, ca, wired):
+        network, _, url = wired
+        decoded: dict = {}
+        leaf = ca.issue_leaf("n.example", KeyPair.generate("n").public_key, NB, NA)
+        before = self._fetcher(network, decoded).fetch_crl(url)
+        ca.revoke(leaf.serial_number, NOW - datetime.timedelta(days=1))
+        ca.crl_publisher.restart_numbering()
+        after = self._fetcher(network, decoded).fetch_crl(url)
+        assert after.crl_number == before.crl_number
+        assert not before.is_revoked(leaf.serial_number)
+        assert after.is_revoked(leaf.serial_number)
+
+    def test_crl_key_includes_the_url(self):
+        network = Network()
+        body = CertificateRevocationList.build(
+            issuer=Name.make("Same CA"),
+            issuer_keys=KeyPair.generate("same-bytes"),
+            entries=[],
+            this_update=NOW,
+            next_update=NOW + datetime.timedelta(days=1),
+        ).to_der()
+        urls = ["http://a.same.example/x.crl", "http://b.same.example/x.crl"]
+        for url in urls:
+            network.register(url, StaticEndpoint(body))
+        decoded: dict = {}
+        crls = [self._fetcher(network, decoded).fetch_crl(url) for url in urls]
+        assert [crl.url for crl in crls] == urls
+
+    def test_parse_failures_are_not_remembered(self):
+        network = Network()
+        url = "http://crl.g.example/x.crl"
+        network.register(url, StaticEndpoint(b"not der"))
+        decoded: dict = {}
+        for _ in range(2):
+            fetcher = self._fetcher(network, decoded)
+            assert fetcher.fetch_crl(url) is None
+            assert fetcher.stats.parse_errors == fetcher.retry_policy.max_attempts
+        assert decoded == {}

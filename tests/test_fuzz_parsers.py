@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.asn1 import der
 from repro.asn1.der import Asn1Error
 from repro.pki.certificate import Certificate, CertificateBuilder
 from repro.pki.keys import KeyPair
@@ -139,3 +140,63 @@ class TestMutatedValidEncodings:
         tampered = Certificate.from_der(bytes(blob))
         assert tampered.serial_number != original.serial_number
         assert not tampered.verify_signature(keys.public_key)
+
+
+def _with_time(blob: bytes, old: bytes, new: bytes) -> bytes:
+    """Re-encode ``blob`` with every time whose content is ``old``
+    replaced by ``new`` (lengths of the enclosing values adjusted)."""
+
+    def encode(node: der.DecodedValue) -> bytes:
+        if node.children:
+            body = b"".join(encode(child) for child in node.children)
+        elif node.tag in (der.Tag.UTC_TIME, der.Tag.GENERALIZED_TIME) and (
+            node.value == old
+        ):
+            body = new
+        else:
+            body = node.value
+        return der.encode_tlv(node.tag, body)
+
+    return encode(der.decode_all(blob))
+
+
+class TestNonCanonicalTimes:
+    """A time that is not exactly DER's fixed-width ``...Z`` form makes
+    the whole object fail to parse, with ``Asn1Error``."""
+
+    UTC_NB = b"140101000000Z"
+    GENERALIZED_NB = b"20140101000000Z"
+
+    @pytest.mark.parametrize(
+        "new", [b"1401010000Z", b"14101000000Z", b"140101000000+0000", b"1401010000000"]
+    )
+    def test_certificate(self, valid_cert_der, new):
+        assert _with_time(valid_cert_der, self.UTC_NB, self.UTC_NB) == valid_cert_der
+        with pytest.raises(Asn1Error):
+            Certificate.from_der(_with_time(valid_cert_der, self.UTC_NB, new))
+
+    @pytest.mark.parametrize(
+        "new", [b"1401010000Z", b"140101000000.0Z", b"140132000000Z"]
+    )
+    def test_crl(self, valid_crl_der, new):
+        assert _with_time(valid_crl_der, self.UTC_NB, self.UTC_NB) == valid_crl_der
+        with pytest.raises(Asn1Error):
+            CertificateRevocationList.from_der(
+                _with_time(valid_crl_der, self.UTC_NB, new)
+            )
+
+    @pytest.mark.parametrize(
+        "new",
+        [
+            b"201401010000Z",
+            b"20140101000000.5Z",
+            b"20140101000000+0000",
+            b"20140229000000Z",
+            b"140101000000Z",
+        ],
+    )
+    def test_ocsp_response(self, valid_ocsp_der, new):
+        same = _with_time(valid_ocsp_der, self.GENERALIZED_NB, self.GENERALIZED_NB)
+        assert same == valid_ocsp_der
+        with pytest.raises(Asn1Error):
+            OcspResponse.from_der(_with_time(valid_ocsp_der, self.GENERALIZED_NB, new))
