@@ -599,25 +599,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command is None:
         # `python -m repro --fault-profile chaos` is the documented smoke
-        # invocation: run everything under the named profile.
+        # invocation: `run all` under the named profile, with every other
+        # flag at the `run` subcommand's own default.
         if args.fault_profile is None and args.fault_seed is None:
             parser.error(
                 "a command is required "
                 "(list, mechanisms, run, report, serve-bench, trace, corpus)"
             )
-        args.command = "run"
-        args.experiment = "all"
-        args.scale = 0.002
-        args.seed = 20151028
-        args.parallel = None
-        args.cache_dir = None
-        args.trace_out = None
-        args.mechanism = None
-        args.supervise = False
-        args.resume = False
-        args.checkpoint_dir = None
-        args.exec_fault_profile = None
-        args.exec_fault_seed = None
+        args = parser.parse_args([*argv, "run", "all"])
     if args.command == "list":
         for experiment_id, title in api.study.list_experiments().items():
             print(f"{experiment_id:10s} {title}")

@@ -29,7 +29,8 @@ __all__ = ["FileContext", "Rule", "analyze_source", "analyze_file"]
 #: added, findings carry autofix suggestions.
 #: "4": RPR015 (mechanism construction goes through the registry).
 #: "6": RPR013 follows id()/hash() values and gains seed/name sinks.
-ENGINE_VERSION = "6"
+#: "7": RPR016 (flat facade aliases) retired with the aliases themselves.
+ENGINE_VERSION = "7"
 
 _NOQA = re.compile(r"#\s*repro:\s*noqa(?:\s+(?P<rules>[A-Z0-9, ]+))?")
 

@@ -16,13 +16,11 @@ sub-facades:
 * :data:`api.serve <serve>` -- the revocation-status serving layer
   (``build_service``, ``run_fleet``, ``serving_digests``).
 
-Every pre-2.0 flat name (``api.run_study``, ``api.build_corpus``, ...)
-remains available as a **deprecated alias**: attribute access resolves
-through PEP 562 ``__getattr__`` to the *same object* as its namespaced
-home (:data:`DEPRECATED_ALIASES` is the alias -> (namespace, attribute)
-map) and emits a ``DeprecationWarning``.  In-repo code must use the
-namespaced form (lint rule RPR016); the aliases exist for out-of-tree
-consumers and will be removed in API 3.0.
+API 3.0 removed the pre-2.0 flat names (``api.run_study``,
+``api.build_corpus``, ...): each function lives only on its facet.  A
+former flat name raises ``AttributeError``, whose close-match
+suggestions list facet members as ``facet.member``
+(``did you mean: study.run_study``).
 
 Component re-exports: the classes and helpers the micro-benchmarks (and
 similar out-of-tree consumers) exercise directly -- browser models, PKI
@@ -44,7 +42,6 @@ from __future__ import annotations
 
 import difflib
 import hashlib
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,12 +67,12 @@ from repro.serve import run_fleet as _run_fleet
 #: major on any breaking change to a signature or re-export listed in
 #: ``__all__``/``_COMPONENT_EXPORTS`` (tests/test_api_contract.py pins
 #: the surface against this).  2.0: the flat surface became namespaced
-#: sub-facades; every 1.x flat name survives as a deprecated alias.
-API_VERSION = "2.0"
+#: sub-facades; every 1.x flat name survived as a deprecated alias.
+#: 3.0: the deprecated flat aliases are gone.
+API_VERSION = "3.0"
 
 __all__ = [
     "API_VERSION",
-    "DEPRECATED_ALIASES",
     "analysis",
     "corpus",
     "serve",
@@ -108,13 +105,13 @@ _COMPONENT_EXPORTS = {
     "LINK_PROFILES": "repro.net.transport",
     "LinkProfile": "repro.net.transport",
     "MobileSafari": "repro.browsers.mobile",
-    "MultiStapleServer": "repro.extensions.multistaple",
+    "MultiStapleServer": "repro.mechanisms.stapling",
     "Name": "repro.pki.name",
     "OcspRequest": "repro.revocation.ocsp",
     "Opera12": "repro.browsers.desktop",
     "Opera31": "repro.browsers.desktop",
     "RevocationMechanism": "repro.mechanisms",
-    "RevocationRegime": "repro.extensions.shortlived",
+    "RevocationRegime": "repro.mechanisms.shortlived",
     "RevokedEntry": "repro.revocation.crl",
     "Safari": "repro.browsers.desktop",
     "ServeModel": "repro.mechanisms",
@@ -126,10 +123,10 @@ _COMPONENT_EXPORTS = {
     "UpdateModel": "repro.mechanisms",
     "all_browsers": "repro.browsers.registry",
     "analyze_coverage": "repro.crlset.coverage",
-    "attack_window_study": "repro.extensions.shortlived",
-    "blast_radius": "repro.extensions.onecrl",
-    "build_onecrl": "repro.extensions.onecrl",
-    "chain_check_cost": "repro.extensions.multistaple",
+    "attack_window_study": "repro.mechanisms.shortlived",
+    "blast_radius": "repro.mechanisms.onecrl",
+    "build_onecrl": "repro.mechanisms.onecrl",
+    "chain_check_cost": "repro.mechanisms.stapling",
     "format_bytes": "repro.core.report",
     "format_table": "repro.core.report",
     "generate_test_suite": "repro.browsers.testsuite",
@@ -189,12 +186,6 @@ class StudyRun:
                 "parallel": parallel or 1,
             },
         )
-
-
-# The class lives on ``api.study.StudyRun``; the module-global binding is
-# removed below so the flat ``api.StudyRun`` spelling goes through the
-# deprecated-alias path like every other 1.x name.
-_StudyRun = StudyRun
 
 
 def _list_experiments() -> dict[str, str]:
@@ -278,7 +269,7 @@ def _run_study(
         results = run_all(built, parallel=parallel, isolate_errors=isolate_errors)
     else:
         results = [run_experiment(experiment, built)]
-    return _StudyRun(study=built, results=results)
+    return StudyRun(study=built, results=results)
 
 
 def _new_study(
@@ -652,9 +643,8 @@ def _serving_digests(
 class _Facet:
     """One namespaced sub-facade (``api.study``, ``api.corpus``, ...).
 
-    Members are plain instance attributes holding the *same objects* the
-    deprecated flat aliases resolve to, so identity checks
-    (``api.run_study is api.study.run_study``) hold by construction.
+    Members are plain instance attributes holding the facade functions
+    and classes themselves, not wrappers.
     """
 
     def __init__(self, name: str, members: dict[str, object]) -> None:
@@ -676,7 +666,7 @@ class _Facet:
 study = _Facet(
     "study",
     {
-        "StudyRun": _StudyRun,
+        "StudyRun": StudyRun,
         "crawl_figures_legs": _crawl_figures_legs,
         "golden_digests": _golden_digests,
         "list_experiments": _list_experiments,
@@ -724,66 +714,20 @@ serve = _Facet(
     },
 )
 
-#: every pre-2.0 flat name -> its namespaced home ``(facet, attribute)``.
-#: Resolution happens in ``__getattr__`` (the names are deliberately NOT
-#: module globals) and returns the identical object, with a
-#: ``DeprecationWarning``.  Scheduled for removal in API 3.0.
-DEPRECATED_ALIASES: dict[str, tuple[str, str]] = {
-    "StudyRun": ("study", "StudyRun"),
-    "TraceDiff": ("trace", "TraceDiff"),
-    "build_corpus": ("corpus", "build"),
-    "corpus_info": ("corpus", "info"),
-    "crawl_figures_legs": ("study", "crawl_figures_legs"),
-    "diff_traces": ("trace", "diff"),
-    "golden_digests": ("study", "golden_digests"),
-    "list_corpora": ("corpus", "list"),
-    "list_experiments": ("study", "list_experiments"),
-    "list_mechanisms": ("study", "list_mechanisms"),
-    "load_trace": ("trace", "load"),
-    "mechanism_digests": ("study", "mechanism_digests"),
-    "new_study": ("study", "new_study"),
-    "render_diff": ("trace", "render_diff"),
-    "render_report": ("study", "render_report"),
-    "render_trace": ("trace", "render"),
-    "run_analysis": ("analysis", "run"),
-    "run_experiments": ("study", "run_experiments"),
-    "run_one": ("study", "run_one"),
-    "run_study": ("study", "run_study"),
-    "verify_corpus": ("corpus", "verify"),
-}
-
-_FACETS: dict[str, _Facet] = {
-    "analysis": analysis,
-    "corpus": corpus,
-    "serve": serve,
-    "study": study,
-    "trace": trace,
-}
-
-# Flat access to StudyRun must go through the alias path like every
-# other 1.x name; the object itself lives on api.study.StudyRun.
-del StudyRun
-
 
 def _surface() -> list[str]:
-    """Every name the facade answers for (suggestions draw from this)."""
-    return sorted(
-        {*__all__, *_COMPONENT_EXPORTS, *DEPRECATED_ALIASES}
-    )
+    """Every name the facade answers for (suggestions draw from this);
+    facet members are listed as ``facet.member``."""
+    names = {*__all__, *_COMPONENT_EXPORTS}
+    for name in __all__:
+        facet = globals()[name]
+        if isinstance(facet, _Facet):
+            names.update(f"{name}.{member}" for member in facet.members)
+    return sorted(names)
 
 
 def __getattr__(name: str):
-    """Resolve deprecated aliases and component re-exports (PEP 562)."""
-    alias = DEPRECATED_ALIASES.get(name)
-    if alias is not None:
-        facet, attribute = alias
-        warnings.warn(
-            f"repro.api.{name} is deprecated since API 2.0; "
-            f"use repro.api.{facet}.{attribute}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_FACETS[facet], attribute)
+    """Resolve component re-exports (PEP 562)."""
     module_path = _COMPONENT_EXPORTS.get(name)
     if module_path is not None:
         import importlib
@@ -799,4 +743,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted([*globals(), *_COMPONENT_EXPORTS, *DEPRECATED_ALIASES])
+    return sorted([*globals(), *_COMPONENT_EXPORTS])

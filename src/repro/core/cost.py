@@ -9,8 +9,8 @@ expiry -- the exact levers the paper argues over.
 Per-check accounting is delegated to the pluggable revocation
 mechanisms (:mod:`repro.mechanisms`, docs/MECHANISMS.md):
 :meth:`SessionCostModel.session_for` prices a session under any
-registered mechanism, and the legacy ``"crl"``/``"ocsp"``/``"staple"``
-modes are thin aliases onto the corresponding mechanism, byte-for-byte.
+registered mechanism, and :meth:`SessionCostModel.compare_mechanisms`
+prices one sampled session under a whole suite.
 """
 
 from __future__ import annotations
@@ -18,20 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.mechanisms import RevocationMechanism, SessionState, create
-from repro.mechanisms.base import OCSP_RESPONSE_BYTES  # noqa: F401  (re-export)
+from repro.mechanisms import RevocationMechanism, SessionState
 from repro.net.transport import LinkProfile
 from repro.scan.ecosystem import Ecosystem
 from repro.scan.records import LeafRecord
 
 __all__ = ["SessionCost", "SessionCostModel"]
-
-#: legacy mode name -> registered mechanism name.
-_MODE_MECHANISMS = {
-    "crl": "crl",
-    "ocsp": "ocsp",
-    "staple": "ocsp-stapling",
-}
 
 
 @dataclass(frozen=True)
@@ -56,13 +48,12 @@ class SessionCost:
 class SessionCostModel:
     """Estimates a browsing session's revocation-checking overhead.
 
-    ``mode`` selects the client behaviour:
-
-    * ``"crl"``   -- download the leaf's CRL (cacheable ~24 h);
-    * ``"ocsp"``  -- one OCSP query per leaf (cacheable ~4 days);
-    * ``"staple"``-- zero fetches when the site staples, else fall back
-      to OCSP (the paper's recommended end state);
-    * ``"none"``  -- the mobile-browser regime: no checks at all.
+    The client behaviour is a registered mechanism: ``"crl"`` downloads
+    the leaf's CRL (cacheable ~24 h), ``"ocsp"`` sends one query per leaf
+    (cacheable ~4 days), ``"ocsp-stapling"`` fetches nothing when the
+    site staples and falls back to OCSP otherwise (the paper's
+    recommended end state).  :meth:`compare_mechanisms` adds the
+    mobile-browser regime, ``"none"``: no checks at all.
 
     The model itself satisfies :class:`repro.mechanisms.MechanismHost`
     for the pull/handshake mechanisms, so it can price them without a
@@ -78,19 +69,11 @@ class SessionCostModel:
         self.ecosystem = ecosystem
         self.profile = profile or LinkProfile()
         self._rng = random.Random(seed)
-        self._mechanisms: dict[str, RevocationMechanism] = {}
 
     @property
     def calibration(self):
         """MechanismHost: the ecosystem's calibration."""
         return self.ecosystem.calibration
-
-    def _mechanism(self, name: str) -> RevocationMechanism:
-        mechanism = self._mechanisms.get(name)
-        if mechanism is None:
-            mechanism = create(name, self)
-            self._mechanisms[name] = mechanism
-        return mechanism
 
     def sample_sites(self, count: int) -> list[LeafRecord]:
         """Popularity-weighted site sample (Alexa-ranked sites repeat)."""
@@ -131,50 +114,26 @@ class SessionCostModel:
             cache_hits=cache_hits,
         )
 
-    def session(self, sites: list[LeafRecord], mode: str) -> SessionCost:
-        if mode == "none":
-            return SessionCost(
-                sites=len(sites),
-                checks=0,
-                bytes_downloaded=0,
-                blocking_latency_s=0.0,
-                cache_hits=0,
-            )
-        mechanism_name = _MODE_MECHANISMS.get(mode)
-        if mechanism_name is None:
-            raise ValueError(f"unknown mode {mode!r}")
-        return self.session_for(sites, self._mechanism(mechanism_name))
-
-    def compare_modes(self, site_count: int = 100) -> dict[str, SessionCost]:
-        sites = self.sample_sites(site_count)
-        return {
-            mode: self.session(sites, mode)
-            for mode in ("crl", "ocsp", "staple", "none")
-        }
-
     def compare_mechanisms(
         self,
         mechanisms: list[RevocationMechanism],
         site_count: int = 100,
-        include_baseline: bool = True,
     ) -> dict[str, SessionCost]:
         """One sampled session priced under every given mechanism.
 
         Pass ``study.mechanism_suite`` to sweep the registry; the
-        ``"none"`` baseline row (no checks at all) is appended unless
-        disabled.
+        ``"none"`` baseline row (no checks at all) is always appended.
         """
         sites = self.sample_sites(site_count)
         costs = {
             mechanism.name: self.session_for(sites, mechanism)
             for mechanism in mechanisms
         }
-        if include_baseline:
-            costs["none"] = SessionCost(
-                sites=len(sites),
-                checks=0,
-                bytes_downloaded=0,
-                blocking_latency_s=0.0,
-                cache_hits=0,
-            )
+        costs["none"] = SessionCost(
+            sites=len(sites),
+            checks=0,
+            bytes_downloaded=0,
+            blocking_latency_s=0.0,
+            cache_hits=0,
+        )
         return costs

@@ -83,9 +83,8 @@ def staleness_window_days(
 ) -> float:
     """Worst-case age of the revocation information a client trusts.
 
-    The shared math previously re-implemented by
-    ``repro.extensions.shortlived`` (hard-fail windows) and the OneCRL /
-    CRLSet push models: an artifact refreshed every
+    Shared by the short-lived attack-window study (hard-fail windows)
+    and the OneCRL / CRLSet push models: an artifact refreshed every
     ``update_interval_days`` and taking ``propagation_lag_days`` to
     reach clients leaves a client trusting data up to the *sum* old.
     """
@@ -99,8 +98,8 @@ def residual_life_days(
 ) -> float:
     """Days a certificate stays valid after ``since`` (compromise or
     revocation date); zero once it has already expired.  The residual
-    half of every attack-window computation -- previously re-implemented
-    by ``repro.extensions.shortlived`` and the OneCRL scope override.
+    half of every attack-window computation, the short-lived study's
+    and the OneCRL scope override's included.
     """
     return max(0.0, float((not_after - since).days))
 

@@ -3,9 +3,7 @@
 The client pulls the issuing CA's full CRL (cacheable until its
 ``nextUpdate``, ~24 h here) and checks the serial locally.  A
 CRL-capable client whose certificate carries no CRL pointer falls back
-to OCSP -- the same behaviour the legacy ``SessionCostModel`` ``"crl"``
-mode and the availability experiment's fallback chain encoded, kept
-byte-for-byte.
+to OCSP, as the availability experiment's fallback chain does.
 """
 
 from __future__ import annotations

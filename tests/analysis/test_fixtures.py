@@ -77,13 +77,3 @@ def test_every_rule_has_both_fixtures():
 def test_rule_codes_are_unique_and_sequential():
     assert len(set(RULE_CODES)) == len(RULE_CODES)
     assert RULE_CODES == sorted(RULE_CODES)
-
-
-def test_rpr016_alias_set_matches_the_facade():
-    """RPR016's hard-coded alias set and the facade's live alias table
-    move together: retiring or adding a flat alias updates both or
-    fails here."""
-    from repro.analysis.rules import FLAT_API_ALIASES
-    from repro.api import DEPRECATED_ALIASES
-
-    assert FLAT_API_ALIASES == frozenset(DEPRECATED_ALIASES)

@@ -1,13 +1,18 @@
 """Before/after equivalence for the staleness-math hoist.
 
-``repro.extensions.shortlived`` (and the OneCRL scope override) used to
-carry private copies of the staleness/residual/clamp arithmetic; the
-shared helpers now live in ``repro.mechanisms.base``.  The digest below
-was computed from the *pre-hoist* implementation (elementwise equality
-old-vs-new was verified over all 844 revoked samples in all three
-regimes at the pinned calibration; values were ints where non-negative,
-so the digest normalises everything to float) -- the hoisted code must
-keep reproducing it bit-for-bit.
+The short-lived attack-window study (now
+``repro.mechanisms.shortlived.attack_window_study``) and the OneCRL
+scope override used to carry private copies of the
+staleness/residual/clamp arithmetic; the shared helpers now live in
+``repro.mechanisms.base``.  The digest below was computed from the
+*pre-hoist* implementation (elementwise equality old-vs-new was verified
+over all 844 revoked samples in all three regimes at the pinned
+calibration; values were ints where non-negative, so the digest
+normalises everything to float) -- the hoisted code must keep
+reproducing it bit-for-bit.
+
+No experiment calls ``attack_window_study``, so no report golden covers
+its output: this digest is its only byte-level pin.
 """
 
 from __future__ import annotations
@@ -18,12 +23,12 @@ import json
 
 import pytest
 
-from repro.extensions.shortlived import RevocationRegime, attack_window_study
 from repro.mechanisms.base import (
     attack_window_days,
     residual_life_days,
     staleness_window_days,
 )
+from repro.mechanisms.shortlived import RevocationRegime, attack_window_study
 
 #: sha256 over {regime.name: [float(window), ...]} (sort_keys json) of
 #: attack_window_study's defaults at scale 0.002 / seed 20151028 --

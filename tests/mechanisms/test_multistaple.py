@@ -7,10 +7,7 @@ import datetime
 import pytest
 
 from repro.browsers.certgen import TestPki
-from repro.extensions.multistaple import (
-    MultiStapleServer,
-    chain_check_cost,
-)
+from repro.mechanisms.stapling import MultiStapleServer, chain_check_cost
 from repro.revocation.checker import CheckOutcome
 from repro.revocation.ocsp import OcspRequest
 

@@ -1,4 +1,4 @@
-"""Short-lived certificate and OneCRL extension tests."""
+"""Short-lived certificate attack windows and the OneCRL list."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import datetime
 
 import pytest
 
-from repro.extensions.onecrl import OneCrl, blast_radius, build_onecrl
-from repro.extensions.shortlived import (
+from repro.mechanisms.onecrl import OneCrl, blast_radius, build_onecrl
+from repro.mechanisms.shortlived import (
+    AttackWindowReport,
     RevocationRegime,
     attack_window_study,
 )
@@ -47,6 +48,13 @@ class TestShortLived:
         assert short_report.mean(RevocationRegime.SHORT_LIVED) < long_report.mean(
             RevocationRegime.SHORT_LIVED
         )
+
+    def test_median_averages_the_middle_pair(self):
+        windows = {regime: [] for regime in RevocationRegime}
+        windows[RevocationRegime.SHORT_LIVED] = [1.0, 2.0]
+        report = AttackWindowReport(windows=windows, short_lived_days=4)
+        assert report.median(RevocationRegime.SHORT_LIVED) == pytest.approx(1.5)
+        assert report.median(RevocationRegime.SOFT_FAIL) == pytest.approx(0.0)
 
     def test_empty_ecosystem_rejected(self, ecosystem):
         import copy

@@ -1,10 +1,11 @@
 """Facade contract: the exported surface of ``repro.api`` is pinned.
 
-API 2.0 restructures the facade into namespaced sub-facades
+API 2.0 restructured the facade into namespaced sub-facades
 (``api.study``, ``api.corpus``, ``api.trace``, ``api.analysis``,
-``api.serve``); every pre-2.0 flat name survives as a deprecated alias
-resolved lazily by the module ``__getattr__`` (PEP 562), returning the
-*identical* object with a ``DeprecationWarning``.
+``api.serve``) and kept every pre-2.0 flat name as a deprecated alias;
+API 3.0 removed those aliases.  A former flat name now raises
+``AttributeError``, suggesting its namespaced home where it is close
+enough to match.
 
 Anything pinned here is a compatibility promise: removing or renaming an
 entry is a breaking change (major bump of ``API_VERSION``), adding one
@@ -21,11 +22,10 @@ import pytest
 
 from repro import api
 
-PINNED_VERSION = "2.0"
+PINNED_VERSION = "3.0"
 
 PINNED_ALL = [
     "API_VERSION",
-    "DEPRECATED_ALIASES",
     "analysis",
     "corpus",
     "serve",
@@ -59,31 +59,40 @@ PINNED_FACETS = {
     ],
 }
 
-#: every 1.x flat name -> its namespaced home.  The alias table in
-#: ``repro.api`` must match exactly: dropping an alias is a breaking
-#: change, and a new namespaced member never gets a *new* flat alias.
-PINNED_ALIASES = {
-    "StudyRun": ("study", "StudyRun"),
-    "TraceDiff": ("trace", "TraceDiff"),
-    "build_corpus": ("corpus", "build"),
-    "corpus_info": ("corpus", "info"),
-    "crawl_figures_legs": ("study", "crawl_figures_legs"),
-    "diff_traces": ("trace", "diff"),
-    "golden_digests": ("study", "golden_digests"),
-    "list_corpora": ("corpus", "list"),
-    "list_experiments": ("study", "list_experiments"),
-    "list_mechanisms": ("study", "list_mechanisms"),
-    "load_trace": ("trace", "load"),
-    "mechanism_digests": ("study", "mechanism_digests"),
-    "new_study": ("study", "new_study"),
-    "render_diff": ("trace", "render_diff"),
-    "render_report": ("study", "render_report"),
-    "render_trace": ("trace", "render"),
-    "run_analysis": ("analysis", "run"),
-    "run_experiments": ("study", "run_experiments"),
-    "run_one": ("study", "run_one"),
-    "run_study": ("study", "run_study"),
-    "verify_corpus": ("corpus", "verify"),
+#: API 2.0's deprecated flat aliases -> their namespaced homes, all
+#: removed in 3.0.  (``api.StudyRun`` still resolves: it is the class's
+#: own module global, the same object as ``api.study.StudyRun``.)
+FORMER_FLAT_NAMES = {
+    "TraceDiff": "trace.TraceDiff",
+    "build_corpus": "corpus.build",
+    "corpus_info": "corpus.info",
+    "crawl_figures_legs": "study.crawl_figures_legs",
+    "diff_traces": "trace.diff",
+    "golden_digests": "study.golden_digests",
+    "list_corpora": "corpus.list",
+    "list_experiments": "study.list_experiments",
+    "list_mechanisms": "study.list_mechanisms",
+    "load_trace": "trace.load",
+    "mechanism_digests": "study.mechanism_digests",
+    "new_study": "study.new_study",
+    "render_diff": "trace.render_diff",
+    "render_report": "study.render_report",
+    "render_trace": "trace.render",
+    "run_analysis": "analysis.run",
+    "run_experiments": "study.run_experiments",
+    "run_one": "study.run_one",
+    "run_study": "study.run_study",
+    "verify_corpus": "corpus.verify",
+}
+
+#: former names too far from their home for a close-match suggestion.
+UNSUGGESTED_HOMES = {
+    "build_corpus",
+    "diff_traces",
+    "list_corpora",
+    "load_trace",
+    "render_trace",
+    "verify_corpus",
 }
 
 PINNED_COMPONENTS = [
@@ -171,31 +180,24 @@ class TestNamespacedSurface:
         assert sorted(dir(namespace)) == sorted(PINNED_FACETS[facet])
 
 
-class TestDeprecatedAliases:
-    def test_alias_table_is_pinned(self):
-        assert api.DEPRECATED_ALIASES == PINNED_ALIASES
+class TestFormerFlatNames:
+    @pytest.mark.parametrize("name", sorted(FORMER_FLAT_NAMES))
+    def test_former_flat_name_raises_naming_its_home(self, name):
+        with pytest.raises(AttributeError) as excinfo:
+            getattr(api, name)
+        message = str(excinfo.value)
+        assert repr(name) in message
+        if name not in UNSUGGESTED_HOMES:
+            assert "did you mean" in message
+            assert FORMER_FLAT_NAMES[name] in message
 
-    def test_every_alias_targets_a_pinned_member(self):
-        for facet, attribute in PINNED_ALIASES.values():
-            assert attribute in PINNED_FACETS[facet], (facet, attribute)
+    def test_every_home_is_a_pinned_member(self):
+        for home in FORMER_FLAT_NAMES.values():
+            facet, member = home.split(".")
+            assert member in PINNED_FACETS[facet], home
 
-    @pytest.mark.parametrize("alias", sorted(PINNED_ALIASES))
-    def test_alias_warns_and_resolves_to_the_same_object(self, alias):
-        facet, attribute = PINNED_ALIASES[alias]
-        with pytest.warns(DeprecationWarning, match=f"repro.api.{alias} "):
-            flat = getattr(api, alias)
-        assert flat is getattr(getattr(api, facet), attribute)
-
-    def test_warning_names_the_namespaced_home(self):
-        with pytest.warns(DeprecationWarning) as caught:
-            api.run_study  # noqa: B018
-        assert "repro.api.study.run_study" in str(caught[0].message)
-
-    def test_aliases_are_not_module_globals(self):
-        """Flat names resolve only through ``__getattr__`` -- a module
-        global would silently bypass the deprecation path."""
-        for alias in PINNED_ALIASES:
-            assert alias not in vars(api), alias
+    def test_study_run_class_keeps_one_object(self):
+        assert api.StudyRun is api.study.StudyRun
 
 
 class TestComponentReExports:
@@ -231,9 +233,7 @@ class TestComponentReExports:
 class TestErrorPath:
     def test_dir_covers_the_whole_surface(self):
         names = dir(api)
-        for name in (
-            PINNED_ALL + PINNED_COMPONENTS + sorted(PINNED_ALIASES)
-        ):
+        for name in PINNED_ALL + PINNED_COMPONENTS:
             assert name in names
 
     def test_unknown_attribute_raises(self):
@@ -270,20 +270,3 @@ class TestBenchmarkDiscipline:
                     f"{path.name} imports {module}; benchmarks must go "
                     "through repro.api"
                 )
-
-    def test_benchmarks_never_use_flat_aliases(self):
-        """Benchmarks are first-class facade clients: they use the 2.0
-        namespaced form, never a deprecated flat alias (RPR016 enforces
-        the same for ``src/`` and ``tests/``)."""
-        from pathlib import Path
-        import re
-
-        bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
-        flat = re.compile(
-            r"\bapi\.(" + "|".join(sorted(PINNED_ALIASES)) + r")\b"
-        )
-        for path in sorted(bench_dir.glob("*.py")):
-            match = flat.search(path.read_text())
-            assert match is None, (
-                f"{path.name} uses deprecated flat alias api.{match.group(1)}"
-            )

@@ -62,6 +62,25 @@ class TestFaultFlags:
         )
         assert "profile=flaky" in capsys.readouterr().out
 
+    def test_bare_fault_flags_run_all_with_run_defaults(self, monkeypatch):
+        """`python -m repro --fault-profile P` is `run all` with every
+        other flag at the `run` subcommand's default."""
+        calls = []
+
+        def fake_run_study(**kwargs):
+            calls.append(kwargs)
+            return api.study.StudyRun(study=None, results=[])
+
+        monkeypatch.setattr(api.study, "run_study", fake_run_study)
+        flags = ["--fault-profile", "chaos", "--fault-seed", "20150701"]
+        assert main(flags) == 0
+        assert main([*flags, "run", "all"]) == 0
+        assert len(calls) == 2
+        assert calls[0] == calls[1]
+        assert calls[0]["experiment"] == "all"
+        assert calls[0]["fault_profile"] == "chaos"
+        assert calls[0]["fault_seed"] == 20150701
+
     def test_unknown_profile_fails(self, capsys):
         assert main(["run", "availability", "--fault-profile", "mayhem"]) == 2
         assert "unknown fault profile" in capsys.readouterr().err
