@@ -20,7 +20,10 @@ API 3.0 removed the pre-2.0 flat names (``api.run_study``,
 ``api.build_corpus``, ...): each function lives only on its facet.  A
 former flat name raises ``AttributeError``, whose close-match
 suggestions list facet members as ``facet.member``
-(``did you mean: study.run_study``).
+(``did you mean: study.run_study``).  API 4.0 removed the study
+facet's crawl-path timing legs (the reference crawl now lives with the
+tests) and two methods of re-exported classes, ``TraceDiff.span_names``
+and ``FleetConfig.with_sessions``.
 
 Component re-exports: the classes and helpers the micro-benchmarks (and
 similar out-of-tree consumers) exercise directly -- browser models, PKI
@@ -68,8 +71,10 @@ from repro.serve import run_fleet as _run_fleet
 #: ``__all__``/``_COMPONENT_EXPORTS`` (tests/test_api_contract.py pins
 #: the surface against this).  2.0: the flat surface became namespaced
 #: sub-facades; every 1.x flat name survived as a deprecated alias.
-#: 3.0: the deprecated flat aliases are gone.
-API_VERSION = "3.0"
+#: 3.0: the deprecated flat aliases are gone.  4.0: the study facet's
+#: crawl-path timing legs, ``TraceDiff.span_names`` and
+#: ``FleetConfig.with_sessions`` are gone.
+API_VERSION = "4.0"
 
 __all__ = [
     "API_VERSION",
@@ -287,7 +292,7 @@ def _new_study(
     """Build a :class:`MeasurementStudy` without running anything.
 
     The supported way for scripts and benchmarks to get a study handle
-    (substrate, scans, crawler, ...) without importing ``repro.core``.
+    (substrate, scans, crawl index, ...) without importing ``repro.core``.
     ``shards``/``gen_workers`` control sharded substrate generation; the
     corpus bytes are identical for any shard/worker count.
     """
@@ -312,8 +317,8 @@ def _run_experiments(
     """Run every experiment against an existing study.
 
     Unlike :func:`run_study` this reuses the study's substrate (and its
-    warm corpus store, when it has a ``cache_dir``), which is what the
-    scaling benchmark times.
+    warm corpus store, when it has a ``cache_dir``), which is what
+    perfbench's ``paper-sweep`` workload times.
     """
     return run_all(study, parallel=parallel, isolate_errors=isolate_errors)
 
@@ -387,8 +392,10 @@ def _build_corpus(
     """Generate the ecosystem (sharded) and persist it as a corpus store.
 
     Returns the store's :func:`corpus.info` plus a ``rebuilt`` flag.  An
-    existing readable store for the same calibration is reused unless
-    ``force``; sharding/worker count never changes the stored bytes.
+    existing store for the same calibration is reused unless ``force``,
+    but only when :func:`corpus.verify` finds no problem in it; a store
+    that fails is quarantined (moved aside as ``<name>.quarantined``)
+    and rebuilt.  Sharding/worker count never changes the stored bytes.
 
     ``supervise=True`` builds each shard under the supervised execution
     layer with per-shard checkpoints (docs/ROBUSTNESS.md); an
@@ -396,6 +403,7 @@ def _build_corpus(
     byte-identical store.  Raises
     :class:`repro.exec.supervisor.RunInterrupted` on an injected ABORT.
     """
+    from repro.scan import corpus_store
     from repro.scan.calibration import Calibration
     from repro.scan.datastore import ArtifactCache
     from repro.scan.ecosystem import Ecosystem
@@ -429,13 +437,8 @@ def _build_corpus(
         }
     cache = ArtifactCache(directory)
     path = cache.ecosystem_path(calibration)
-    if not force and path.exists():
-        try:
-            info = _corpus_info(path)
-        except Exception:
-            info = None  # unreadable store: rebuild it below
-        if info is not None:
-            return {**info, "rebuilt": False}
+    if not force and corpus_store.reuse_or_quarantine(path):
+        return {**_corpus_info(path), "rebuilt": False}
     ecosystem = Ecosystem(calibration, shards=shards, workers=workers)
     cache.store_ecosystem(calibration, ecosystem)
     return {**_corpus_info(path), "rebuilt": True}
@@ -473,40 +476,6 @@ def _list_corpora(directory: str | Path) -> list[dict]:
         except Exception:
             entries.append({"path": str(path), "error": "unreadable"})
     return entries
-
-
-def _crawl_figures_legs(study: MeasurementStudy):
-    """(naive, fast) thunks computing the Figure 5/6/9 crawl inputs.
-
-    Both compute the same results over the study's ecosystem; the
-    scaling benchmark times them against each other.  The fast leg
-    invalidates the per-CRL series caches first so it pays for its own
-    index builds.
-    """
-    from repro.scan.crawler import CrlCrawler
-
-    ecosystem = study.ecosystem
-    end = study.calibration.measurement_end
-
-    def naive():
-        crawler = CrlCrawler(ecosystem)
-        return (
-            crawler.daily_total_additions_naive(),
-            crawler.sizes_at_naive(end),
-            crawler.entry_counts_at_naive(end),
-        )
-
-    def fast():
-        for crl in ecosystem.crls:
-            crl.invalidate_series()
-        crawler = CrlCrawler(ecosystem)
-        return (
-            crawler.daily_total_additions(),
-            crawler.sizes_at(end),
-            crawler.entry_counts_at(end),
-        )
-
-    return naive, fast
 
 
 def _run_one(
@@ -667,7 +636,6 @@ study = _Facet(
     "study",
     {
         "StudyRun": StudyRun,
-        "crawl_figures_legs": _crawl_figures_legs,
         "golden_digests": _golden_digests,
         "list_experiments": _list_experiments,
         "list_mechanisms": _list_mechanisms,

@@ -27,7 +27,6 @@ from repro.crlset.dynamics import DynamicsReport, analyze_dynamics
 from repro.obs import Observability, obs_from_env
 from repro.scan.calibration import Calibration, PaperTargets
 from repro.scan.crawl_index import CrawlIndex
-from repro.scan.crawler import CrlCrawler
 from repro.scan.ecosystem import Ecosystem
 from repro.scan.scanner import Rapid7Scanner, ScanSnapshot
 from repro.scan.tls_scanner import (
@@ -139,17 +138,14 @@ class MeasurementStudy:
 
     @cached_property
     def crawl_index(self) -> CrawlIndex:
-        """One set of per-CRL event timelines, shared by the crawler, the
-        CRLSet builder, and the dynamics analysis."""
+        """One set of per-CRL event timelines, shared by the CRL size and
+        entry-count queries, the CRLSet builder, and the dynamics
+        analysis."""
         return CrawlIndex(self.ecosystem)
 
     @cached_property
     def scanner(self) -> Rapid7Scanner:
         return Rapid7Scanner(self.ecosystem, obs=self.obs)
-
-    @cached_property
-    def crawler(self) -> CrlCrawler:
-        return CrlCrawler(self.ecosystem, index=self.crawl_index)
 
     @cached_property
     def tls_scanner(self) -> TlsHandshakeScanner:
@@ -243,11 +239,11 @@ class MeasurementStudy:
 
     def crl_sizes(self, at: datetime.date | None = None) -> dict[str, int]:
         at = at or self.calibration.measurement_end
-        return self.crawler.sizes_at(at)
+        return self.crawl_index.sizes_at(at)
 
     def crl_entry_counts(self, at: datetime.date | None = None) -> dict[str, int]:
         at = at or self.calibration.measurement_end
-        return self.crawler.entry_counts_at(at)
+        return self.crawl_index.entry_counts_at(at)
 
     # -- revocation mechanisms (docs/MECHANISMS.md) ---------------------------
 
@@ -272,5 +268,5 @@ class MeasurementStudy:
 
     def crlset_dynamics(self) -> DynamicsReport:
         return analyze_dynamics(
-            self.ecosystem, self.crlset_history, crawler=self.crawler
+            self.ecosystem, self.crlset_history, index=self.crawl_index
         )

@@ -20,9 +20,10 @@ CRLSet -- the raw material for Figures 8, 9, and 10.
 The sweep synchronises membership incrementally: on build days where the
 set of included CRLs is unchanged, only the entries whose underlying
 crawled state changed since the last build are reconsidered, instead of
-re-unioning every included CRL's active set.  ``run(incremental=False)``
-keeps the original full-rebuild path as a reference; the two are
-asserted identical in ``tests/crlset/test_builder_analyses.py``.
+re-unioning every included CRL's active set.  The full rebuild runs on
+the first build day and whenever the included-URL set changes;
+``tests/crlset/test_builder_analyses.py`` checks the delta path against
+a sweep that takes the full rebuild on every build day.
 """
 
 from __future__ import annotations
@@ -86,9 +87,6 @@ class CrlSetHistory:
     dropped_urls: frozenset[str]
     parents_ever: frozenset[bytes]
 
-    def snapshot_count_on(self, day: datetime.date) -> int:
-        return self.daily_entry_counts.get(day, 0)
-
 
 class _CrlTrack:
     """Builder-internal per-CRL state."""
@@ -144,7 +142,7 @@ class CrlSetBuilder:
         filter (rule 4), the per-CRL entry drop threshold (rule 3), and
         the 250 KB cap (rule 1).  ``index`` shares one
         :class:`CrawlIndex` (and hence the per-CRL event timelines) with
-        the crawler and dynamics analysis."""
+        the study's CRL queries and the dynamics analysis."""
         self.ecosystem = ecosystem
         self.calibration: Calibration = ecosystem.calibration
         self.index = index if index is not None else CrawlIndex(ecosystem)
@@ -191,20 +189,12 @@ class CrlSetBuilder:
     # -- the sweep ----------------------------------------------------------
 
     @gc_paused()
-    def run(
-        self,
-        start: datetime.date | None = None,
-        end: datetime.date | None = None,
-        incremental: bool = True,
-    ) -> CrlSetHistory:
-        """Sweep the build window.
-
-        ``incremental=False`` forces the original full member-set rebuild
-        on every build day (reference path for equality tests).
-        """
+    def run(self) -> CrlSetHistory:
+        """Sweep the build window, from the first CRLSet build to the end
+        of the measurement."""
         cal = self.calibration
-        start = start or cal.crlset_build_start
-        end = end or cal.measurement_end
+        start = cal.crlset_build_start
+        end = cal.measurement_end
 
         tracks: dict[str, _CrlTrack] = {}
         keys: list[tuple[bytes, int]] = []
@@ -298,11 +288,7 @@ class CrlSetBuilder:
             # 3. on build days, recompute inclusion and sync the member set.
             if not in_gap:
                 included_urls = self._included_urls(tracks, day)
-                if (
-                    incremental
-                    and prev_included is not None
-                    and included_urls == prev_included
-                ):
+                if prev_included is not None and included_urls == prev_included:
                     added_today, removed_today = self._sync_pending(
                         members, histories, pending, day
                     )

@@ -12,7 +12,7 @@ import datetime
 from dataclasses import dataclass
 
 from repro.crlset.builder import CrlSetHistory
-from repro.scan.crawler import CrlCrawler
+from repro.scan.crawl_index import CrawlIndex
 from repro.scan.ecosystem import Ecosystem
 
 __all__ = ["DynamicsReport", "analyze_dynamics"]
@@ -77,25 +77,21 @@ class DynamicsReport:
 def analyze_dynamics(
     ecosystem: Ecosystem,
     history: CrlSetHistory,
-    crawl_window_only: bool = True,
-    crawler: CrlCrawler | None = None,
+    index: CrawlIndex | None = None,
 ) -> DynamicsReport:
-    """``crawler`` lets callers share one :class:`CrlCrawler` (and its
-    :class:`~repro.scan.crawl_index.CrawlIndex` timelines) instead of
-    re-walking ``ecosystem.crls`` here."""
+    """``index`` lets callers share one :class:`CrawlIndex` (and its
+    per-CRL event timelines) instead of building another here.  Both
+    Figure 9 series cover the CRL crawl window only."""
     cal = ecosystem.calibration
-    crawler = crawler if crawler is not None else CrlCrawler(ecosystem)
-    crl_additions = crawler.daily_total_additions()
+    index = index if index is not None else CrawlIndex(ecosystem)
+    crl_additions = index.daily_total_additions()
 
-    if crawl_window_only:
-        window = set(cal.crawl_dates)
-        crlset_additions = {
-            day: count
-            for day, count in history.daily_additions.items()
-            if day in window
-        }
-    else:
-        crlset_additions = dict(history.daily_additions)
+    window = set(cal.crawl_dates)
+    crlset_additions = {
+        day: count
+        for day, count in history.daily_additions.items()
+        if day in window
+    }
 
     # Days-to-appear is only meaningful for revocations that happened
     # while the CRLSet pipeline was running (entries already revoked when

@@ -110,21 +110,16 @@ def build_corpus_supervised(
     digest = calibration_digest(calibration)
     store_path = directory / f"corpus-{digest}.sqlite"
 
-    if store_path.exists() and not force:
-        problems = corpus_store.verify_store(store_path)
-        if not problems:
-            meta = corpus_store.read_meta(store_path)
-            return {
-                "path": str(store_path),
-                "corpus_digest": meta.get("corpus_digest"),
-                "reused": True,
-                "resumed_shards": 0,
-                "built_shards": 0,
-                "failures": [],
-            }
-        # A store that fails verification never satisfies a build: move
-        # it aside and regenerate.
-        corpus_store.quarantine_store(store_path)
+    if not force and corpus_store.reuse_or_quarantine(store_path):
+        meta = corpus_store.read_meta(store_path)
+        return {
+            "path": str(store_path),
+            "corpus_digest": meta.get("corpus_digest"),
+            "reused": True,
+            "resumed_shards": 0,
+            "built_shards": 0,
+            "failures": [],
+        }
 
     checkpoint_dir = Path(
         checkpoint_dir if checkpoint_dir is not None else directory / ".repro-checkpoints"

@@ -32,7 +32,6 @@ tasks the first run completed.
 from __future__ import annotations
 
 import enum
-import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -195,10 +194,6 @@ class ExecFaultPlan:
                 int(self._draw("flip-bit", label, attempt, index) * 8) % 8,
             )
         return None
-
-    def apply_kill(self) -> None:  # pragma: no cover - exits the process
-        """Die the way a crashed worker dies: no unwind, no result."""
-        os._exit(23)
 
 
 #: Named profiles for the CLI (``--exec-fault-profile``) and the CI

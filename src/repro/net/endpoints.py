@@ -31,9 +31,6 @@ class StaticEndpoint:
         self._body = body
         self._content_type = content_type
 
-    def set_body(self, body: bytes) -> None:
-        self._body = body
-
     def handle(self, request: HttpRequest, at: datetime.datetime) -> HttpResponse:
         if request.method != "GET":
             return HttpResponse(HttpStatus.NOT_FOUND)

@@ -85,14 +85,6 @@ class TraceDiff:
             or self.metrics
         )
 
-    def span_names(self) -> list[str]:
-        """Sorted names of every span the diff touches (for localizing
-        a regression: a fetch-path delta names ``fetch``/``breaker.*``)."""
-        names = set()
-        for entry in self.added + self.removed + self.changed:
-            names.add(entry["name"])
-        return sorted(names)
-
     def to_dict(self) -> dict:
         return {
             "empty": self.is_empty,

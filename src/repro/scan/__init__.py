@@ -9,13 +9,10 @@ from repro.scan.calibration import Calibration, PaperTargets
 from repro.scan.records import IntermediateRecord, LeafRecord
 from repro.scan.ecosystem import Ecosystem
 from repro.scan.scanner import Rapid7Scanner, ScanSnapshot
-from repro.scan.crawler import CrlCrawler, CrlDailyObservation
 from repro.scan.tls_scanner import StaplingProbeResult, TlsHandshakeScanner
 
 __all__ = [
     "Calibration",
-    "CrlCrawler",
-    "CrlDailyObservation",
     "Ecosystem",
     "IntermediateRecord",
     "LeafRecord",

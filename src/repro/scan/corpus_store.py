@@ -26,6 +26,7 @@ __all__ = [
     "quarantine_store",
     "read_corpus",
     "read_meta",
+    "reuse_or_quarantine",
     "verify_store",
     "write_corpus",
 ]
@@ -177,6 +178,19 @@ def verify_store(path: str | Path) -> list[str]:
         if actual != expected.get(row[0]):
             problems.append(f"brand {row[0]}: slice digest mismatch")
     return problems
+
+
+def reuse_or_quarantine(path: str | Path) -> bool:
+    """Whether a corpus build may reuse the store at ``path``: only when
+    :func:`verify_store` finds no problem.  A store that fails is
+    quarantined, so the build that follows starts clean."""
+    path = Path(path)
+    if not path.exists():
+        return False
+    if not verify_store(path):
+        return True
+    quarantine_store(path)
+    return False
 
 
 def quarantine_store(path: str | Path) -> Path:

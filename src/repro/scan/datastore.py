@@ -210,13 +210,13 @@ def export_study(study: MeasurementStudy, directory: str | Path) -> Path:
         writer = csv.writer(handle)
         writer.writerow(["date", "url", "entry_count", "additions"])
         for day in cal.crawl_dates[:: max(1, len(cal.crawl_dates) // 60)]:
-            for observation in study.crawler.crawl_day(day):
+            for crl in eco.crls:
                 writer.writerow(
                     [
                         _iso(day),
-                        observation.url,
-                        observation.entry_count,
-                        observation.additions,
+                        crl.url,
+                        crl.series.entry_count(day),
+                        crl.series.additions_on(day),
                     ]
                 )
 

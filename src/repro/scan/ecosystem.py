@@ -82,9 +82,6 @@ class LeafIndex:
         ordinal = on.toordinal()
         return (self.birth <= ordinal) & (ordinal <= self.death)
 
-    def revoked_mask(self, on: datetime.date) -> np.ndarray:
-        return self.revoked <= on.toordinal()
-
     def timeline_arrays(self):
         """The array tuple :func:`repro.core.timelines.revocation_series`
         consumes, in its declaration order."""
@@ -308,9 +305,6 @@ class Ecosystem:
 
     def crl_for_url(self, url: str) -> EcosystemCrl:
         return self._crl_by_url[url]
-
-    def brand_state(self, name: str) -> BrandState:
-        return self.brands[name]
 
     @property
     def leaf_count(self) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import datetime
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.browsers.registry import all_browsers
 from repro.mechanisms.base import (
@@ -150,9 +150,6 @@ class FleetConfig:
     @property
     def sim_days(self) -> float:
         return self.ticks * self.tick_seconds / 86_400
-
-    def with_sessions(self, sessions: int) -> "FleetConfig":
-        return replace(self, sessions=sessions)
 
 
 class ClientFleet:

@@ -11,6 +11,21 @@ from repro.crlset.coverage import analyze_coverage
 from repro.crlset.dynamics import analyze_dynamics
 
 
+class FullRebuildBuilder(CrlSetBuilder):
+    """Reference sweep: rebuilds the member set from every included
+    CRL's active set on every build day, never taking the delta path."""
+
+    def _included_urls(self, tracks, day):
+        self._tracks = tracks
+        self._included = super()._included_urls(tracks, day)
+        return self._included
+
+    def _sync_pending(self, members, histories, pending, day):
+        return self._sync_full(
+            self._tracks, members, histories, self._included, day
+        )
+
+
 @pytest.fixture(scope="module")
 def history(crlset_history):
     return crlset_history
@@ -84,7 +99,7 @@ class TestBuilderRules:
         assert a.final_snapshot.parents == b.final_snapshot.parents
 
     def test_incremental_sweep_equals_full_rebuild(self, history, ecosystem):
-        full = CrlSetBuilder(ecosystem).run(incremental=False)
+        full = FullRebuildBuilder(ecosystem).run()
         assert full.daily_entry_counts == history.daily_entry_counts
         assert full.daily_additions == history.daily_additions
         assert full.daily_removals == history.daily_removals

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime
 import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +264,21 @@ class TestApiSurface:
         assert api.corpus.info(first["path"])["leaf_count"] == first["leaf_count"]
         listed = api.corpus.list(tmp_path)
         assert [info["path"] for info in listed] == [first["path"]]
+
+    def test_build_rebuilds_a_store_that_fails_verify(self, tmp_path):
+        """The unsupervised build keeps the supervised path's reuse rule:
+        a store ``corpus.verify`` rejects is quarantined and rebuilt,
+        even when its meta table still reads."""
+        first = api.corpus.build(tmp_path, scale=SCALE, seed=3)
+        path = Path(first["path"])
+        data = bytearray(path.read_bytes())
+        middle = len(data) // 2
+        for offset in range(middle, middle + 3):
+            data[offset] ^= 0xFF
+        path.write_bytes(bytes(data))
+        assert api.corpus.verify(path)
+        second = api.corpus.build(tmp_path, scale=SCALE, seed=3)
+        assert second["rebuilt"] is True
+        assert second["corpus_digest"] == first["corpus_digest"]
+        assert api.corpus.verify(path) == []
+        assert path.with_name(path.name + ".quarantined").exists()

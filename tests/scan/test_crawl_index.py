@@ -1,13 +1,15 @@
 """The incremental crawl index must agree with the naive per-day rescans.
 
-``CrlCrawler`` keeps its pre-index implementations as ``*_naive``
-reference methods; every fast query is compared against them here over
-the shared scale-0.002 ecosystem plus hand-built edge cases.
+``naive_crawl`` keeps the pre-index implementations as a test-side
+reference; every index query is compared against it here over the
+shared scale-0.002 ecosystem plus hand-built edge cases, and the index
+must stay at least :data:`MIN_SPEEDUP` times faster than it.
 """
 
 from __future__ import annotations
 
 import datetime
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,17 @@ from hypothesis import strategies as st
 from repro.pki.name import Name
 from repro.revocation.reason import ReasonCode
 from repro.scan.crawl_index import CrawlIndex, CrlSeries
-from repro.scan.crawler import CrlCrawler
 from repro.scan.crl_model import CrlEntryRecord, EcosystemCrl
+from tests.scan import naive_crawl
+
+#: the index must compute the Figure 5/6/9 inputs at least this many
+#: times faster than the naive rescans (7.7-10.7x on a 2-vCPU box).
+MIN_SPEEDUP = 3.0
 
 
 @pytest.fixture(scope="module")
-def crawler(ecosystem):
-    return CrlCrawler(ecosystem)
+def index(ecosystem):
+    return CrawlIndex(ecosystem)
 
 
 def _sample_days(calibration, n=7):
@@ -32,32 +38,82 @@ def _sample_days(calibration, n=7):
 
 
 class TestIndexMatchesNaive:
-    def test_entry_counts(self, crawler, ecosystem):
+    def test_entry_counts(self, index, ecosystem):
         for day in _sample_days(ecosystem.calibration):
-            assert crawler.entry_counts_at(day) == crawler.entry_counts_at_naive(day)
+            assert index.entry_counts_at(day) == naive_crawl.entry_counts_at(
+                ecosystem, day
+            )
 
-    def test_additions(self, crawler, ecosystem):
+    def test_additions(self, ecosystem):
         for day in _sample_days(ecosystem.calibration):
             for crl in ecosystem.crls:
-                assert crl.series.additions_on(day) == CrlCrawler._additions_on_naive(
+                assert crl.series.additions_on(day) == naive_crawl.additions_on(
                     crl, day
                 )
 
-    def test_daily_total_additions(self, crawler):
-        assert crawler.daily_total_additions() == crawler.daily_total_additions_naive()
+    def test_daily_total_additions(self, index, ecosystem):
+        assert index.daily_total_additions() == naive_crawl.daily_total_additions(
+            ecosystem
+        )
 
-    def test_sizes(self, crawler, ecosystem):
+    def test_sizes(self, index, ecosystem):
         # The naive leg re-encodes every visible entry, so sample sparsely.
         for day in _sample_days(ecosystem.calibration, n=2):
-            assert crawler.sizes_at(day) == crawler.sizes_at_naive(day)
+            assert index.sizes_at(day) == naive_crawl.sizes_at(ecosystem, day)
 
-    def test_outside_crawl_window(self, crawler, ecosystem):
+    def test_outside_crawl_window(self, index, ecosystem):
         cal = ecosystem.calibration
         for day in (
             cal.crawl_start - datetime.timedelta(days=400),
             cal.crawl_end + datetime.timedelta(days=400),
         ):
-            assert crawler.entry_counts_at(day) == crawler.entry_counts_at_naive(day)
+            assert index.entry_counts_at(day) == naive_crawl.entry_counts_at(
+                ecosystem, day
+            )
+
+
+def _best_of_three(leg):
+    """(fastest wall time of three runs, the last run's result)."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = leg()
+        times.append(time.perf_counter() - start)
+    return min(times), result
+
+
+class TestIndexSpeed:
+    def test_index_beats_the_naive_rescans(self, ecosystem):
+        """Figure 5/6/9 inputs on the last measurement day: the index,
+        built fresh inside the timed leg, against the naive rescans."""
+        end = ecosystem.calibration.measurement_end
+
+        def naive():
+            return (
+                naive_crawl.daily_total_additions(ecosystem),
+                naive_crawl.sizes_at(ecosystem, end),
+                naive_crawl.entry_counts_at(ecosystem, end),
+            )
+
+        def indexed():
+            # Drop every CRL's cached series so the leg pays for the
+            # index builds, not only the lookups.
+            for crl in ecosystem.crls:
+                crl.invalidate_series()
+            index = CrawlIndex(ecosystem)
+            return (
+                index.daily_total_additions(),
+                index.sizes_at(end),
+                index.entry_counts_at(end),
+            )
+
+        naive_s, naive_result = _best_of_three(naive)
+        indexed_s, indexed_result = _best_of_three(indexed)
+        assert indexed_result == naive_result
+        assert naive_s >= MIN_SPEEDUP * indexed_s, (
+            f"index {indexed_s:.3f} s vs naive {naive_s:.3f} s: "
+            f"{naive_s / indexed_s:.1f}x, floor {MIN_SPEEDUP}x"
+        )
 
 
 def _make_crl(entries=()):
@@ -189,6 +245,3 @@ class TestCrawlIndex:
         index = CrawlIndex(ecosystem)
         day = ecosystem.calibration.crawl_end
         assert index.total_entries(day) == sum(index.entry_counts_at(day).values())
-
-    def test_shared_by_pipeline(self, study):
-        assert study.crawler.index is study.crawl_index

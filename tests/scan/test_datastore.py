@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import datetime
 import json
 
@@ -32,6 +33,25 @@ class TestExport:
         assert manifest["scale"] == study.calibration.scale
         assert manifest["leaf_count"] == len(study.ecosystem.leaves)
         assert len(manifest["scan_dates"]) == 74
+
+    def test_crl_series_covers_every_crl(self, export_dir, study):
+        """Each exported crawl day lists every CRL with the crawl index's
+        entry count and additions for that day."""
+        with open(export_dir / "crl_series.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        by_day: dict[str, dict[str, tuple[int, int]]] = {}
+        for row in rows:
+            by_day.setdefault(row["date"], {})[row["url"]] = (
+                int(row["entry_count"]),
+                int(row["additions"]),
+            )
+        assert len(by_day) > 1
+        for iso, observed in by_day.items():
+            day = datetime.date.fromisoformat(iso)
+            assert observed == {
+                crl.url: (crl.series.entry_count(day), crl.series.additions_on(day))
+                for crl in study.ecosystem.crls
+            }
 
 
 class TestRoundTrip:

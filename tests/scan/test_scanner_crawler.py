@@ -1,4 +1,4 @@
-"""Rapid7 scanner and CRL crawler tests."""
+"""Rapid7 scanner and daily CRL crawl tests."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import datetime
 
 import pytest
 
-from repro.scan.crawler import CrlCrawler
+from repro.scan.crawl_index import CrawlIndex
 from repro.scan.scanner import Rapid7Scanner
 
 
@@ -16,8 +16,8 @@ def scanner(ecosystem):
 
 
 @pytest.fixture(scope="module")
-def crawler(ecosystem):
-    return CrlCrawler(ecosystem)
+def index(ecosystem):
+    return CrawlIndex(ecosystem)
 
 
 class TestScanner:
@@ -56,33 +56,27 @@ class TestScanner:
 
 
 class TestCrawler:
-    def test_crawl_day_covers_every_crl(self, crawler, ecosystem):
-        date = ecosystem.calibration.crawl_start
-        observations = crawler.crawl_day(date)
-        assert len(observations) == len(ecosystem.crls)
-        assert all(obs.entry_count >= 0 for obs in observations)
-
-    def test_daily_totals_keys(self, crawler, ecosystem):
-        totals = crawler.daily_total_additions()
+    def test_daily_totals_keys(self, index, ecosystem):
+        totals = index.daily_total_additions()
         assert set(totals) == set(ecosystem.calibration.crawl_dates)
         assert all(value >= 0 for value in totals.values())
 
-    def test_weekly_pattern(self, crawler):
-        totals = crawler.daily_total_additions()
+    def test_weekly_pattern(self, index):
+        totals = index.daily_total_additions()
         weekday = [v for d, v in totals.items() if d.weekday() < 5]
         weekend = [v for d, v in totals.items() if d.weekday() >= 5]
         assert sum(weekday) / len(weekday) > 1.5 * sum(weekend) / len(weekend)
 
-    def test_sizes_positive_and_apple_dominates(self, crawler, ecosystem):
-        sizes = crawler.sizes_at(ecosystem.calibration.measurement_end)
+    def test_sizes_positive_and_apple_dominates(self, index, ecosystem):
+        sizes = index.sizes_at(ecosystem.calibration.measurement_end)
         assert all(size > 0 for size in sizes.values())
         biggest_url = max(sizes, key=sizes.get)
         assert ecosystem.crl_for_url(biggest_url).brand == "Apple"
 
-    def test_entry_counts_consistent_with_sizes(self, crawler, ecosystem):
+    def test_entry_counts_consistent_with_sizes(self, index, ecosystem):
         at = ecosystem.calibration.measurement_end
-        sizes = crawler.sizes_at(at)
-        counts = crawler.entry_counts_at(at)
+        sizes = index.sizes_at(at)
+        counts = index.entry_counts_at(at)
         # Within a brand, the CRL with the most entries must be bigger
         # than the one with the fewest (entry mix adds noise, so strict
         # monotonicity is not expected).

@@ -5,7 +5,7 @@ API 2.0 restructured the facade into namespaced sub-facades
 ``api.serve``) and kept every pre-2.0 flat name as a deprecated alias;
 API 3.0 removed those aliases.  A former flat name now raises
 ``AttributeError``, suggesting its namespaced home where it is close
-enough to match.
+enough to match.  API 4.0 removed the member ``study.crawl_figures_legs``.
 
 Anything pinned here is a compatibility promise: removing or renaming an
 entry is a breaking change (major bump of ``API_VERSION``), adding one
@@ -22,7 +22,7 @@ import pytest
 
 from repro import api
 
-PINNED_VERSION = "3.0"
+PINNED_VERSION = "4.0"
 
 PINNED_ALL = [
     "API_VERSION",
@@ -36,7 +36,6 @@ PINNED_ALL = [
 PINNED_FACETS = {
     "study": [
         "StudyRun",
-        "crawl_figures_legs",
         "golden_digests",
         "list_experiments",
         "list_mechanisms",
@@ -66,7 +65,6 @@ FORMER_FLAT_NAMES = {
     "TraceDiff": "trace.TraceDiff",
     "build_corpus": "corpus.build",
     "corpus_info": "corpus.info",
-    "crawl_figures_legs": "study.crawl_figures_legs",
     "diff_traces": "trace.diff",
     "golden_digests": "study.golden_digests",
     "list_corpora": "corpus.list",
@@ -172,6 +170,10 @@ class TestNamespacedSurface:
         namespace = getattr(api, facet)
         for member in PINNED_FACETS[facet]:
             assert getattr(namespace, member) is not None, member
+
+    def test_removed_member_raises(self):
+        with pytest.raises(AttributeError):
+            api.study.crawl_figures_legs  # noqa: B018
 
     @pytest.mark.parametrize("facet", sorted(PINNED_FACETS))
     def test_facet_repr_and_dir(self, facet):

@@ -1,9 +1,9 @@
 """End-to-end networked CRL fetch over ecosystem data.
 
-The crawler module reads the generator's ground truth directly for
-speed; this test verifies the equivalence the design relies on -- that a
+The crawl index reads the generator's ground truth directly for speed;
+this test verifies the equivalence the design relies on -- that a
 client fetching an ecosystem CRL *over the simulated network* sees
-exactly the entries and sizes the crawler reports.
+exactly the entries and sizes the crawl reports.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class TestNetworkedCrawl:
 
         fetched = fetcher.fetch_crl(small_crl.url)
         assert fetched is not None
-        # Same entries as the crawler's ground-truth view...
+        # Same entries as the crawl's ground-truth view...
         expected = {
             entry.serial_number for entry in small_crl.visible_entries(day)
         }
