@@ -9,14 +9,14 @@ Usage::
     python -m repro analyze [args...]          # static-analysis gate
     python -m repro trace trace.jsonl          # roll up a recorded trace
     python -m repro trace --diff A B [--check] # structural span-diff
-    python -m repro corpus build DIR --shards 4  # persist the corpus store
+    python -m repro corpus build DIR           # persist the corpus store
     python -m repro corpus inspect FILE        # one store's meta
     python -m repro corpus stat DIR            # list stores in a directory
     python -m repro corpus verify FILE         # integrity-check a store
     python -m repro serve-bench --sessions 1000000  # serving-layer report
     python -m repro --fault-profile chaos      # run everything degraded
-    python -m repro run all --supervise        # crash-recovering run
-    python -m repro run all --resume           # continue an interrupted run
+    python -m repro run all --checkpoint-dir D # journal every leg under D
+    python -m repro run all --checkpoint-dir D --resume  # continue it
 
 The CLI is a thin shell over :mod:`repro.api`, the stable programmatic
 facade: every subcommand maps onto one facade call.
@@ -43,15 +43,18 @@ aligns two traces' span trees and reports the structural delta --
 "same seed, same behaviour".  Tracing never changes a report byte, and
 sequential traces are byte-identical per seed.
 
-Supervised execution (docs/ROBUSTNESS.md): ``run all --supervise`` runs
-the experiments under the crash-recovering supervisor and journals each
-completed leg under ``--checkpoint-dir`` (default
-``.repro-checkpoints``); ``--exec-fault-profile`` injects deterministic
-worker kills / hangs / aborts (:data:`repro.exec.faults.EXEC_PROFILES`).
-An injected abort exits with code 3 (nothing on stdout); rerunning with
-``--resume`` replays the journal and produces stdout byte-identical to
-an uninterrupted run.  ``corpus build --supervise`` is the same
-discipline for sharded corpus builds.
+Supervised execution (docs/ROBUSTNESS.md): ``run all`` always runs the
+experiments on the crash-recovering supervisor (``--parallel N`` adds
+watched worker processes); ``--checkpoint-dir`` journals each completed
+leg there, and without it nothing is written.  ``--exec-fault-profile``
+injects deterministic worker kills / hangs / aborts
+(:data:`repro.exec.faults.EXEC_PROFILES`).  An injected abort exits with
+code 3 (nothing on stdout); rerunning with ``--resume`` and the same
+``--checkpoint-dir`` replays the journal and produces stdout
+byte-identical to an uninterrupted run.  ``corpus build`` is the same
+discipline for sharded corpus builds.  Of the ``run`` commands only
+``run all`` takes these flags (a single experiment exits 2), and
+``--resume`` without ``--checkpoint-dir`` exits 2.
 
 Exit codes: 0 success; 1 experiment crashes / shape failures (or a
 non-empty ``trace --diff --check``, or a failed ``corpus verify``);
@@ -93,23 +96,18 @@ def _fault_parent(suppress: bool) -> argparse.ArgumentParser:
 
 
 def _exec_parent() -> argparse.ArgumentParser:
-    """The shared supervised-execution flags (run all / corpus build)."""
+    """The shared execution flags (run all / corpus build)."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--supervise",
-        action="store_true",
-        help="run under the crash-recovering supervisor with checkpoints",
-    )
     parent.add_argument(
         "--resume",
         action="store_true",
-        help="resume an interrupted supervised run from its checkpoints",
+        help="resume an interrupted run from the journal in --checkpoint-dir",
     )
     parent.add_argument(
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
-        help="checkpoint journal directory (default .repro-checkpoints)",
+        help="journal completed work here (no journal without it)",
     )
     parent.add_argument(
         "--exec-fault-profile",
@@ -249,14 +247,15 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="K",
-        help="generate across K brand shards (bytes identical for any K)",
+        help="split generation into K brand-shard tasks for --workers or "
+        "--checkpoint-dir (bytes identical for any K)",
     )
     build.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
-        help="generate shards across N worker processes",
+        help="generate shards across N supervised worker processes",
     )
     build.add_argument(
         "--force",
@@ -361,10 +360,23 @@ def _check_exec_fault_profile(profile: str | None) -> bool:
     return False
 
 
-def _interrupted(exc) -> int:
+def _check_resume(args: argparse.Namespace) -> bool:
+    if not args.resume or args.checkpoint_dir is not None:
+        return True
+    print("--resume needs the --checkpoint-dir to resume from", file=sys.stderr)
+    return False
+
+
+def _interrupted(exc, args: argparse.Namespace) -> int:
     # Stdout stays untouched so a resumed run's combined stdout can be
     # byte-compared against an uninterrupted run's.
     print(exc, file=sys.stderr)
+    if args.checkpoint_dir is None:
+        print(
+            "no --checkpoint-dir was given, so no journal was kept: "
+            "rerun with one to make the run resumable",
+            file=sys.stderr,
+        )
     return 3
 
 
@@ -379,8 +391,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    if (args.supervise or args.resume) and args.experiment != "all":
-        print("--supervise/--resume apply to 'run all' only", file=sys.stderr)
+    if args.experiment != "all" and (
+        args.resume
+        or args.checkpoint_dir is not None
+        or args.exec_fault_profile is not None
+        or args.exec_fault_seed is not None
+    ):
+        print(
+            "--resume/--checkpoint-dir/--exec-fault-profile/--exec-fault-seed "
+            "apply to 'run all' only",
+            file=sys.stderr,
+        )
+        return 2
+    if not _check_resume(args):
         return 2
     from repro.exec.supervisor import RunInterrupted
 
@@ -394,7 +417,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             parallel=args.parallel,
             trace=args.trace_out is not None,
-            supervise=args.supervise,
             resume=args.resume,
             checkpoint_dir=args.checkpoint_dir,
             exec_fault_profile=args.exec_fault_profile,
@@ -405,7 +427,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     except RunInterrupted as exc:
-        return _interrupted(exc)
+        return _interrupted(exc, args)
     if args.trace_out is not None:
         run.write_trace(
             args.trace_out, experiment=args.experiment, parallel=args.parallel
@@ -440,6 +462,8 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     if args.corpus_command == "build":
         if not _check_exec_fault_profile(args.exec_fault_profile):
             return 2
+        if not _check_resume(args):
+            return 2
         from repro.exec.supervisor import RunInterrupted
 
         try:
@@ -450,14 +474,13 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
                 shards=args.shards,
                 workers=args.workers,
                 force=args.force,
-                supervise=args.supervise,
                 resume=args.resume,
                 checkpoint_dir=args.checkpoint_dir,
                 exec_fault_profile=args.exec_fault_profile,
                 exec_fault_seed=args.exec_fault_seed,
             )
         except RunInterrupted as exc:
-            return _interrupted(exc)
+            return _interrupted(exc, args)
         print(_render_corpus_info(info))
         return 0
     if args.corpus_command == "verify":

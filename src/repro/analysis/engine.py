@@ -30,7 +30,8 @@ __all__ = ["FileContext", "Rule", "analyze_source", "analyze_file"]
 #: "4": RPR015 (mechanism construction goes through the registry).
 #: "6": RPR013 follows id()/hash() values and gains seed/name sinks.
 #: "7": RPR016 (flat facade aliases) retired with the aliases themselves.
-ENGINE_VERSION = "7"
+#: "8": RPR012 names Supervisor as the one fan-out.
+ENGINE_VERSION = "8"
 
 _NOQA = re.compile(r"#\s*repro:\s*noqa(?:\s+(?P<rules>[A-Z0-9, ]+))?")
 

@@ -23,7 +23,11 @@ suggestions list facet members as ``facet.member``
 (``did you mean: study.run_study``).  API 4.0 removed the study
 facet's crawl-path timing legs (the reference crawl now lives with the
 tests) and two methods of re-exported classes, ``TraceDiff.span_names``
-and ``FleetConfig.with_sessions``.
+and ``FleetConfig.with_sessions``.  API 5.0 made the supervisor the one
+execution path: every sweep and corpus build runs on it, so the
+parameters that chose another path (the supervision and error-isolation
+switches of ``run_study``/``run_experiments``/``corpus.build``, and
+``new_study``'s generation shard and worker counts) are gone.
 
 Component re-exports: the classes and helpers the micro-benchmarks (and
 similar out-of-tree consumers) exercise directly -- browser models, PKI
@@ -50,12 +54,7 @@ from pathlib import Path
 
 from repro.core.pipeline import MeasurementStudy
 from repro.experiments.common import ExperimentResult
-from repro.experiments.runner import (
-    ALL_EXPERIMENTS,
-    run_all,
-    run_experiment,
-    run_supervised,
-)
+from repro.experiments.runner import ALL_EXPERIMENTS, run_all, run_experiment
 from repro.obs import Observability
 from repro.obs import report as _trace_report
 from repro.obs.diff import TraceDiff as _TraceDiff
@@ -73,8 +72,10 @@ from repro.serve import run_fleet as _run_fleet
 #: sub-facades; every 1.x flat name survived as a deprecated alias.
 #: 3.0: the deprecated flat aliases are gone.  4.0: the study facet's
 #: crawl-path timing legs, ``TraceDiff.span_names`` and
-#: ``FleetConfig.with_sessions`` are gone.
-API_VERSION = "4.0"
+#: ``FleetConfig.with_sessions`` are gone.  5.0: one execution path --
+#: the supervision and error-isolation switches and ``new_study``'s
+#: generation shard/worker counts are gone.
+API_VERSION = "5.0"
 
 __all__ = [
     "API_VERSION",
@@ -220,8 +221,6 @@ def _run_study(
     cache_dir: str | Path | None = None,
     parallel: int | None = None,
     trace: bool = False,
-    isolate_errors: bool = True,
-    supervise: bool = False,
     resume: bool = False,
     checkpoint_dir: str | Path | None = None,
     exec_fault_profile: str | None = None,
@@ -232,21 +231,32 @@ def _run_study(
 
     ``trace=True`` attaches an enabled tracer/metrics registry; write
     the result with :meth:`StudyRun.write_trace`.  ``"all"`` isolates
-    per-experiment crashes into failure records (``isolate_errors``);
-    a single named experiment propagates exceptions, and an unknown id
-    raises ``KeyError``.  ``mechanism`` restricts every
-    revocation-mechanism sweep to one registered name (the CLI's
-    ``run --mechanism``); an unknown name raises ``KeyError``.
+    per-experiment crashes into failure records; a single named
+    experiment propagates exceptions, and an unknown id raises
+    ``KeyError``.  ``mechanism`` restricts every revocation-mechanism
+    sweep to one registered name (the CLI's ``run --mechanism``); an
+    unknown name raises ``KeyError``.
 
-    ``supervise=True`` runs ``"all"`` under the supervised execution
-    layer (docs/ROBUSTNESS.md): worker crash recovery, per-leg
-    checkpoints under ``checkpoint_dir``, and -- with an
+    ``"all"`` runs on the supervised execution layer
+    (docs/ROBUSTNESS.md): worker crash recovery, per-leg checkpoints
+    when a ``checkpoint_dir`` is given, and -- with an
     ``exec_fault_profile`` -- deterministic process-fault injection.
-    ``resume=True`` replays checkpointed legs from an interrupted run;
-    the combined output is byte-identical to an uninterrupted one.
-    Raises :class:`repro.exec.supervisor.RunInterrupted` when an
-    injected ABORT stops the run partway.
+    ``resume=True`` replays the checkpointed legs of an interrupted run
+    from ``checkpoint_dir``; the combined output is byte-identical to an
+    uninterrupted one.  Raises :class:`repro.exec.supervisor.RunInterrupted`
+    when an injected ABORT stops the run partway, and ``ValueError`` when
+    ``resume`` lacks a ``checkpoint_dir`` or a single experiment is given
+    any of the four execution arguments.
     """
+    if experiment != "all" and (
+        resume
+        or checkpoint_dir is not None
+        or exec_fault_profile is not None
+        or exec_fault_seed is not None
+    ):
+        raise ValueError(
+            "resume, checkpoint_dir and exec faults apply to experiment='all'"
+        )
     if mechanism is not None:
         from repro.mechanisms import get as get_mechanism
 
@@ -263,15 +273,10 @@ def _run_study(
         exec_fault_seed=exec_fault_seed,
         mechanisms=(mechanism,) if mechanism is not None else None,
     )
-    if experiment == "all" and (supervise or resume):
-        results = run_supervised(
-            built,
-            parallel=parallel,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
+    if experiment == "all":
+        results = run_all(
+            built, parallel=parallel, checkpoint_dir=checkpoint_dir, resume=resume
         )
-    elif experiment == "all":
-        results = run_all(built, parallel=parallel, isolate_errors=isolate_errors)
     else:
         results = [run_experiment(experiment, built)]
     return StudyRun(study=built, results=results)
@@ -286,15 +291,11 @@ def _new_study(
     fault_profile: str | None = None,
     fault_seed: int | None = None,
     trace: bool = False,
-    shards: int = 1,
-    gen_workers: int | None = None,
 ) -> MeasurementStudy:
     """Build a :class:`MeasurementStudy` without running anything.
 
     The supported way for scripts and benchmarks to get a study handle
     (substrate, scans, crawl index, ...) without importing ``repro.core``.
-    ``shards``/``gen_workers`` control sharded substrate generation; the
-    corpus bytes are identical for any shard/worker count.
     """
     return MeasurementStudy(
         scale=scale,
@@ -304,15 +305,11 @@ def _new_study(
         fault_profile=fault_profile,
         fault_seed=fault_seed,
         obs=Observability(enabled=True) if trace else None,
-        shards=shards,
-        gen_workers=gen_workers,
     )
 
 
 def _run_experiments(
-    study: MeasurementStudy,
-    parallel: int | None = None,
-    isolate_errors: bool = True,
+    study: MeasurementStudy, parallel: int | None = None
 ) -> list[ExperimentResult]:
     """Run every experiment against an existing study.
 
@@ -320,7 +317,7 @@ def _run_experiments(
     warm corpus store, when it has a ``cache_dir``), which is what
     perfbench's ``paper-sweep`` workload times.
     """
-    return run_all(study, parallel=parallel, isolate_errors=isolate_errors)
+    return run_all(study, parallel=parallel)
 
 
 def _golden_digests(
@@ -383,65 +380,50 @@ def _build_corpus(
     shards: int = 1,
     workers: int | None = None,
     force: bool = False,
-    supervise: bool = False,
     resume: bool = False,
     checkpoint_dir: str | Path | None = None,
     exec_fault_profile: str | None = None,
     exec_fault_seed: int | None = None,
 ) -> dict:
-    """Generate the ecosystem (sharded) and persist it as a corpus store.
+    """Generate the ecosystem and persist it as a verified corpus store.
 
-    Returns the store's :func:`corpus.info` plus a ``rebuilt`` flag.  An
-    existing store for the same calibration is reused unless ``force``,
-    but only when :func:`corpus.verify` finds no problem in it; a store
-    that fails is quarantined (moved aside as ``<name>.quarantined``)
-    and rebuilt.  Sharding/worker count never changes the stored bytes.
+    Returns the store's :func:`corpus.info`, the build's shard tallies
+    (``resumed_shards``, ``built_shards``, ``failures``) and a
+    ``rebuilt`` flag.  An existing store for the same calibration is
+    reused unless ``force``, but only when :func:`corpus.verify` finds
+    no problem in it; a store that fails is quarantined (moved aside as
+    ``<name>.quarantined``) and rebuilt.  Every written store is
+    verified, and quarantined and rewritten if it fails.
 
-    ``supervise=True`` builds each shard under the supervised execution
-    layer with per-shard checkpoints (docs/ROBUSTNESS.md); an
-    interrupted build resumed with ``resume=True`` produces a
-    byte-identical store.  Raises
-    :class:`repro.exec.supervisor.RunInterrupted` on an injected ABORT.
+    ``workers=N`` (N >= 2) generates ``shards`` brand groups (at least
+    N) across supervised worker processes (docs/ROBUSTNESS.md);
+    shard/worker counts never change the stored bytes.  A
+    ``checkpoint_dir`` journals each completed shard, and an interrupted
+    build resumed with ``resume=True`` produces a byte-identical store.
+    Raises :class:`repro.exec.supervisor.RunInterrupted` on an injected
+    ABORT, and ``ValueError`` for ``resume`` without a ``checkpoint_dir``.
     """
-    from repro.scan import corpus_store
+    from repro.exec.corpusbuild import build_corpus
+    from repro.exec.faults import plan_from_exec_profile
     from repro.scan.calibration import Calibration
-    from repro.scan.datastore import ArtifactCache
-    from repro.scan.ecosystem import Ecosystem
 
     calibration = calibration or Calibration(scale=scale, seed=seed)
-    if supervise or resume:
-        from repro.exec.corpusbuild import build_corpus_supervised
-        from repro.exec.faults import plan_from_exec_profile
-        from repro.exec.supervisor import SupervisorConfig
-
-        faults = plan_from_exec_profile(
-            exec_fault_profile or "none",
-            exec_fault_seed if exec_fault_seed is not None else calibration.seed,
-        )
-        info = build_corpus_supervised(
-            directory,
-            calibration=calibration,
-            shards=max(shards, workers or 1),
-            config=SupervisorConfig(workers=workers or 2),
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            faults=faults,
-            force=force,
-        )
-        reused = info.pop("reused")
-        info.pop("path", None)
-        return {
-            **_corpus_info(ArtifactCache(directory).ecosystem_path(calibration)),
-            **info,
-            "rebuilt": not reused,
-        }
-    cache = ArtifactCache(directory)
-    path = cache.ecosystem_path(calibration)
-    if not force and corpus_store.reuse_or_quarantine(path):
-        return {**_corpus_info(path), "rebuilt": False}
-    ecosystem = Ecosystem(calibration, shards=shards, workers=workers)
-    cache.store_ecosystem(calibration, ecosystem)
-    return {**_corpus_info(path), "rebuilt": True}
+    faults = plan_from_exec_profile(
+        exec_fault_profile or "none",
+        exec_fault_seed if exec_fault_seed is not None else calibration.seed,
+    )
+    info = build_corpus(
+        directory,
+        calibration=calibration,
+        shards=shards,
+        workers=workers,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        faults=faults,
+        force=force,
+    )
+    reused = info.pop("reused")
+    return {**_corpus_info(info.pop("path")), **info, "rebuilt": not reused}
 
 
 def _corpus_info(path: str | Path) -> dict:

@@ -44,8 +44,7 @@ class MeasurementStudy:
     ``cache_dir`` opts into the on-disk corpus store: the generated
     ecosystem is persisted keyed on the calibration digest, so repeated
     runs with the same scale/seed/calibration load out-of-core instead of
-    regenerating.  ``shards``/``gen_workers`` control sharded substrate
-    generation (corpus bytes are identical for any shard/worker count).
+    regenerating.
     """
 
     def __init__(
@@ -57,8 +56,6 @@ class MeasurementStudy:
         fault_profile: str | None = None,
         fault_seed: int | None = None,
         obs: Observability | None = None,
-        shards: int = 1,
-        gen_workers: int | None = None,
         exec_fault_profile: str | None = None,
         exec_fault_seed: int | None = None,
         mechanisms: tuple[str, ...] | list[str] | None = None,
@@ -66,8 +63,6 @@ class MeasurementStudy:
         self.calibration = calibration or Calibration(scale=scale, seed=seed)
         self.targets: PaperTargets = self.calibration.targets
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.shards = shards
-        self.gen_workers = gen_workers
         # Observability (docs/OBSERVABILITY.md).  Defaults to the shared
         # disabled instance unless REPRO_TRACE is set; like fault settings
         # it never enters the calibration digest -- tracing must not change
@@ -85,17 +80,13 @@ class MeasurementStudy:
         self.fault_seed = (
             fault_seed if fault_seed is not None else self.calibration.seed
         )
-        # Process/storage fault injection (repro.exec.faults): worker
-        # kills, hangs, parent aborts, corrupt store writes.  Honoured
-        # only by the supervised execution paths (run_supervised and the
-        # supervised corpus build); like the network-fault settings it
-        # stays out of the calibration digest -- and unlike them it never
-        # changes results at all, only how the run executes.
-        if exec_fault_profile is None:
-            exec_fault_profile = os.environ.get(
-                "REPRO_EXEC_FAULT_PROFILE", "none"
-            )
-        self.exec_fault_profile = exec_fault_profile
+        # Process fault injection (repro.exec.faults): worker kills,
+        # hangs, parent aborts.  Honoured by every run_all; like the
+        # network-fault settings it stays out of the calibration digest --
+        # and unlike them it never changes results at all, only how the
+        # run executes.  No environment variable selects it: a stray one
+        # would make every plain sweep abort.
+        self.exec_fault_profile = exec_fault_profile or "none"
         self.exec_fault_seed = (
             exec_fault_seed
             if exec_fault_seed is not None
@@ -112,9 +103,7 @@ class MeasurementStudy:
 
     @cached_property
     def ecosystem(self) -> Ecosystem:
-        with self.obs.tracer.span(
-            "substrate.ecosystem", shards=self.shards
-        ) as span:
+        with self.obs.tracer.span("substrate.ecosystem") as span:
             if self.cache_dir is not None:
                 from repro.scan.datastore import ArtifactCache
 
@@ -123,18 +112,12 @@ class MeasurementStudy:
                 if cached is not None:
                     span.set("source", "store")
                     return cached
-                ecosystem = Ecosystem(
-                    self.calibration,
-                    shards=self.shards,
-                    workers=self.gen_workers,
-                )
+                ecosystem = Ecosystem(self.calibration)
                 cache.store_ecosystem(self.calibration, ecosystem)
                 span.set("source", "generated")
                 return ecosystem
             span.set("source", "generated")
-            return Ecosystem(
-                self.calibration, shards=self.shards, workers=self.gen_workers
-            )
+            return Ecosystem(self.calibration)
 
     @cached_property
     def crawl_index(self) -> CrawlIndex:

@@ -1,30 +1,31 @@
 """Supervised execution layer (docs/ROBUSTNESS.md).
 
 ``repro.exec`` is the one home for process management in this codebase:
-every worker pool, supervised run, and checkpointed build goes through
-it.  The static-analysis rule RPR012 enforces that -- direct
-``multiprocessing`` / ``concurrent.futures`` pool construction anywhere
-else is a lint finding -- so process-level robustness (deadline
-watchdogs, seeded-backoff retries, respawn budgets, checkpoint/resume,
-fault injection) is a property of the whole pipeline, not of individual
-call sites.
+every fan-out -- the experiment sweep and the sharded corpus build --
+runs on :class:`Supervisor`, in-process for one worker and across
+watched worker processes otherwise.  The static-analysis rule RPR012
+enforces that -- direct ``multiprocessing`` / ``concurrent.futures``
+pool construction anywhere else is a lint finding -- so process-level
+robustness (deadline watchdogs, seeded-backoff retries, respawn
+budgets, checkpoint/resume, fault injection) is a property of the whole
+pipeline, not of individual call sites.
 
 Layers:
 
-- :mod:`repro.exec.pool` -- the plain, unsupervised pool primitive
-  (order-preserving map over worker processes).
 - :mod:`repro.exec.supervisor` -- :class:`Supervisor`: per-task deadline
   watchdog, seeded-backoff retries, bounded worker respawns, graceful
   degradation to in-process execution, structured
   :class:`FailureRecord`\\ s.
 - :mod:`repro.exec.checkpoint` -- :class:`CheckpointJournal`: an atomic
   temp+rename JSONL journal of completed work, keyed so stale
-  checkpoints are misses (the `corpus_store` discipline).
+  checkpoints are misses (the `corpus_store` discipline).  A run keeps
+  one only when it is given a checkpoint directory.
 - :mod:`repro.exec.faults` -- deterministic process/storage fault plans
   (worker kills, hangs, parent aborts, corrupt store writes), modeled on
   :mod:`repro.net.faults` profiles.
-- :mod:`repro.exec.corpusbuild` -- supervised sharded corpus builds with
-  per-shard checkpoints (imported lazily; it pulls in numpy).
+- :mod:`repro.exec.corpusbuild` -- the corpus builder: in-process or
+  sharded across supervised workers, with per-shard checkpoints under a
+  checkpoint directory (imported lazily; it pulls in numpy).
 
 Determinism: fault decisions are keyed on ``(seed, task, attempt)``, so
 an interrupted run resumed from its journal re-derives exactly the
@@ -43,7 +44,6 @@ from repro.exec.faults import (
     ExecFaultSpec,
     plan_from_exec_profile,
 )
-from repro.exec.pool import pool_map, run_pool
 from repro.exec.supervisor import (
     FailureRecord,
     RunInterrupted,
@@ -64,6 +64,4 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
     "plan_from_exec_profile",
-    "pool_map",
-    "run_pool",
 ]

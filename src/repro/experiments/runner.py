@@ -1,23 +1,26 @@
 """Run every experiment and render the paper-vs-measured report.
 
-``run_all(parallel=N)`` fans the experiments out across a process pool.
-Each worker builds its own :class:`MeasurementStudy` from the same
-calibration (the substrate is deterministic for a fixed calibration, and
-the one stateful RNG -- the stapling scanner's -- is seeded per study and
-consumed by a single experiment), so the results are identical to the
-sequential path regardless of worker count; a test enforces this.
+:func:`run_all` is the one sweep entry point, and every call runs on the
+:class:`repro.exec.supervisor.Supervisor`: in-process when ``parallel``
+is 1 or less, across watched worker processes otherwise (per-leg
+deadline watchdog, retries, in-process degradation).  Each worker builds
+its own :class:`MeasurementStudy` from the same calibration (the
+substrate is deterministic for a fixed calibration, and the one stateful
+RNG -- the stapling scanner's -- is seeded per study and consumed by a
+single experiment), so the results are identical to the in-process path
+regardless of worker count; a test enforces this.
 
 Experiments are error-isolated: a crash in one figure is captured into a
 structured failure record (:func:`repro.experiments.common.failure_result`)
-and the remaining experiments still run.  Pass ``isolate_errors=False``
-to re-raise instead (useful under a debugger).
+and the remaining experiments still run.  :func:`run_experiment` runs
+one experiment and propagates its exceptions (the fail-fast path for a
+debugger).
 
-``supervise=True`` additionally runs the fan-out under the
-:class:`repro.exec.supervisor.Supervisor` (crash recovery, deadlines,
-retries, degradation) and checkpoints every completed experiment leg to
-a journal, so an interrupted run resumes (``resume=True``) instead of
-restarting -- and, because each leg is deterministic for its
-calibration, produces the identical report (docs/ROBUSTNESS.md).
+Given a ``checkpoint_dir``, every completed leg is journaled, so an
+interrupted run resumes (``resume=True``) instead of restarting -- and,
+because each leg is deterministic for its calibration, produces the
+identical report (docs/ROBUSTNESS.md).  The study's exec fault profile
+applies to every run.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from repro.experiments.common import ExperimentResult, failure_result
 from repro.obs import NULL_OBS, Observability
 from repro.scan.calibration import Calibration
 
-__all__ = ["ALL_EXPERIMENTS", "run_all", "run_experiment", "run_supervised"]
+__all__ = ["ALL_EXPERIMENTS", "run_all", "run_experiment"]
 
 ALL_EXPERIMENTS = {
     module.EXPERIMENT_ID: module
@@ -79,6 +82,7 @@ ALL_EXPERIMENTS = {
 def run_experiment(
     experiment_id: str, study: MeasurementStudy | None = None
 ) -> ExperimentResult:
+    """Run one experiment under an ``experiment`` span; errors propagate."""
     try:
         module = ALL_EXPERIMENTS[experiment_id]
     except KeyError:
@@ -87,12 +91,6 @@ def run_experiment(
             f"known: {sorted(ALL_EXPERIMENTS)}"
         ) from None
     study = study or MeasurementStudy()
-    return _run_raw(experiment_id, study)
-
-
-def _run_raw(experiment_id: str, study: MeasurementStudy) -> ExperimentResult:
-    """Run one experiment under an ``experiment`` span; errors propagate."""
-    module = ALL_EXPERIMENTS[experiment_id]
     with study.obs.tracer.span("experiment", experiment=experiment_id) as span:
         result = module.run(study)
         span.set("outcome", "ok")
@@ -118,7 +116,7 @@ def _run_isolated(experiment_id: str, study: MeasurementStudy) -> ExperimentResu
         return result
 
 
-# Per-worker study, built once by the pool initializer.  Each worker pays
+# Per-worker study, built once by the worker initializer.  Each worker pays
 # for the substrate once and then serves any number of experiments.
 _WORKER_STUDY: MeasurementStudy | None = None
 
@@ -151,7 +149,7 @@ def _run_in_worker(
     with its mutation count -- the parent keeps the highest-count export
     per worker, which is that worker's complete contribution.
     """
-    assert _WORKER_STUDY is not None, "pool initializer did not run"
+    assert _WORKER_STUDY is not None, "worker initializer did not run"
     obs = _WORKER_STUDY.obs
     if not obs.enabled:
         return _run_isolated(experiment_id, _WORKER_STUDY), None, None, 0, 0
@@ -189,11 +187,11 @@ def _prewarm_store(study: MeasurementStudy) -> str | None:
     """Warm the corpus store before spawning workers (or None without a
     cache_dir).
 
-    The parent pays for (possibly sharded) generation once and each
-    worker then loads the corpus out-of-core instead of rebuilding it.
+    The parent pays for generation once and each worker then loads the
+    corpus out-of-core instead of rebuilding it.
     When the store is already warm the parent deliberately does NOT
     materialise the ecosystem: workers read the file themselves, and a
-    small parent heap keeps forking the pool cheap.
+    small parent heap keeps forking the workers cheap.
     """
     if study.cache_dir is None:
         return None
@@ -222,22 +220,25 @@ def _run_key(study: MeasurementStudy) -> str:
     )
 
 
-def run_supervised(
+def run_all(
     study: MeasurementStudy | None = None,
     parallel: int | None = None,
     *,
     checkpoint_dir: str | Path | None = None,
     resume: bool = False,
-    config=None,
 ) -> list[ExperimentResult]:
-    """``run_all`` under the supervisor, with checkpoint/resume.
+    """Run every experiment, in declaration order, on the supervisor.
 
-    Every completed experiment leg is journaled (atomic JSONL keyed on
-    the calibration + network-fault digest); ``resume=True`` replays
-    validated checkpoints and runs only the missing legs.  The study's
-    ``exec_fault_profile``/``exec_fault_seed`` select the injected
-    process faults; an injected ABORT raises
-    :class:`repro.exec.supervisor.RunInterrupted` after journaling.
+    ``parallel=N`` (N >= 2) runs the legs across N watched worker
+    processes; when the study has a ``cache_dir`` the workers share its
+    artifact cache, so the ecosystem is generated at most once.  With a
+    ``checkpoint_dir`` every completed leg is journaled (atomic JSONL
+    keyed on the calibration + network-fault digest) and ``resume=True``
+    replays validated checkpoints, running only the missing legs;
+    without one nothing is written, and ``resume=True`` raises
+    ``ValueError``.  The study's ``exec_fault_profile`` and
+    ``exec_fault_seed`` select the injected process faults; an injected
+    ABORT raises :class:`repro.exec.supervisor.RunInterrupted`.
     """
     from repro.exec.checkpoint import (
         CheckpointJournal,
@@ -251,14 +252,19 @@ def run_supervised(
         SupervisorConfig,
     )
 
+    if resume and checkpoint_dir is None:
+        raise ValueError("resume=True needs the checkpoint_dir to resume from")
     study = study or MeasurementStudy()
     order = list(ALL_EXPERIMENTS)
-    run_key = _run_key(study)
-    directory = Path(checkpoint_dir or ".repro-checkpoints")
-    journal_name = hashlib.sha256(run_key.encode()).hexdigest()[:12]
-    journal = CheckpointJournal(directory / f"run-{journal_name}.jsonl", run_key)
-    if not resume:
-        journal.start_fresh()
+    journal = None
+    if checkpoint_dir is not None:
+        run_key = _run_key(study)
+        journal_name = hashlib.sha256(run_key.encode()).hexdigest()[:12]
+        journal = CheckpointJournal(
+            Path(checkpoint_dir) / f"run-{journal_name}.jsonl", run_key
+        )
+        if not resume:
+            journal.start_fresh()
 
     obs = study.obs
     checkpointed: dict[str, ExperimentResult] = {}
@@ -289,11 +295,12 @@ def run_supervised(
     )
 
     def on_complete(eid: str, output: tuple) -> None:
-        journal.record(eid, pickle_payload(output[0]))
+        if journal is not None:
+            journal.record(eid, pickle_payload(output[0]))
 
     def local_fn(eid: str) -> tuple:
-        # Degradation/serial path: run in the parent against the parent
-        # study (deterministic, so identical to a worker's answer).
+        # In-process and degradation path: run in the parent against the
+        # parent study (deterministic, so identical to a worker's answer).
         return _run_isolated(eid, study), None, None, 0, 0
 
     workers = (
@@ -303,7 +310,7 @@ def run_supervised(
     )
     cache_dir = _prewarm_store(study) if workers > 1 else None
     supervisor = Supervisor(
-        config or SupervisorConfig(workers=workers),
+        SupervisorConfig(workers=workers),
         obs=obs,
         faults=faults,
     )
@@ -322,10 +329,11 @@ def run_supervised(
             local_fn=local_fn,
             on_complete=on_complete,
             completed_before=len(checkpointed),
-            allow_abort=not (resume or journal.aborted),
+            allow_abort=not resume,
         )
     except RunInterrupted:
-        journal.mark_aborted()
+        if journal is not None:
+            journal.mark_aborted()
         raise
 
     if obs.enabled:
@@ -335,50 +343,6 @@ def run_supervised(
         checkpointed[eid] if eid in checkpointed else outcome.results[eid][0]
         for eid in order
     ]
-
-
-def run_all(
-    study: MeasurementStudy | None = None,
-    parallel: int | None = None,
-    isolate_errors: bool = True,
-) -> list[ExperimentResult]:
-    """Run every experiment, in declaration order.
-
-    ``parallel=N`` (N >= 2) uses a process pool of N workers.  When the
-    study has a ``cache_dir`` the workers share its artifact cache, so
-    the ecosystem is generated at most once across the pool.  For crash
-    recovery and checkpoint/resume, see :func:`run_supervised`.
-    """
-    from repro.exec.pool import pool_map
-
-    study = study or MeasurementStudy()
-    order = list(ALL_EXPERIMENTS)
-    if parallel is None or parallel <= 1:
-        if isolate_errors:
-            return [_run_isolated(eid, study) for eid in order]
-        return [_run_raw(eid, study) for eid in order]
-
-    workers = min(parallel, len(order), os.cpu_count() or 1)
-    cache_dir = _prewarm_store(study)
-    # pool_map preserves submission order, so results come back in the
-    # same order the sequential path produces them.
-    outputs = pool_map(
-        _run_in_worker,
-        order,
-        workers=workers,
-        initializer=_init_worker,
-        initargs=(
-            study.calibration,
-            cache_dir,
-            study.fault_profile,
-            study.fault_seed,
-            study.obs.enabled,
-        ),
-    )
-    results = [output[0] for output in outputs]
-    if study.obs.enabled:
-        _merge_worker_traces(study.obs, outputs)
-    return results
 
 
 def main() -> None:  # pragma: no cover - CLI convenience

@@ -15,9 +15,10 @@ Layout of an export directory::
     crlset_daily.csv     CRLSet entry counts / additions / removals per day
 
 :class:`ArtifactCache` is the opt-in on-disk cache behind
-``MeasurementStudy(cache_dir=...)``: generated ecosystems are persisted
-as columnar SQLite corpus stores (:mod:`repro.scan.corpus_store`) keyed
-on a digest of the full calibration, so repeated runs with the same
+``MeasurementStudy(cache_dir=...)`` and the one writer of corpus stores:
+generated ecosystems are persisted as columnar SQLite corpus stores
+(:mod:`repro.scan.corpus_store`) keyed on a digest of the full
+calibration, verified after every write, so repeated runs with the same
 scale/seed/calibration skip regeneration and ``run_all`` workers load
 the corpus out-of-core instead of rebuilding it.
 """
@@ -31,12 +32,16 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.core.pipeline import MeasurementStudy
 from repro.obs import NULL_OBS, Observability
 from repro.scan import corpus, corpus_store
 from repro.scan.calibration import Calibration
 from repro.scan.ecosystem import Ecosystem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.faults import ExecFaultPlan
 
 __all__ = [
     "ArtifactCache",
@@ -47,6 +52,11 @@ __all__ = [
 ]
 
 _DATE = "%Y-%m-%d"
+
+#: total tries for a store write (first + rewrites after quarantine);
+#: injected write faults default to attempt 0 only, so one rewrite
+#: normally suffices.
+_WRITE_ATTEMPTS = 3
 
 
 def _iso(day: datetime.date) -> str:
@@ -137,8 +147,20 @@ class ArtifactCache:
         return loaded
 
     def store_ecosystem(
-        self, calibration: Calibration, ecosystem: Ecosystem
+        self,
+        calibration: Calibration,
+        ecosystem: Ecosystem,
+        *,
+        faults: ExecFaultPlan | None = None,
     ) -> Path:
+        """Encode and write the corpus store, then verify what landed.
+
+        A store that fails :func:`corpus_store.verify_store` is
+        quarantined and rewritten, at most :data:`_WRITE_ATTEMPTS` times
+        in all; ``faults`` injects corrupt writes
+        (:meth:`ExecFaultPlan.decide_write`).  Raises ``RuntimeError``
+        when no attempt verifies.
+        """
         path = self.ecosystem_path(calibration)
         if self.obs.enabled:
             self.obs.tracer.event(
@@ -147,7 +169,22 @@ class ArtifactCache:
             )
             self.obs.metrics.counter("artifact_cache.stores").inc()
         arrays, meta = corpus.encode_corpus(ecosystem)
-        return corpus_store.write_corpus(path, arrays, meta)
+        for attempt in range(_WRITE_ATTEMPTS):
+            fault = faults.decide_write("corpus", attempt) if faults else None
+            corpus_store.write_corpus(path, arrays, meta, fault=fault)
+            problems = corpus_store.verify_store(path)
+            if not problems:
+                return path
+            corpus_store.quarantine_store(path)
+            if self.obs.enabled:
+                self.obs.tracer.event(
+                    "exec.store_corrupt", attempt=attempt, problems=len(problems)
+                )
+                self.obs.metrics.counter("exec.store_rewrites").inc()
+        raise RuntimeError(
+            f"corpus store failed verification after {_WRITE_ATTEMPTS} "
+            f"write attempts: {problems[0]}"
+        )
 
 
 def export_study(study: MeasurementStudy, directory: str | Path) -> Path:

@@ -9,10 +9,10 @@ deployment, and Alexa popularity ranks.
 
 Generation is *sharded* (docs/PERFORMANCE.md): every brand is built from
 its own seed-stable RNG substreams by :mod:`repro.scan.shardgen`, so the
-corpus is byte-identical whether it is built in one pass, split across
-``shards`` in-process groups, or farmed out to ``workers`` processes --
-and whether it comes out of the generator or back out of the on-disk
-corpus store (:meth:`from_corpus`).
+corpus is byte-identical whether it is built here in one pass, merged
+from shard parts built by the corpus builder's worker processes
+(:meth:`from_parts`), or read back out of the on-disk corpus store
+(:meth:`from_corpus`).
 
 Calibration targets come from :class:`~repro.scan.calibration.Calibration`
 and the per-CA profiles in :mod:`repro.ca.profiles`; DESIGN.md §2 explains
@@ -98,9 +98,8 @@ class LeafIndex:
 class Ecosystem:
     """Deterministic synthetic PKI ecosystem (see module docstring).
 
-    ``shards`` groups brands for generation (the corpus never depends on
-    it); ``workers`` additionally builds those groups in parallel
-    processes, shipping columnar parts back to the parent.
+    The constructor generates every brand in-process, in profile order;
+    :meth:`from_parts` assembles one from shard parts built elsewhere.
     """
 
     @gc_paused()
@@ -108,17 +107,11 @@ class Ecosystem:
         self,
         calibration: Calibration | None = None,
         profiles: tuple[CaProfile, ...] = PAPER_CA_PROFILES,
-        *,
-        shards: int = 1,
-        workers: int | None = None,
     ) -> None:
         self.calibration = calibration or Calibration()
         self.profiles = profiles
         self._scaffold()
-        if workers is not None and workers > 1:
-            self._build_from_parts(self._generate_parts_parallel(shards, workers))
-        else:
-            self._build_in_process(shards)
+        self._build_in_process()
         self._finalize(assign_alexa=True)
 
     @classmethod
@@ -176,11 +169,12 @@ class Ecosystem:
     ) -> Ecosystem:
         """Assemble an ecosystem from pre-built columnar brand parts.
 
-        The supervised corpus builder checkpoints each shard's parts as
-        it completes; a resumed build merges checkpointed and freshly
-        generated parts through this one path, so interrupted and
-        uninterrupted builds converge on the same ecosystem (the parts
-        are keyed on brand substreams, not on which run produced them).
+        The corpus builder's shard tasks return these parts (and, under
+        a checkpoint directory, journal them as they complete); a resumed
+        build merges checkpointed and freshly generated parts through
+        this one path, so interrupted and uninterrupted builds converge
+        on the same ecosystem (the parts are keyed on brand substreams,
+        not on which run or shard produced them).
         """
         self = cls.__new__(cls)
         self.calibration = calibration
@@ -224,48 +218,21 @@ class Ecosystem:
             self.crls.extend(state.crls)
             self._crl_by_url.update(state.crl_by_url)
 
-    def _build_in_process(self, shards: int) -> None:
-        """Generate every brand here, in ``shards`` groups (grouping is
-        pure bookkeeping -- each brand only reads its own substreams)."""
+    def _build_in_process(self) -> None:
+        """Generate every brand here, in profile order (each brand only
+        reads its own substreams, so the order is bookkeeping)."""
         calibration = self.calibration
-        plan = shardgen.plan_shards(calibration, self.profiles, shards)
-        leaves_by_brand: dict[str, list[LeafRecord]] = {}
-        for group in plan:
-            for name in group:
-                state = self.brands[name]
-                # Scaffold already built; run the remaining brand chain.
-                brand_leaves = shardgen.build_brand_leaves(calibration, state)
-                shardgen.assign_brand_revocations(
-                    calibration, state, brand_leaves
-                )
-                shardgen.populate_brand_synthetic(calibration, state)
-                leaves_by_brand[name] = brand_leaves
         self.leaves = []
         for profile in self.profiles:
-            self.leaves.extend(leaves_by_brand[profile.name])
-
-    def _generate_parts_parallel(self, shards: int, workers: int) -> dict:
-        """Columnar brand parts from a process pool, one task per shard."""
-        from repro.exec.pool import run_pool
-
-        calibration = self.calibration
-        shards = max(shards, workers)
-        plan = [
-            group
-            for group in shardgen.plan_shards(calibration, self.profiles, shards)
-            if group
-        ]
-        parts_by_brand: dict[str, dict] = {}
-        for shard_parts in run_pool(
-            shardgen.build_shard_parts,
-            [(calibration, group, self.profiles) for group in plan],
-            workers=workers,
-        ):
-            parts_by_brand.update(shard_parts)
-        return parts_by_brand
+            state = self.brands[profile.name]
+            # Scaffold already built; run the remaining brand chain.
+            brand_leaves = shardgen.build_brand_leaves(calibration, state)
+            shardgen.assign_brand_revocations(calibration, state, brand_leaves)
+            shardgen.populate_brand_synthetic(calibration, state)
+            self.leaves.extend(brand_leaves)
 
     def _build_from_parts(self, parts_by_brand: dict) -> None:
-        """Decode worker-built columnar parts into this scaffold.
+        """Decode shard-built columnar parts into this scaffold.
 
         Fresh brand states generated in the workers carry entries and
         counters; our own states only have the scaffold.  Decoding per

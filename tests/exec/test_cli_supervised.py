@@ -12,20 +12,35 @@ SCALE_ARGS = ["--scale", "0.0005", "--seed", "3"]
 
 
 class TestFlagValidation:
-    def test_supervise_rejected_for_single_experiment(self, capsys):
-        assert main(["run", "fig2", "--supervise"]) == 2
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--resume"],
+            ["--checkpoint-dir", "ckpt"],
+            ["--exec-fault-profile", "kill-worker"],
+            ["--exec-fault-seed", "1"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_resume_rejected_for_single_experiment(
+        self, flags, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "fig2", *flags]) == 2
         assert "all" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_resume_rejected_for_single_experiment(self, capsys):
-        assert main(["run", "fig2", "--resume"]) == 2
+    @pytest.mark.parametrize("command", [["run", "all"], ["corpus", "build", "d"]])
+    def test_resume_needs_a_checkpoint_dir(
+        self, command, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--resume"]) == 2
+        assert "--checkpoint-dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_exec_fault_profile(self, capsys):
-        assert (
-            main(
-                ["run", "all", "--supervise", "--exec-fault-profile", "bogus"]
-            )
-            == 2
-        )
+        assert main(["run", "all", "--exec-fault-profile", "bogus"]) == 2
         assert "exec fault profile" in capsys.readouterr().err
 
     def test_unknown_exec_fault_profile_on_corpus_build(self, capsys, tmp_path):
@@ -35,7 +50,6 @@ class TestFlagValidation:
                     "corpus",
                     "build",
                     str(tmp_path),
-                    "--supervise",
                     "--exec-fault-profile",
                     "bogus",
                 ]
@@ -96,7 +110,8 @@ class TestSupervisedCorpusBuild:
             "6",
             "--workers",
             "2",
-            "--supervise",
+            "--checkpoint-dir",
+            str(tmp_path / "ckpt"),
             "--exec-fault-profile",
             "chaos-proc",
             "--exec-fault-seed",
@@ -110,3 +125,38 @@ class TestSupervisedCorpusBuild:
         assert main(chaos_args + ["--resume"]) == 0
         resumed_out = capsys.readouterr().out
         assert plain_digest.group(1) in resumed_out
+
+
+class TestFaultPlanOnEveryPath:
+    """An exec fault plan applies to every run, journal or not."""
+
+    def test_serial_run_all_aborts_and_writes_nothing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        args = ["run", "all", *SCALE_ARGS, "--exec-fault-profile", "kill-worker"]
+        assert main([*args, "--exec-fault-seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "interrupted" in captured.err
+        assert "--checkpoint-dir" in captured.err  # nothing to resume from
+        assert list(tmp_path.iterdir()) == []  # no journal was asked for
+
+    def test_corpus_build_across_workers_aborts(self, capsys, tmp_path):
+        args = [
+            "corpus",
+            "build",
+            str(tmp_path / "store"),
+            *SCALE_ARGS,
+            "--shards",
+            "6",
+            "--workers",
+            "2",
+            "--exec-fault-profile",
+            "chaos-proc",
+            "--exec-fault-seed",
+            "1",
+        ]
+        assert main(args) == 3
+        assert capsys.readouterr().out == ""
+        assert not list(tmp_path.glob("store/corpus-*.sqlite"))

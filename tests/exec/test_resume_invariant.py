@@ -3,7 +3,7 @@
 A run killed partway by injected worker/process faults and resumed from
 its checkpoint journal must produce *byte-identical* reports (and for
 corpus builds an identical ``corpus_digest``) to a run that was never
-interrupted; and with the fault profile ``none``, supervision itself
+interrupted; and with the fault profile ``none``, journaling itself
 must not change a single output byte.
 """
 
@@ -13,9 +13,9 @@ import pytest
 
 from repro import api
 from repro.core.pipeline import MeasurementStudy
-from repro.exec.corpusbuild import build_corpus_supervised
-from repro.exec.supervisor import RunInterrupted, SupervisorConfig
-from repro.experiments.runner import run_all, run_supervised
+from repro.exec.corpusbuild import build_corpus
+from repro.exec.supervisor import RunInterrupted
+from repro.experiments.runner import run_all
 from repro.scan.calibration import Calibration
 
 SCALE = 0.0005
@@ -41,8 +41,8 @@ def _study(cache_dir, **kwargs) -> MeasurementStudy:
 
 @pytest.fixture(scope="module")
 def baseline_renders(cache_dir) -> list[str]:
-    """Unsupervised ``run_all`` output: the bytes every supervised
-    variant must reproduce exactly."""
+    """``run_all`` output without a journal: the bytes every journaled
+    or interrupted variant must reproduce exactly."""
     results = run_all(_study(cache_dir), parallel=2)
     return [result.render() for result in results]
 
@@ -51,10 +51,11 @@ class TestRunAllInvariant:
     def test_supervision_alone_changes_no_bytes(
         self, cache_dir, baseline_renders, tmp_path
     ):
-        results = run_supervised(
+        results = run_all(
             _study(cache_dir), parallel=2, checkpoint_dir=tmp_path
         )
         assert [r.render() for r in results] == baseline_renders
+        assert list(tmp_path.glob("run-*.jsonl"))
 
     def test_kill_worker_interrupt_then_resume_is_byte_identical(
         self, cache_dir, baseline_renders, tmp_path
@@ -65,14 +66,14 @@ class TestRunAllInvariant:
             exec_fault_seed=KILL_SEED,
         )
         with pytest.raises(RunInterrupted) as info:
-            run_supervised(chaos, parallel=2, checkpoint_dir=tmp_path)
+            run_all(chaos, parallel=2, checkpoint_dir=tmp_path)
         assert info.value.completed >= 6  # the profile aborts after 6
         assert info.value.remaining
 
         # Resume under a different profile: exec faults never change
         # results, so the journal is valid across profiles -- and the
         # abort mark keeps the resumed run from aborting again.
-        results = run_supervised(
+        results = run_all(
             _study(cache_dir),
             parallel=2,
             checkpoint_dir=tmp_path,
@@ -108,13 +109,13 @@ class TestCorpusBuildInvariant:
         self, tmp_path
     ):
         calibration = Calibration(scale=SCALE, seed=SEED)
-        config = SupervisorConfig(workers=2, backoff_base=0.01)
+        checkpoints = tmp_path / "ckpt"
 
-        clean = build_corpus_supervised(
+        clean = build_corpus(
             tmp_path / "clean",
             calibration=calibration,
             shards=6,
-            config=config,
+            workers=2,
         )
         assert clean["reused"] is False
 
@@ -122,17 +123,20 @@ class TestCorpusBuildInvariant:
         # Six shard tasks, so the chaos-proc ABORT (after 4) leaves
         # real work for the resumed run.
         faults_kwargs = dict(
-            calibration=calibration, shards=6, config=config
+            calibration=calibration,
+            shards=6,
+            workers=2,
+            checkpoint_dir=checkpoints,
         )
         from repro.exec.faults import plan_from_exec_profile
 
         with pytest.raises(RunInterrupted):
-            build_corpus_supervised(
+            build_corpus(
                 chaos_dir,
                 faults=plan_from_exec_profile("chaos-proc", seed=1),
                 **faults_kwargs,
             )
-        resumed = build_corpus_supervised(
+        resumed = build_corpus(
             chaos_dir,
             resume=True,
             faults=plan_from_exec_profile("chaos-proc", seed=1),
@@ -143,17 +147,18 @@ class TestCorpusBuildInvariant:
 
         # And the store verifies + reuses cleanly afterwards.
         assert api.corpus.verify(resumed["path"]) == []
-        again = build_corpus_supervised(chaos_dir, **faults_kwargs)
+        again = build_corpus(chaos_dir, **faults_kwargs)
         assert again["reused"] is True
         assert again["corpus_digest"] == clean["corpus_digest"]
 
     def test_supervised_build_matches_unsupervised_api_build(self, tmp_path):
+        """Worker processes and the in-process build write one corpus."""
         calibration = Calibration(scale=SCALE, seed=SEED)
-        supervised = build_corpus_supervised(
+        supervised = build_corpus(
             tmp_path / "sup",
             calibration=calibration,
             shards=3,
-            config=SupervisorConfig(workers=2),
+            workers=2,
         )
         plain = api.corpus.build(
             tmp_path / "plain", scale=SCALE, seed=SEED, shards=1

@@ -49,14 +49,6 @@ class TestErrorIsolation:
         others = [r for r in results if r.experiment_id != "fig3"]
         assert all(r.ok for r in others)
 
-    def test_isolation_can_be_disabled(self, small_study, monkeypatch):
-        def boom(_study):
-            raise RuntimeError("injected crash")
-
-        monkeypatch.setattr(ALL_EXPERIMENTS["section3"], "run", boom)
-        with pytest.raises(RuntimeError):
-            run_all(small_study, isolate_errors=False)
-
     def test_failure_result_shape(self):
         record = failure_result("figX", "Title", ValueError("nope"))
         assert record.experiment_id == "figX"

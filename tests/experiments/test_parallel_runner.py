@@ -8,6 +8,7 @@ import dataclasses
 import pytest
 
 from repro.core.pipeline import MeasurementStudy
+from repro.exec import supervisor
 from repro.experiments.runner import ALL_EXPERIMENTS, run_all
 from repro.scan.calibration import Calibration
 from repro.scan.datastore import ArtifactCache, calibration_digest
@@ -27,8 +28,13 @@ class TestParallelRunner:
             assert seq.rendered == par.rendered
             assert seq.comparisons == par.comparisons
 
-    def test_parallel_one_falls_back_to_sequential(self, study):
-        # parallel=1 must not pay process-pool overhead.
+    def test_parallel_one_falls_back_to_sequential(self, study, monkeypatch):
+        # parallel=1 must not pay process-pool overhead: starting a
+        # worker process fails the test.
+        def no_worker(*args, **kwargs):
+            raise AssertionError("parallel=1 started a worker process")
+
+        monkeypatch.setattr(supervisor, "_Worker", no_worker)
         results = run_all(study, parallel=1)
         assert [r.experiment_id for r in results] == list(ALL_EXPERIMENTS)
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro import api
 from repro.core.pipeline import MeasurementStudy
+from repro.exec.corpusbuild import build_corpus
 from repro.scan import corpus, corpus_store
 from repro.scan.calibration import Calibration
 from repro.scan.datastore import ArtifactCache
@@ -31,7 +32,7 @@ def calibration() -> Calibration:
 
 @pytest.fixture(scope="module")
 def generated(calibration) -> Ecosystem:
-    return Ecosystem(calibration, shards=2)
+    return Ecosystem(calibration)
 
 
 @pytest.fixture(scope="module")
@@ -47,14 +48,19 @@ def reloaded(calibration, store_path) -> Ecosystem:
 
 
 @pytest.fixture(scope="module")
-def from_workers(calibration) -> Ecosystem:
-    """Built in worker processes and decoded from their columnar parts."""
-    return Ecosystem(calibration, workers=2)
+def from_workers(calibration, tmp_path_factory) -> Ecosystem:
+    """Built by the corpus builder's worker processes (their columnar
+    parts merged through ``Ecosystem.from_parts``), read back from the
+    store the builder wrote."""
+    directory = tmp_path_factory.mktemp("workers")
+    build_corpus(directory, calibration=calibration, workers=2)
+    return ArtifactCache(directory).load_ecosystem(calibration)
 
 
 @pytest.fixture(scope="module")
 def decoded(reloaded, from_workers) -> dict[str, Ecosystem]:
-    """Both decode paths: a store reload and the worker-parts merge."""
+    """Both build paths, read back: the in-process corpus and the one
+    merged from worker-built parts."""
     return {"store": reloaded, "workers": from_workers}
 
 

@@ -6,6 +6,8 @@ API 2.0 restructured the facade into namespaced sub-facades
 API 3.0 removed those aliases.  A former flat name now raises
 ``AttributeError``, suggesting its namespaced home where it is close
 enough to match.  API 4.0 removed the member ``study.crawl_figures_legs``.
+API 5.0 removed the parameters that chose between a supervised and a
+plain execution path.
 
 Anything pinned here is a compatibility promise: removing or renaming an
 entry is a breaking change (major bump of ``API_VERSION``), adding one
@@ -22,7 +24,7 @@ import pytest
 
 from repro import api
 
-PINNED_VERSION = "4.0"
+PINNED_VERSION = "5.0"
 
 PINNED_ALL = [
     "API_VERSION",
@@ -55,6 +57,49 @@ PINNED_FACETS = {
         "render_serving_report",
         "run_fleet",
         "serving_digests",
+    ],
+}
+
+#: parameters of the entry points that run sweeps and builds; API 5.0
+#: removed the ones that chose between two execution paths.
+PINNED_PARAMETERS = {
+    "study.run_study": [
+        "experiment",
+        "scale",
+        "seed",
+        "fault_profile",
+        "fault_seed",
+        "cache_dir",
+        "parallel",
+        "trace",
+        "resume",
+        "checkpoint_dir",
+        "exec_fault_profile",
+        "exec_fault_seed",
+        "mechanism",
+    ],
+    "study.run_experiments": ["study", "parallel"],
+    "study.new_study": [
+        "scale",
+        "seed",
+        "calibration",
+        "cache_dir",
+        "fault_profile",
+        "fault_seed",
+        "trace",
+    ],
+    "corpus.build": [
+        "directory",
+        "scale",
+        "seed",
+        "calibration",
+        "shards",
+        "workers",
+        "force",
+        "resume",
+        "checkpoint_dir",
+        "exec_fault_profile",
+        "exec_fault_seed",
     ],
 }
 
@@ -174,6 +219,15 @@ class TestNamespacedSurface:
     def test_removed_member_raises(self):
         with pytest.raises(AttributeError):
             api.study.crawl_figures_legs  # noqa: B018
+
+    @pytest.mark.parametrize("member", sorted(PINNED_PARAMETERS))
+    def test_execution_parameters_are_pinned(self, member):
+        import inspect
+
+        facet, name = member.split(".")
+        function = getattr(getattr(api, facet), name)
+        parameters = list(inspect.signature(function).parameters)
+        assert parameters == PINNED_PARAMETERS[member]
 
     @pytest.mark.parametrize("facet", sorted(PINNED_FACETS))
     def test_facet_repr_and_dir(self, facet):
