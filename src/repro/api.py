@@ -27,7 +27,9 @@ and ``FleetConfig.with_sessions``.  API 5.0 made the supervisor the one
 execution path: every sweep and corpus build runs on it, so the
 parameters that chose another path (the supervision and error-isolation
 switches of ``run_study``/``run_experiments``/``corpus.build``, and
-``new_study``'s generation shard and worker counts) are gone.
+``new_study``'s generation shard and worker counts) are gone.  API 6.0
+removed ``CrlSetBuilder``'s ``index`` argument, which the columnar sweep
+never read.
 
 Component re-exports: the classes and helpers the micro-benchmarks (and
 similar out-of-tree consumers) exercise directly -- browser models, PKI
@@ -74,8 +76,9 @@ from repro.serve import run_fleet as _run_fleet
 #: crawl-path timing legs, ``TraceDiff.span_names`` and
 #: ``FleetConfig.with_sessions`` are gone.  5.0: one execution path --
 #: the supervision and error-isolation switches and ``new_study``'s
-#: generation shard/worker counts are gone.
-API_VERSION = "5.0"
+#: generation shard/worker counts are gone.  6.0: ``CrlSetBuilder`` takes
+#: no ``index`` argument.
+API_VERSION = "6.0"
 
 __all__ = [
     "API_VERSION",

@@ -121,9 +121,8 @@ class MeasurementStudy:
 
     @cached_property
     def crawl_index(self) -> CrawlIndex:
-        """One set of per-CRL event timelines, shared by the CRL size and
-        entry-count queries, the CRLSet builder, and the dynamics
-        analysis."""
+        """The CRL crawl queries, shared by the CRL size and entry-count
+        queries and the dynamics analysis."""
         return CrawlIndex(self.ecosystem)
 
     @cached_property
@@ -244,7 +243,7 @@ class MeasurementStudy:
 
     @cached_property
     def crlset_history(self) -> CrlSetHistory:
-        return CrlSetBuilder(self.ecosystem, index=self.crawl_index).run()
+        return CrlSetBuilder(self.ecosystem).run()
 
     def crlset_coverage(self) -> CoverageReport:
         return analyze_coverage(self.ecosystem, self.crlset_history)

@@ -13,36 +13,58 @@ CRLs is only partially reflected (Fig 7's tail), a two-week update gap in
 Nov-Dec 2014 (Fig 9), and the May 2014 removal of a large "VeriSign EV"
 parent that shrank the CRLSet by a quarter (Fig 8).
 
-The builder runs one chronological sweep over the study window and
-records, per entry, when it first appeared in and was removed from the
-CRLSet -- the raw material for Figures 8, 9, and 10.
+The builder sweeps the study window from the first CRLSet build to the
+end of the measurement and records, per entry, when it first appeared in
+and was removed from the CRLSet -- the raw material for Figures 8, 9,
+and 10.
 
-The sweep synchronises membership incrementally: on build days where the
-set of included CRLs is unchanged, only the entries whose underlying
-crawled state changed since the last build are reconsidered, instead of
-re-unioning every included CRL's active set.  The full rebuild runs on
-the first build day and whenever the included-URL set changes;
-``tests/crlset/test_builder_analyses.py`` checks the delta path against
-a sweep that takes the full rebuild on every build day.
+The sweep is a set of vector operations over the covered CRLs' entry
+columns (:func:`repro.scan.corpus.entry_columns`), not a day-by-day
+walk.  An entry sits on its crawled CRL over the day range ``[add,
+remove)``, with ``add = max(revoked + lag, first day)`` and ``remove =
+expiry + 1``, so on a build day it is *active* iff that day falls in the
+range; binning each range's first and last build day per CRL and taking
+prefix sums gives every CRL's active count and CRLSet bytes on every
+build day.  A CRL is included on a build day when its parent has not
+been removed, its crawled count is within the per-CRL maximum, and it
+lies in the longest prefix, by ascending active count, whose bytes fit
+the cap.  An entry is a member on a build day iff it is active and its
+CRL is included, so its first appearance is the first included build
+day in its range and its removal the build day after the last one.
+``tests/crlset/reference_sweep.py`` keeps the day-by-day set sweep,
+and ``tests/crlset/test_builder_analyses.py`` checks every field
+against it.
 """
 
 from __future__ import annotations
 
 import datetime
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from repro.crlset.format import CrlSetSnapshot, serial_length, serial_to_bytes
-from repro.revocation.reason import is_crlset_eligible
-from repro.scan.bulk import gc_paused
+import numpy as np
+
+from repro.crlset.format import CrlSetSnapshot
+from repro.revocation.reason import ReasonCode, is_crlset_eligible
+from repro.scan.bulk import DayInterner, gc_paused
 from repro.scan.calibration import Calibration
-from repro.scan.crawl_index import CrawlIndex
-from repro.scan.crl_model import EcosystemCrl
+from repro.scan.corpus import EntryColumns, entry_columns
 from repro.scan.ecosystem import Ecosystem
 
-__all__ = ["CrlSetBuilder", "CrlSetHistory", "EntryHistory"]
+__all__ = ["CrlSetBuilder", "CrlSetHistory", "EntryHistory", "EntryLifecycles"]
 
-_DAY = datetime.timedelta(days=1)
+#: CRLSet bytes charged once per CRL: the parent hash and the count.
+_CRL_BYTES = 36
+
+#: ``is_crlset_eligible`` by reason column value + 1 (-1 = no reason).
+_ELIGIBLE_REASON = np.array(
+    [is_crlset_eligible(None)]
+    + [
+        code in set(ReasonCode) and is_crlset_eligible(ReasonCode(code))
+        for code in range(max(ReasonCode) + 1)
+    ]
+)
 
 
 @dataclass(slots=True)
@@ -73,6 +95,63 @@ class EntryHistory:
         return (self.cert_not_after - self.removed_at).days
 
 
+@dataclass(frozen=True, eq=False)
+class EntryLifecycles:
+    """Every covered CRL entry's CRLSet lifecycle, as columns in entry
+    order (covered CRLs in ecosystem order, entries in CRL order).
+
+    Day columns hold proleptic ordinals, 0 for "never".
+    """
+
+    #: the covered CRLs' URLs and parent keys; ``crl`` indexes both.
+    urls: tuple[str, ...]
+    parents: tuple[bytes, ...]
+    crl: np.ndarray
+    #: the entries' codec columns (serial, revoked, reason, expiry, cert).
+    columns: EntryColumns
+    #: the reason is CRLSet-eligible (rule 4), whatever the builder's filter.
+    reason_eligible: np.ndarray
+    #: the entry passes the builder's reason filter.
+    eligible: np.ndarray
+    in_partial_subset: np.ndarray
+    first_appeared: np.ndarray
+    removed_at: np.ndarray
+
+    def keys(self, rows: np.ndarray) -> list[tuple[bytes, int]]:
+        """``(parent, serial)`` of the entries at ``rows``, in row order."""
+        parents = self.parents
+        return [
+            (parents[crl], serial)
+            for crl, serial in zip(
+                self.crl[rows].tolist(), self.columns.serial_numbers(rows)
+            )
+        ]
+
+    @gc_paused()
+    def histories(self) -> list[EntryHistory]:
+        """One :class:`EntryHistory` per entry, in entry order."""
+        days = DayInterner()
+
+        def dates(column: np.ndarray) -> list[datetime.date | None]:
+            return [days[ordinal] if ordinal else None for ordinal in column.tolist()]
+
+        crls = self.crl.tolist()
+        return list(
+            map(
+                EntryHistory,
+                [self.parents[crl] for crl in crls],
+                self.columns.serial_numbers(),
+                [self.urls[crl] for crl in crls],
+                dates(self.columns.revoked),
+                dates(self.columns.expiry),
+                self.eligible.tolist(),
+                self.in_partial_subset.tolist(),
+                dates(self.first_appeared),
+                dates(self.removed_at),
+            )
+        )
+
+
 @dataclass
 class CrlSetHistory:
     """Everything one builder sweep produced."""
@@ -80,48 +159,18 @@ class CrlSetHistory:
     daily_entry_counts: dict[datetime.date, int]
     daily_additions: dict[datetime.date, int]
     daily_removals: dict[datetime.date, int]
-    entry_histories: list[EntryHistory]
+    entries: EntryLifecycles = field(repr=False)
     final_snapshot: CrlSetSnapshot
     covered_urls: frozenset[str]
     #: CRLs dropped for exceeding the entry threshold (rule 3).
     dropped_urls: frozenset[str]
     parents_ever: frozenset[bytes]
 
-
-class _CrlTrack:
-    """Builder-internal per-CRL state."""
-
-    __slots__ = (
-        "crl",
-        "lag_days",
-        "partial_fraction",
-        "active",
-        "byte_size",
-        "included",
-        "parent_removed",
-    )
-
-    def __init__(self, crl: EcosystemCrl, lag_days: int, partial_fraction: float):
-        self.crl = crl
-        self.lag_days = lag_days
-        self.partial_fraction = partial_fraction
-        #: entry keys currently listed on the (lagged) crawled CRL.
-        self.active: set[tuple[bytes, int]] = set()
-        self.byte_size = 36  # parent hash + count, charged once per CRL
-        #: on the last build day's CRLSet (set by ``_included_urls``).
-        self.included = False
-        self.parent_removed = False
-
-    def crawled_entry_count(self, day) -> int:
-        """What Google's crawler sees listed on this CRL: the eligible
-        materialised entries plus the bulk-modelled hidden population
-        (present on the wire even though we never identify each entry)."""
-        hidden = self.crl.hidden.count_at(day) if self.crl.hidden is not None else 0
-        return len(self.active) + hidden
-
-
-#: one queued change to a crawled CRL: (track, entry key, CRLSet bytes).
-_Event = tuple[_CrlTrack, tuple[bytes, int], int]
+    @cached_property
+    def entry_histories(self) -> list[EntryHistory]:
+        """Per-entry lifecycles as records, built on first use from
+        :attr:`entries`."""
+        return self.entries.histories()
 
 
 class CrlSetBuilder:
@@ -135,17 +184,13 @@ class CrlSetBuilder:
         apply_reason_filter: bool = True,
         max_entries_override: int | None = None,
         size_cap_override: int | None = None,
-        index: CrawlIndex | None = None,
     ) -> None:
         """The three ``*_override``/``apply_*`` knobs exist for the
         ablation benches: they disable, respectively, the reason-code
         filter (rule 4), the per-CRL entry drop threshold (rule 3), and
-        the 250 KB cap (rule 1).  ``index`` shares one
-        :class:`CrawlIndex` (and hence the per-CRL event timelines) with
-        the study's CRL queries and the dynamics analysis."""
+        the 250 KB cap (rule 1)."""
         self.ecosystem = ecosystem
         self.calibration: Calibration = ecosystem.calibration
-        self.index = index if index is not None else CrawlIndex(ecosystem)
         self.removal_brand = removal_brand
         self.apply_reason_filter = apply_reason_filter
         self.max_entries = (
@@ -179,13 +224,6 @@ class CrlSetBuilder:
         low, high = cal.crlset_partial_coverage_range
         return low + (digest[1] / 255.0) * (high - low)
 
-    @staticmethod
-    def _in_partial_subset(serial: int, fraction: float) -> bool:
-        if fraction >= 1.0:
-            return True
-        digest = hashlib.sha256(b"subset" + serial_to_bytes(serial)).digest()
-        return digest[0] / 256.0 < fraction
-
     # -- the sweep ----------------------------------------------------------
 
     @gc_paused()
@@ -193,217 +231,252 @@ class CrlSetBuilder:
         """Sweep the build window, from the first CRLSet build to the end
         of the measurement."""
         cal = self.calibration
-        start = cal.crlset_build_start
-        end = cal.measurement_end
+        first = cal.crlset_build_start.toordinal()
+        last = cal.measurement_end.toordinal()
+        crls = [crl for crl in self.ecosystem.crls if crl.covered]
+        n_crls = len(crls)
+        columns = entry_columns(crls)
+        crl = np.repeat(
+            np.arange(n_crls), np.array([len(c.entries) for c in crls], np.int64)
+        )
+        _check_unique_keys(crls, crl, columns)
 
-        tracks: dict[str, _CrlTrack] = {}
-        keys: list[tuple[bytes, int]] = []
-        entry_histories: list[EntryHistory] = []
-        # Events are keyed by day ordinal.
-        adds_by_day: dict[int, list[_Event]] = {}
-        removes_by_day: dict[int, list[_Event]] = {}
-        first, last = start.toordinal(), end.toordinal()
-        filter_reasons = self.apply_reason_filter
+        # -- per entry: eligibility, subset, CRLSet bytes, listed range --
+        reason_eligible = _ELIGIBLE_REASON[columns.reason.astype(np.int64) + 1]
+        eligible = (
+            reason_eligible if self.apply_reason_filter else np.ones(len(crl), bool)
+        )
+        in_subset = self._partial_subsets(
+            crl, columns, [self._partial_fraction(c.url) for c in crls]
+        )
+        significant, _ = columns.serial_significance()
+        size = 1 + np.maximum(significant, 1)
+        lags = np.array([self._crawl_lag_days(c.url) for c in crls], np.int64)
+        add = np.maximum(columns.revoked + lags[crl], first)
+        remove = columns.expiry.astype(np.int64) + 1
+        listed = eligible & in_subset & (add <= last) & (remove > add)
 
-        for crl in self.ecosystem.crls:
-            if not crl.covered:
-                continue
-            track = _CrlTrack(
-                crl,
-                lag_days=self._crawl_lag_days(crl.url),
-                partial_fraction=self._partial_fraction(crl.url),
-            )
-            tracks[crl.url] = track
-            parent, url, lag = crl.issuer_key_hash, crl.url, track.lag_days
-            fraction = track.partial_fraction
-            for entry in crl.entries:
-                serial = entry.serial_number
-                key = (parent, serial)
-                history = EntryHistory(
-                    parent,
-                    serial,
-                    url,
-                    entry.revoked_at,
-                    entry.cert_not_after,
-                    not filter_reasons or is_crlset_eligible(entry.reason),
-                    fraction >= 1.0 or self._in_partial_subset(serial, fraction),
-                )
-                keys.append(key)
-                entry_histories.append(history)
-                if not history.eligible or not history.in_partial_subset:
-                    continue  # never enters the CRLSet
-                add_day = entry.revoked_at.toordinal() + lag
-                if add_day < first:
-                    add_day = first
-                remove_day = entry.cert_not_after.toordinal() + 1
-                if add_day <= last and remove_day > add_day:
-                    event = (track, key, 1 + serial_length(serial))
-                    adds_by_day.setdefault(add_day, []).append(event)
-                    if remove_day <= last:
-                        removes_by_day.setdefault(remove_day, []).append(event)
-        # One history per key: a repeated key keeps its first position
-        # and its last history.
-        histories = dict(zip(keys, entry_histories))
+        # -- build days, and each entry's active build days [lo, hi) --
+        day_ordinals = np.arange(first, last + 1)
+        is_build = (day_ordinals < cal.crlset_gap_start.toordinal()) | (
+            day_ordinals >= cal.crlset_gap_end.toordinal()
+        )
+        builds = day_ordinals[is_build]
+        n_builds = len(builds)
+        lo = np.where(listed, np.searchsorted(builds, add), n_builds)
+        hi = np.where(listed, np.searchsorted(builds, remove), n_builds)
+        spans = lo < hi
 
-        members: set[tuple[bytes, int]] = set()
-        daily_counts: dict[datetime.date, int] = {}
-        daily_additions: dict[datetime.date, int] = {}
-        daily_removals: dict[datetime.date, int] = {}
-        dropped_urls: set[str] = set()
-        parents_ever: set[bytes] = set()
+        # -- per (CRL, build day): entries starting and ending there, and
+        # the active count, CRLSet bytes and crawled count --
+        cells = n_crls * (n_builds + 1)
+        start_cell = crl[spans] * (n_builds + 1) + lo[spans]
+        end_cell = crl[spans] * (n_builds + 1) + hi[spans]
 
-        day = start
-        removal_applied = False
-        #: included-URL set as of the last build day (None forces a full
-        #: rebuild: first day, or the parent-removal discontinuity).
-        prev_included: frozenset[str] | None = None
-        #: key -> track for entries whose crawled state changed since the
-        #: last build day (the only membership candidates when the
-        #: included-URL set is unchanged).
-        pending: dict[tuple[bytes, int], _CrlTrack] = {}
-        while day <= end:
-            in_gap = cal.crlset_gap_start <= day < cal.crlset_gap_end
-            added_today = 0
-            removed_today = 0
+        def grid(cell: np.ndarray, weights=None) -> np.ndarray:
+            return np.bincount(cell, weights, cells).reshape(n_crls, n_builds + 1)
 
-            # 1. underlying crawled-CRL state always advances.
-            ordinal = day.toordinal()
-            for track, key, size in adds_by_day.get(ordinal, ()):
-                track.active.add(key)
-                track.byte_size += size
-                pending[key] = track
-            for track, key, size in removes_by_day.get(ordinal, ()):
-                track.active.discard(key)
-                track.byte_size -= size
-                pending[key] = track
+        started, ended = grid(start_cell), grid(end_cell)
+        active = (started - ended).cumsum(axis=1)[:, :n_builds]
+        weights = size[spans].astype(np.float64)  # sums stay exact integers
+        crl_bytes = _CRL_BYTES + (
+            (grid(start_cell, weights) - grid(end_cell, weights))
+            .cumsum(axis=1)[:, :n_builds]
+            .astype(np.int64)
+        )
+        crawled = active.copy()
+        for index, c in enumerate(crls):
+            if c.hidden is not None:
+                crawled[index] += c.hidden.counts_at(builds)
 
-            # 2. the parent-removal event.
-            if not removal_applied and day >= cal.crlset_parent_removal_date:
-                for track in tracks.values():
-                    if track.crl.brand == self.removal_brand:
-                        track.parent_removed = True
-                removal_applied = True
-                prev_included = None  # inclusion set changes discontinuously
+        # -- inclusion on each build day (rules 1 and 3, parent removal) --
+        removed = np.array([c.brand == self.removal_brand for c in crls], bool)
+        after_removal = builds >= cal.crlset_parent_removal_date.toordinal()
+        candidate = (crawled <= self.max_entries) & ~np.outer(removed, after_removal)
+        included = self._included(active, crl_bytes, candidate)
 
-            # 3. on build days, recompute inclusion and sync the member set.
-            if not in_gap:
-                included_urls = self._included_urls(tracks, day)
-                if prev_included is not None and included_urls == prev_included:
-                    added_today, removed_today = self._sync_pending(
-                        members, histories, pending, day
-                    )
-                else:
-                    added_today, removed_today = self._sync_full(
-                        tracks, members, histories, included_urls, day
-                    )
-                prev_included = included_urls
-                pending.clear()
-                for track in tracks.values():
-                    if track.included:
-                        parents_ever.add(track.crl.issuer_key_hash)
-                    elif track.crawled_entry_count(day) > self.max_entries:
-                        dropped_urls.add(track.crl.url)
+        # -- daily series from per-CRL transitions between build days --
+        before = np.zeros_like(included)
+        before[:, 1:] = included[:, :-1]
+        active_before = np.zeros_like(active)
+        active_before[:, 1:] = active[:, :-1]
+        stays = included & before
+        additions = np.where(stays, started[:, :n_builds], 0) + np.where(
+            included & ~before, active, 0
+        )
+        removals = np.where(stays, ended[:, :n_builds], 0) + np.where(
+            before & ~included, active_before, 0
+        )
+        daily_counts, daily_additions, daily_removals = _daily_series(
+            day_ordinals,
+            is_build,
+            np.where(included, active, 0).sum(axis=0),
+            additions.sum(axis=0),
+            removals.sum(axis=0),
+        )
 
-            daily_counts[day] = len(members)
-            daily_additions[day] = added_today
-            daily_removals[day] = removed_today
-            day += _DAY
+        # -- per entry: first and last member build day --
+        first_k, last_k = _member_range(included, crl, lo, hi)
+        member = first_k < hi
+        build_or_never = np.append(builds, 0)
+        first_appeared = np.where(member, build_or_never[first_k], 0)
+        # The build day after the last member one; never after the last.
+        removed_at = np.where(member, build_or_never[last_k + 1], 0)
+        entries = EntryLifecycles(
+            urls=tuple(c.url for c in crls),
+            parents=tuple(c.issuer_key_hash for c in crls),
+            crl=crl,
+            columns=columns,
+            reason_eligible=reason_eligible,
+            eligible=eligible,
+            in_partial_subset=in_subset,
+            first_appeared=first_appeared,
+            removed_at=removed_at,
+        )
 
         final_parents: dict[bytes, set[int]] = {}
-        for parent, serial in members:
+        for parent, serial in entries.keys(np.flatnonzero(member & (removed_at == 0))):
             final_parents.setdefault(parent, set()).add(serial)
         final_snapshot = CrlSetSnapshot(
             sequence=len(daily_counts),
-            date=end,
+            date=cal.measurement_end,
             parents={p: frozenset(s) for p, s in final_parents.items()},
             blocked_spkis=self._blocked_spkis,
         )
+        dropped = (crawled > self.max_entries).any(axis=1).tolist()
+        ever = included.any(axis=1).tolist()
         return CrlSetHistory(
             daily_entry_counts=daily_counts,
             daily_additions=daily_additions,
             daily_removals=daily_removals,
-            entry_histories=list(histories.values()),
+            entries=entries,
             final_snapshot=final_snapshot,
-            covered_urls=frozenset(tracks),
-            dropped_urls=frozenset(dropped_urls),
-            parents_ever=frozenset(parents_ever),
+            covered_urls=frozenset(c.url for c in crls),
+            dropped_urls=frozenset(c.url for c, d in zip(crls, dropped) if d),
+            parents_ever=frozenset(
+                c.issuer_key_hash for c, e in zip(crls, ever) if e
+            ),
         )
 
-    def _included_urls(
-        self, tracks: dict[str, _CrlTrack], day: datetime.date
-    ) -> frozenset[str]:
-        """Recompute CRL inclusion (rules 1 and 3) and flag the tracks."""
-        candidates = [
-            track
-            for track in tracks.values()
-            if not track.parent_removed
-            and track.crawled_entry_count(day) <= self.max_entries
-        ]
-        # Rule 3, applied against the byte cap: if everything does not fit
-        # in 250 KB, the CRLs with the most entries are dropped first (a
-        # CRL "with too many entries" is dropped, §7.1).
-        candidates.sort(key=lambda track: len(track.active))
-        budget = self.size_cap - 64  # header overhead
-        total = sum(track.byte_size for track in candidates)
-        while candidates and total > budget:
-            dropped = candidates.pop()  # most entries
-            total -= dropped.byte_size
-        included_urls = frozenset(track.crl.url for track in candidates)
-        for track in tracks.values():
-            track.included = track.crl.url in included_urls
-        return included_urls
+    @staticmethod
+    def _partial_subsets(
+        crl: np.ndarray, columns: EntryColumns, fractions: list[float]
+    ) -> np.ndarray:
+        """Whether each entry is in its CRL's reflected subset: always on
+        a fully reflected CRL, else by a hash of the serial's minimal
+        big-endian bytes."""
+        fraction = np.array(fractions)[crl]
+        partial = np.flatnonzero(fraction < 1.0)
+        in_subset = np.ones(len(crl), bool)
+        if len(partial):
+            significant, _ = columns.serial_significance(partial)
+            lengths = np.maximum(significant, 1).tolist()
+            blob = columns.serial[partial].tobytes()
+            width = columns.serial.shape[1]
+            sha256 = hashlib.sha256
+            first_bytes = [
+                sha256(b"subset" + blob[end - length : end]).digest()[0]
+                for end, length in zip(range(width, len(blob) + 1, width), lengths)
+            ]
+            in_subset[partial] = np.array(first_bytes) / 256.0 < fraction[partial]
+        return in_subset
 
-    def _sync_full(
-        self,
-        tracks: dict[str, _CrlTrack],
-        members: set[tuple[bytes, int]],
-        histories: dict[tuple[bytes, int], EntryHistory],
-        included_urls: frozenset[str],
-        day: datetime.date,
-    ) -> tuple[int, int]:
-        """Rebuild membership as the union of every included active set."""
-        new_members = set().union(*(tracks[url].active for url in included_urls))
-        arrived = new_members - members
-        gone = members - new_members
-        for key in arrived:
-            history = histories[key]
-            if history.first_appeared is None:
-                history.first_appeared = day
-            history.removed_at = None
-        for key in gone:
-            histories[key].removed_at = day
-        members -= gone
-        members |= arrived
-        return len(arrived), len(gone)
+    def _included(
+        self, active: np.ndarray, crl_bytes: np.ndarray, candidate: np.ndarray
+    ) -> np.ndarray:
+        """``(CRL, build day)`` inclusion: the candidates, stably sorted
+        by active count, up to the longest prefix whose bytes fit the
+        cap less the header -- what dropping the candidate with the most
+        entries until the rest fit keeps."""
+        n_crls = active.shape[0]
+        key = np.where(candidate, active, np.iinfo(np.int64).max).T
+        order = key.argsort(axis=1, kind="stable")
+        in_order = np.take_along_axis(np.where(candidate, crl_bytes, 0).T, order, axis=1)
+        fits = in_order.cumsum(axis=1) <= self.size_cap - 64  # header overhead
+        fits &= np.arange(n_crls)[None, :] < candidate.sum(axis=0)[:, None]
+        kept = fits.sum(axis=1)
+        included = np.zeros_like(fits)
+        np.put_along_axis(
+            included, order, np.arange(n_crls)[None, :] < kept[:, None], axis=1
+        )
+        return np.ascontiguousarray(included.T)
 
-    def _sync_pending(
-        self,
-        members: set[tuple[bytes, int]],
-        histories: dict[tuple[bytes, int], EntryHistory],
-        pending: dict[tuple[bytes, int], _CrlTrack],
-        day: datetime.date,
-    ) -> tuple[int, int]:
-        """Delta path: the included-URL set is unchanged since the last
-        build day, so membership can only have changed for entries whose
-        crawled state changed in between.  Each key lives on exactly one
-        CRL, so its membership is simply its presence on that (included)
-        CRL's active set.  Produces states and counts identical to
-        :meth:`_sync_full`."""
-        added = 0
-        removed = 0
-        for key, track in pending.items():
-            if not track.included:
-                continue
-            if key in track.active:
-                if key not in members:
-                    members.add(key)
-                    history = histories[key]
-                    if history.first_appeared is None:
-                        history.first_appeared = day
-                    history.removed_at = None
-                    added += 1
-            elif key in members:
-                members.discard(key)
-                histories[key].removed_at = day
-                removed += 1
-        return added, removed
+
+def _member_range(
+    included: np.ndarray, crl: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry: the first build day in ``[lo, ...)`` its CRL is
+    included on (``n_builds`` if none), and the last one before ``hi``
+    (-1 if none)."""
+    n_crls, n_builds = included.shape
+    days = np.arange(n_builds)
+    # next_included[c, k]: first included build day >= k; prev_included[c, k]:
+    # last included build day < k.
+    next_included = np.full((n_crls, n_builds + 1), n_builds)
+    next_included[:, :n_builds] = np.minimum.accumulate(
+        np.where(included, days, n_builds)[:, ::-1], axis=1
+    )[:, ::-1]
+    prev_included = np.full((n_crls, n_builds + 1), -1)
+    prev_included[:, 1:] = np.maximum.accumulate(
+        np.where(included, days, -1), axis=1
+    )
+    return next_included[crl, lo], prev_included[crl, hi]
+
+
+def _daily_series(
+    day_ordinals: np.ndarray,
+    is_build: np.ndarray,
+    members: np.ndarray,
+    additions: np.ndarray,
+    removals: np.ndarray,
+) -> tuple[dict, dict, dict]:
+    """Per-day member counts, additions and removals: a build day's own
+    values; a gap day carries the last build day's count and changes
+    nothing."""
+    build_index = np.cumsum(is_build) - 1  # last build day at or before each day
+    carried = np.concatenate(([0], members))[build_index + 1]
+    zero = np.zeros(len(day_ordinals), np.int64)
+    daily_additions, daily_removals = zero.copy(), zero.copy()
+    daily_additions[is_build] = additions
+    daily_removals[is_build] = removals
+    days = [datetime.date.fromordinal(ordinal) for ordinal in day_ordinals.tolist()]
+    return (
+        dict(zip(days, carried.tolist())),
+        dict(zip(days, daily_additions.tolist())),
+        dict(zip(days, daily_removals.tolist())),
+    )
+
+
+def _check_unique_keys(crls, crl: np.ndarray, columns: EntryColumns) -> None:
+    """Raise ``ValueError`` if two covered entries share a CRLSet key
+    ``(parent, serial)``: the sweep follows each key through one listing.
+
+    Sorts one 64-bit fingerprint per key and compares exactly only the
+    keys whose fingerprints collide.
+    """
+    ids: dict[bytes, int] = {}
+    parent_of_crl = np.array(
+        [ids.setdefault(c.issuer_key_hash, len(ids)) for c in crls], np.uint64
+    )
+    parent = parent_of_crl[crl]
+    padded = np.zeros((len(crl), 24), np.uint8)
+    padded[:, 24 - columns.serial.shape[1] :] = columns.serial
+    fingerprint = parent * np.uint64(0x9E3779B97F4A7C15)
+    for word in padded.view(">u8").astype(np.uint64).T:
+        fingerprint ^= word
+        fingerprint *= np.uint64(0xBF58476D1CE4E5B9)
+        fingerprint ^= fingerprint >> np.uint64(31)
+    order = fingerprint.argsort()
+    collide = np.flatnonzero(fingerprint[order[1:]] == fingerprint[order[:-1]])
+    if not len(collide):
+        return
+    seen: dict[tuple[int, bytes], int] = {}
+    for row in np.union1d(order[collide], order[collide + 1]).tolist():
+        key = (int(parent[row]), columns.serial[row].tobytes())
+        if key in seen:
+            raise ValueError(
+                f"entry {int.from_bytes(key[1], 'big')} on {crls[crl[row]].url} "
+                f"repeats the CRLSet key of an entry on {crls[crl[seen[key]]].url}; "
+                "the sweep needs one listing per (parent, serial)"
+            )
+        seen[key] = row

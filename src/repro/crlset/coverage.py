@@ -11,8 +11,9 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.crlset.builder import CrlSetHistory
-from repro.revocation.reason import is_crlset_eligible
 from repro.scan.ecosystem import Ecosystem
 
 __all__ = ["CoverageReport", "analyze_coverage"]
@@ -62,55 +63,46 @@ def analyze_coverage(
     history: CrlSetHistory,
     at: datetime.date | None = None,
 ) -> CoverageReport:
+    """Computed from the sweep's per-entry columns.  Every (parent,
+    serial) key appears once among them (the builder checks it), so an
+    entry is "ever in the CRLSet" iff its own lifecycle appeared."""
     at = at or ecosystem.calibration.measurement_end
-
-    ever_appeared = {
-        (h.parent, h.serial)
-        for h in history.entry_histories
-        if h.first_appeared is not None
-    }
+    entries = history.entries
+    columns = entries.columns
+    appeared = entries.first_appeared > 0
     total_entries = ecosystem.total_crl_entries(at)
-
-    # The paper's "covered CRLs" are those that ever had an entry appear
-    # in a CRLSet (295 of 2,800) -- not merely those Google crawls.
-    urls_with_appearance = {
-        h.crl_url for h in history.entry_histories if h.first_appeared is not None
-    }
 
     # Censor the final crawl lag: an entry revoked in the last few days
     # cannot have propagated into any CRLSet yet, and the paper compares
     # CRL and CRLSet snapshots of the same date.
     lag = datetime.timedelta(hours=ecosystem.calibration.crlset_crawl_period_hours[1])
     cutoff = at - lag - datetime.timedelta(days=1)
+    visible = (columns.revoked <= cutoff.toordinal()) & (
+        columns.expiry >= at.toordinal()
+    )
+    eligible = visible & entries.reason_eligible
 
+    def per_crl(mask: np.ndarray) -> list[int]:
+        return np.bincount(entries.crl[mask], minlength=len(entries.urls)).tolist()
+
+    # The paper's "covered CRLs" are those that ever had an entry appear
+    # in a CRLSet (295 of 2,800) -- not merely those Google crawls.
     per_all: list[float] = []
     per_eligible: list[float] = []
     covered_count = 0
-    for crl in ecosystem.crls:
-        if crl.url not in urls_with_appearance:
-            continue
-        visible = [
-            entry
-            for entry in crl.visible_entries(at)
-            if entry.revoked_at <= cutoff
-        ]
-        if not visible:
+    for ever, n_visible, visible_in, n_eligible, eligible_in in zip(
+        per_crl(appeared),
+        per_crl(visible),
+        per_crl(visible & appeared),
+        per_crl(eligible),
+        per_crl(eligible & appeared),
+    ):
+        if not ever or not n_visible:
             continue
         covered_count += 1
-        in_set = sum(
-            1
-            for entry in visible
-            if (crl.issuer_key_hash, entry.serial_number) in ever_appeared
-        )
-        per_all.append(in_set / len(visible))
-        eligible = [e for e in visible if is_crlset_eligible(e.reason)]
-        if eligible:
-            eligible_in = sum(
-                1
-                for entry in eligible
-                if (crl.issuer_key_hash, entry.serial_number) in ever_appeared
-            )
-            per_eligible.append(eligible_in / len(eligible))
+        per_all.append(visible_in / n_visible)
+        if n_eligible:
+            per_eligible.append(eligible_in / n_eligible)
 
     fully = sum(1 for fraction in per_eligible if fraction >= 0.999)
     fully_fraction = fully / len(per_eligible) if per_eligible else 0.0
@@ -122,6 +114,7 @@ def analyze_coverage(
     alexa_1m_in = 0
     alexa_1k_revoked = 0
     alexa_1k_in = 0
+    ever_appeared = set(entries.keys(np.flatnonzero(appeared)))
     parent_by_int = {
         rec.intermediate_id: rec.spki_hash for rec in ecosystem.intermediates
     }

@@ -3,13 +3,16 @@
 From a builder run: the entry-count time series, daily CRL-vs-CRLSet
 additions, and the two vulnerability-window distributions -- days until a
 revocation appears in the CRLSet, and days between a premature CRLSet
-removal and the certificate's expiry.
+removal and the certificate's expiry.  The distributions are computed
+from the sweep's per-entry columns and listed in entry order.
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.crlset.builder import CrlSetHistory
 from repro.scan.crawl_index import CrawlIndex
@@ -80,8 +83,8 @@ def analyze_dynamics(
     index: CrawlIndex | None = None,
 ) -> DynamicsReport:
     """``index`` lets callers share one :class:`CrawlIndex` (and its
-    per-CRL event timelines) instead of building another here.  Both
-    Figure 9 series cover the CRL crawl window only."""
+    memoised daily CRL additions) instead of building another here.
+    Both Figure 9 series cover the CRL crawl window only."""
     cal = ecosystem.calibration
     index = index if index is not None else CrawlIndex(ecosystem)
     crl_additions = index.daily_total_additions()
@@ -96,23 +99,17 @@ def analyze_dynamics(
     # Days-to-appear is only meaningful for revocations that happened
     # while the CRLSet pipeline was running (entries already revoked when
     # the builds began appear "late" only as a censoring artefact).
-    days_to_appear = [
-        h.days_to_appear
-        for h in history.entry_histories
-        if h.days_to_appear is not None
-        and h.days_to_appear >= 0
-        and h.revoked_at >= cal.crlset_build_start
-    ]
-    removal_days = [
-        h.removed_before_expiry_days
-        for h in history.entry_histories
-        if h.removed_before_expiry_days is not None
-    ]
-    never = sum(
-        1
-        for h in history.entry_histories
-        if h.eligible and h.first_appeared is None
-    )
+    entries = history.entries
+    revoked = entries.columns.revoked.astype(np.int64)
+    expiry = entries.columns.expiry.astype(np.int64)
+    appeared = entries.first_appeared > 0
+    lag = entries.first_appeared - revoked
+    days_to_appear = lag[
+        appeared & (lag >= 0) & (revoked >= cal.crlset_build_start.toordinal())
+    ].tolist()
+    removed = entries.removed_at
+    removal_days = (expiry - removed)[(removed > 0) & (removed < expiry)].tolist()
+    never = int(np.count_nonzero(entries.eligible & ~appeared))
     return DynamicsReport(
         entry_count_series=dict(history.daily_entry_counts),
         crl_daily_additions=crl_additions,

@@ -19,6 +19,13 @@ CRL in global CRL order with per-CRL counts in ``crl_entry_count``.
 Dates are stored as int32 proleptic ordinals (0 = None), serials as
 21-byte big-endian blobs (fits 160-bit random serials), reason codes as
 int8 (-1 = None).
+
+The entry columns are also the in-memory input of the CRL-entry path:
+every :class:`~repro.scan.crl_model.EcosystemCrl` carries its run of
+rows as an :class:`EntryColumns`, which the CRL timelines, the CRLSet
+sweep and the §7 analyses read instead of the entry records.  A decoded
+corpus keeps the rows it read; a generated one encodes its entries once,
+on first use, and :func:`encode_corpus` writes that same encoding.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from repro.scan.records import LeafRecord
 
 __all__ = [
     "CORPUS_FORMAT",
+    "EntryColumns",
     "brand_digests",
     "concat_parts",
     "corpus_digest",
@@ -44,6 +52,7 @@ __all__ = [
     "decode_crl_population",
     "encode_brand_parts",
     "encode_corpus",
+    "entry_columns",
     "slice_brand",
 ]
 
@@ -118,6 +127,105 @@ def _column(arrays: dict[str, np.ndarray], name: str, rows: slice) -> np.ndarray
     return column
 
 
+class EntryColumns:
+    """A run of CRL entries in the codec's entry columns.
+
+    ``serial`` is the ``(n, 21)`` big-endian blob, ``revoked`` and
+    ``expiry`` int32 day ordinals, ``reason`` int8 (-1 = no reason) and
+    ``cert`` int32 (-1 = not a Leaf Set certificate): row ``i`` encodes
+    the ``i``-th entry record.
+    """
+
+    __slots__ = ("cert", "expiry", "reason", "revoked", "serial")
+    #: attribute names in ``_ENTRY_COLUMNS`` order.
+    _FIELDS = ("serial", "revoked", "reason", "expiry", "cert")
+
+    def __init__(self, serial, revoked, reason, expiry, cert) -> None:
+        self.serial = serial
+        self.revoked = revoked
+        self.reason = reason
+        self.expiry = expiry
+        self.cert = cert
+
+    @classmethod
+    def encode(cls, entries: list[CrlEntryRecord]) -> EntryColumns:
+        """The codec's encoder.  A serial outside 21 unsigned bytes
+        (negative, or 2**168 and up) raises ``OverflowError``."""
+        return cls(
+            _serial_blob([entry.serial_number for entry in entries]),
+            _ordinals([entry.revoked_at for entry in entries]),
+            np.array(
+                [-1 if entry.reason is None else int(entry.reason) for entry in entries],
+                np.int8,
+            ),
+            _ordinals([entry.cert_not_after for entry in entries]),
+            np.array(
+                [-1 if entry.cert_id is None else entry.cert_id for entry in entries],
+                np.int32,
+            ),
+        )
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], rows: slice) -> EntryColumns:
+        """Rows ``rows`` of a column set's ``entry_*`` columns (views)."""
+        return cls(*(_column(arrays, name, rows) for name in _ENTRY_COLUMNS))
+
+    @classmethod
+    def concat(cls, parts: list[EntryColumns]) -> EntryColumns:
+        if not parts:
+            return cls.encode([])
+        return cls(
+            *(
+                np.concatenate([getattr(part, name) for part in parts])
+                for name in cls._FIELDS
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.revoked)
+
+    def __getitem__(self, rows) -> EntryColumns:
+        """The rows selected by a slice, mask or index array."""
+        return EntryColumns(*(getattr(self, name)[rows] for name in self._FIELDS))
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The columns under their corpus names."""
+        return {
+            column: getattr(self, name)
+            for column, name in zip(_ENTRY_COLUMNS, self._FIELDS)
+        }
+
+    def serial_numbers(self, rows=None) -> list[int]:
+        """The serials (of ``rows`` only, if given) as Python ints."""
+        return _serials(self.serial if rows is None else self.serial[rows])
+
+    def serial_significance(self, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """``(significant bytes, leading significant byte)`` of each
+        serial (of ``rows`` only, if given): the minimal unsigned
+        big-endian length and its first byte, both 0 for a zero serial."""
+        blob = self.serial if rows is None else self.serial[rows]
+        first = (blob != 0).argmax(axis=1)
+        lead = blob[np.arange(len(blob)), first]
+        return np.where(lead == 0, 0, _SERIAL_BYTES - first), lead
+
+
+def entry_columns(crls: list[EcosystemCrl]) -> EntryColumns:
+    """The entry columns of ``crls``, concatenated in list order.
+
+    Every CRL whose entries have no columns yet is encoded in one batch
+    and keeps its run of the result, so each entry is encoded once.
+    """
+    missing = [crl for crl in crls if not crl.has_entry_columns]
+    if missing:
+        batch = EntryColumns.encode([entry for crl in missing for entry in crl.entries])
+        start = 0
+        for crl in missing:
+            stop = start + len(crl.entries)
+            crl.entry_columns = batch[start:stop]
+            start = stop
+    return EntryColumns.concat([crl.entry_columns for crl in crls])
+
+
 # ---------------------------------------------------------------------------
 # encode
 # ---------------------------------------------------------------------------
@@ -165,28 +273,20 @@ def _encode_leaves(
 
 
 def _encode_crls(crls: list[EcosystemCrl]) -> dict[str, np.ndarray]:
-    entries = [entry for crl in crls for entry in crl.entries]
-    return {
-        "entry_serial": _serial_blob([entry.serial_number for entry in entries]),
-        "entry_revoked": _ordinals([entry.revoked_at for entry in entries]),
-        "entry_reason": np.array(
-            [-1 if entry.reason is None else int(entry.reason) for entry in entries],
-            np.int8,
-        ),
-        "entry_expiry": _ordinals([entry.cert_not_after for entry in entries]),
-        "entry_cert": np.array(
-            [-1 if entry.cert_id is None else entry.cert_id for entry in entries],
-            np.int32,
-        ),
-        "crl_entry_count": np.array([len(crl.entries) for crl in crls], np.int32),
-        "crl_assigned": np.array(
-            [crl.assigned_cert_count for crl in crls], np.int32
-        ),
-        "crl_hidden": np.array(
-            [-1 if crl.hidden is None else crl.hidden.target_end for crl in crls],
-            np.int64,
-        ),
-    }
+    arrays = entry_columns(crls).arrays()
+    arrays.update(
+        {
+            "crl_entry_count": np.array([len(crl.entries) for crl in crls], np.int32),
+            "crl_assigned": np.array(
+                [crl.assigned_cert_count for crl in crls], np.int32
+            ),
+            "crl_hidden": np.array(
+                [-1 if crl.hidden is None else crl.hidden.target_end for crl in crls],
+                np.int64,
+            ),
+        }
+    )
+    return arrays
 
 
 def encode_brand_parts(state, leaves: list[LeafRecord]) -> dict[str, np.ndarray]:
@@ -375,7 +475,8 @@ def decode_crl_population(
     entry_offset: int = 0,
 ) -> None:
     """Attach entries, assigned counts, and hidden populations to an
-    already-scaffolded CRL list (in place).
+    already-scaffolded CRL list (in place).  Each CRL keeps the column
+    rows its entries were decoded from as its entry columns.
 
     ``crls`` here is the slice being decoded (a brand's own CRLs for
     parts, the global list for the full corpus); offsets locate the
@@ -385,19 +486,17 @@ def decode_crl_population(
 
     crl_rows = slice(crl_offset, crl_offset + len(crls))
     counts = _column(arrays, "crl_entry_count", crl_rows).tolist()
-    rows = slice(entry_offset, entry_offset + sum(counts))
+    columns = EntryColumns.from_arrays(
+        arrays, slice(entry_offset, entry_offset + sum(counts))
+    )
     days = DayInterner()
-
-    def column(name: str) -> list:
-        return _column(arrays, name, rows).tolist()
-
     # Keys in CrlEntryRecord field order: the records are built positionally.
     fields = {
-        "serial_number": _serials(_column(arrays, "entry_serial", rows)),
-        "revoked_at": [days[ordinal] for ordinal in column("entry_revoked")],
-        "reason": [_REASON_OF[code] for code in column("entry_reason")],
-        "cert_not_after": [days[ordinal] for ordinal in column("entry_expiry")],
-        "cert_id": [None if cert < 0 else cert for cert in column("entry_cert")],
+        "serial_number": columns.serial_numbers(),
+        "revoked_at": [days[ordinal] for ordinal in columns.revoked.tolist()],
+        "reason": [_REASON_OF[code] for code in columns.reason.tolist()],
+        "cert_not_after": [days[ordinal] for ordinal in columns.expiry.tolist()],
+        "cert_id": [None if cert < 0 else cert for cert in columns.cert.tolist()],
     }
     entries = list(map(CrlEntryRecord, *fields.values()))
     cursor = 0
@@ -407,8 +506,9 @@ def decode_crl_population(
         _column(arrays, "crl_assigned", crl_rows).tolist(),
         _column(arrays, "crl_hidden", crl_rows).tolist(),
     ):
-        crl.entries = entries[cursor : cursor + count]  # invalidates the series
+        rows = slice(cursor, cursor + count)
         cursor += count
+        crl.entries = entries[rows]
         crl.assigned_cert_count = assigned
         if target >= 0:
             crl.hidden = HiddenPopulation(
@@ -417,3 +517,5 @@ def decode_crl_population(
                 window_end=calibration.measurement_end,
                 heartbleed_date=calibration.heartbleed_date,
             )
+        # Last: assigning entries or hidden drops a CRL's columns.
+        crl.entry_columns = columns[rows]

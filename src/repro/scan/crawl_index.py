@@ -1,7 +1,7 @@
 """Incremental CRL series engine.
 
-The daily CRL crawl (Figures 5, 6 and 9, Table 1), the CRLSet builder's
-daily sweep, and the dynamics analysis all need per-day views of every
+The daily CRL crawl (Figures 5, 6 and 9, Table 1), the serving layer's
+CRL sizing and the dynamics analysis all need per-day views of every
 CRL (entry count, additions, byte size) over the ~180-day crawl window.
 The naive way -- re-scanning every entry's visibility window for every
 (CRL, day) pair -- is O(days x entries) and dominated Figure 5/6/9
@@ -9,10 +9,14 @@ generation.
 
 :class:`CrlSeries` precomputes, once per CRL, a sorted revocation-event
 timeline with byte-size prefix sums, making ``entry_count(day)``,
-``additions_on(day)``, and ``size_bytes(day)`` O(log n) bisections.
-:class:`CrawlIndex` aggregates the per-CRL series across an ecosystem and
-memoises the whole-corpus daily-additions sweep (one pass over all
-entries instead of one pass per day).
+``additions_on(day)``, and ``size_bytes(day)`` O(log n) bisections.  It
+is built from the CRL's entry columns
+(:attr:`~repro.scan.crl_model.EcosystemCrl.entry_columns`) with a few
+vector operations: a size-table lookup, then per distinct revocation and
+expiry day an entry count and byte sum (``bincount``) and their prefix
+sums.  :class:`CrawlIndex` aggregates the per-CRL series across
+an ecosystem and memoises the whole-corpus daily-additions sweep (one
+pass over all entries instead of one pass per day).
 
 Correctness rests on the corpus invariant ``revoked_at <=
 cert_not_after`` (an entry is listed from revocation until certificate
@@ -26,11 +30,11 @@ faster than them.
 from __future__ import annotations
 
 import datetime
-import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.revocation.sizing import (
     CrlSizeModel,
@@ -45,66 +49,133 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 __all__ = ["CrawlIndex", "CrlSeries"]
 
+#: revocation dates from this ordinal on are encoded as GeneralizedTime.
+_GENERALIZED_TIME_FROM = datetime.date(2050, 1, 1).toordinal()
+
+
+def _entry_size_table() -> np.ndarray:
+    """Encoded CRL entry size by ``(width - 1) * 4 + has reason * 2 +
+    GeneralizedTime``, where ``width`` is the serial's DER content width
+    (``bit_length() // 8 + 1``, 1-22 for the codec's 21 bytes) -- the
+    only inputs :func:`revoked_entry_size` reads for a non-negative
+    serial.  Each size is computed from the smallest serial of its
+    width."""
+    return np.array(
+        [
+            revoked_entry_size(
+                1 << 8 * (width - 1),
+                with_reason=with_reason,
+                generalized_time=generalized_time,
+            )
+            for width in range(1, 23)
+            for with_reason in (False, True)
+            for generalized_time in (False, True)
+        ],
+        np.int64,
+    )
+
+
+_ENTRY_SIZES = _entry_size_table()
+
+
+def _entry_sizes(columns) -> np.ndarray:
+    """Encoded size of each entry in an :class:`EntryColumns`."""
+    significant, lead = columns.serial_significance()
+    width = np.maximum(significant + (lead >= 0x80), 1)
+    code = (width - 1) * 4 + (columns.reason >= 0) * 2
+    code += columns.revoked >= _GENERALIZED_TIME_FROM
+    return _ENTRY_SIZES[code]
+
+
+def _record_timeline(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(revoked, expiry, size)`` columns sized entry by entry: the
+    fallback for serials the codec cannot hold (negative, or 2**168 and
+    up), which only hand-built CRLs carry."""
+    return (
+        np.array([entry.revoked_at.toordinal() for entry in entries], np.int64),
+        np.array([entry.cert_not_after.toordinal() for entry in entries], np.int64),
+        np.array(
+            [
+                revoked_entry_size(
+                    entry.serial_number,
+                    with_reason=entry.reason is not None,
+                    generalized_time=entry.revoked_at.year > 2049,
+                )
+                for entry in entries
+            ],
+            np.int64,
+        ),
+    )
+
+
+def _day_totals(days: np.ndarray, sizes: np.ndarray) -> tuple[list[int], ...]:
+    """``(distinct days, running counts, running bytes, per-day counts)``
+    of entries keyed by ``days``: the days ascending, the running totals
+    with a leading 0, all as Python ints."""
+    if not len(days):
+        return [], [0], [0], []
+    base = int(days.min())
+    offsets = days - base
+    counts = np.bincount(offsets)
+    present = np.flatnonzero(counts)
+    per_day = counts[present]
+    totals = np.zeros((2, len(present) + 1), np.int64)
+    totals[0, 1:] = per_day.cumsum()
+    totals[1, 1:] = np.bincount(offsets, sizes)[present].cumsum()  # exact
+    running_counts, running_bytes = totals.tolist()
+    return (present + base).tolist(), running_counts, running_bytes, per_day.tolist()
+
 
 class CrlSeries:
     """Precomputed revocation-event timeline for one CRL.
 
-    Built once from the CRL's materialised entries and bulk
+    Built once from the CRL's entry columns and bulk
     :class:`~repro.scan.hidden.HiddenPopulation`; every per-day query is
-    then a bisection over the sorted event arrays.
+    then a bisection over sorted day ordinals that returns Python ints.
     """
 
     __slots__ = (
         "_additions",
-        "_exp_cum_bytes",
+        "_exp_bytes",
+        "_exp_count",
         "_exp_days",
         "_hidden",
         "_hidden_entry_size",
-        "_rev_cum_bytes",
+        "_rev_bytes",
+        "_rev_count",
         "_rev_days",
         "_size_model",
     )
 
     @gc_paused()
     def __init__(self, crl: "EcosystemCrl") -> None:
-        entries = crl.entries
-        revoked = [entry.revoked_at for entry in entries]
-        expiry = [entry.cert_not_after for entry in entries]
-        if any(map(operator.gt, revoked, expiry)):
-            entry = next(e for e in entries if e.revoked_at > e.cert_not_after)
+        try:
+            columns = crl.entry_columns
+        except OverflowError:
+            revoked, expiry, sizes = _record_timeline(crl.entries)
+        else:
+            revoked, expiry = columns.revoked, columns.expiry
+            sizes = _entry_sizes(columns)
+        late = revoked > expiry
+        if late.any():
+            entry = crl.entries[int(late.argmax())]
             raise ValueError(
                 f"entry {entry.serial_number} on {crl.url} revoked after "
                 "certificate expiry; timeline decomposition needs "
                 "revoked_at <= cert_not_after"
             )
-        sizes = [
-            _ENTRY_SIZES[
-                entry.serial_number.bit_length() // 8 + 1,
-                entry.reason is not None,
-                entry.revoked_at.year > 2049,
-            ]
-            if entry.serial_number >= 0
-            else revoked_entry_size(
-                entry.serial_number,
-                with_reason=entry.reason is not None,
-                generalized_time=entry.revoked_at.year > 2049,
-            )
-            for entry in entries
-        ]
 
-        # Entries sorted by revocation day, with byte prefix sums.  The
-        # order among equal days is irrelevant: queries only read sums
-        # at day boundaries.
-        by_revoked = sorted(range(len(entries)), key=revoked.__getitem__)
-        self._rev_days = [revoked[i] for i in by_revoked]
-        self._rev_cum_bytes = _prefix_sums([sizes[i] for i in by_revoked])
-
-        # Entries sorted by expiry day (when they drop off the CRL).
-        by_expiry = sorted(range(len(entries)), key=expiry.__getitem__)
-        self._exp_days = [expiry[i] for i in by_expiry]
-        self._exp_cum_bytes = _prefix_sums([sizes[i] for i in by_expiry])
-
-        self._additions = Counter(self._rev_days)
+        # The distinct revocation days and expiry days (when entries drop
+        # off the CRL), ascending, each with the running entry count and
+        # byte total up to and including it (index 0: none yet).
+        self._rev_days, self._rev_count, self._rev_bytes, additions = _day_totals(
+            revoked, sizes
+        )
+        self._exp_days, self._exp_count, self._exp_bytes, _ = _day_totals(
+            expiry, sizes
+        )
+        #: revocation day ordinal -> materialised additions.
+        self._additions = dict(zip(self._rev_days, additions))
         self._hidden = crl.hidden
         self._hidden_entry_size = representative_entry_size(crl.serial_bytes)
         self._size_model = CrlSizeModel(
@@ -124,19 +195,25 @@ class CrlSeries:
 
     def materialized_count(self, day: datetime.date) -> int:
         # revoked on or before `day`, minus expired strictly before `day`.
-        return bisect_right(self._rev_days, day) - bisect_left(self._exp_days, day)
+        ordinal = day.toordinal()
+        return (
+            self._rev_count[bisect_right(self._rev_days, ordinal)]
+            - self._exp_count[bisect_left(self._exp_days, ordinal)]
+        )
 
     def additions_on(self, day: datetime.date) -> int:
-        count = self._additions.get(day, 0)
+        count = self._additions.get(day.toordinal(), 0)
         if self._hidden is not None:
             count += self._hidden.additions_on(day)
         return count
 
     def materialized_bytes(self, day: datetime.date) -> int:
         """Total encoded size of the materialised entries visible on ``day``."""
-        revoked = bisect_right(self._rev_days, day)
-        expired = bisect_left(self._exp_days, day)
-        return self._rev_cum_bytes[revoked] - self._exp_cum_bytes[expired]
+        ordinal = day.toordinal()
+        return (
+            self._rev_bytes[bisect_right(self._rev_days, ordinal)]
+            - self._exp_bytes[bisect_left(self._exp_days, ordinal)]
+        )
 
     def size_bytes(self, day: datetime.date) -> int:
         """Exact DER size of the CRL as published on ``day``."""
@@ -148,8 +225,8 @@ class CrlSeries:
     # -- bulk access --------------------------------------------------------
 
     @property
-    def addition_days(self) -> Counter:
-        """day -> materialised additions (hidden bulk not included)."""
+    def additions_by_ordinal(self) -> dict[int, int]:
+        """day ordinal -> materialised additions (hidden bulk not included)."""
         return self._additions
 
     @property
@@ -157,44 +234,19 @@ class CrlSeries:
         return self._hidden
 
 
-def _prefix_sums(values: Iterable[int]) -> list[int]:
-    return list(accumulate(values, initial=0))
-
-
-class _EntrySizes(dict):
-    """Encoded size of a CRL entry by ``(serial content width, has a
-    reason, GeneralizedTime revocation date)`` -- the only inputs
-    :func:`revoked_entry_size` reads for a non-negative serial, whose
-    content width is ``bit_length() // 8 + 1``."""
-
-    def __missing__(self, key: tuple[int, bool, bool]) -> int:
-        width, with_reason, generalized_time = key
-        # The smallest serial with that content width.
-        serial = 1 << 8 * (width - 1)
-        size = self[key] = revoked_entry_size(
-            serial, with_reason=with_reason, generalized_time=generalized_time
-        )
-        return size
-
-
-_ENTRY_SIZES = _EntrySizes()
-
-
 class CrawlIndex:
-    """Shared per-ecosystem cache of :class:`CrlSeries`.
+    """Per-ecosystem CRL crawl queries over the CRLs' cached
+    :class:`CrlSeries`.
 
     One instance is built per :class:`MeasurementStudy` and answers its
     CRL size and entry-count queries; the study hands the same instance
-    to the CRLSet builder and the dynamics analysis, so the event
-    timelines are computed once instead of once per consumer.
+    to the dynamics analysis, so the whole-corpus daily additions are
+    summed once.
     """
 
     def __init__(self, ecosystem: "Ecosystem") -> None:
         self.ecosystem = ecosystem
         self._daily_additions: dict[datetime.date, int] | None = None
-
-    def series(self, crl: "EcosystemCrl") -> CrlSeries:
-        return crl.series
 
     def daily_total_additions(self) -> dict[datetime.date, int]:
         """New CRL entries per crawl day, across every CRL (Figure 9).
@@ -207,12 +259,12 @@ class CrawlIndex:
             totals: Counter = Counter()
             hidden_pops = []
             for crl in self.ecosystem.crls:
-                totals.update(crl.series.addition_days)
+                totals.update(crl.series.additions_by_ordinal)
                 if crl.hidden is not None:
                     hidden_pops.append(crl.hidden)
             series = {}
             for day in dates:
-                count = totals.get(day, 0)
+                count = totals.get(day.toordinal(), 0)
                 for hidden in hidden_pops:
                     count += hidden.additions_on(day)
                 series[day] = count

@@ -5,18 +5,25 @@ materialised entries it can identify individually (observed leaf
 revocations plus, on CRLSet-eligible CRLs, synthetic never-observed
 revocations) and -- on the big CRLs -- a bulk :class:`HiddenPopulation`.
 Byte sizes use exact DER arithmetic (:mod:`repro.revocation.sizing`).
+The entry records stay the generator's product and the decoder's
+output; the CRL timelines, the CRLSet sweep and the §7 analyses read the
+same entries as codec columns (:attr:`EcosystemCrl.entry_columns`).
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.pki.name import Name
 from repro.revocation.crl import CertificateRevocationList, RevokedEntry
 from repro.revocation.reason import ReasonCode
 from repro.scan.crawl_index import CrlSeries
 from repro.scan.hidden import HiddenPopulation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.scan.corpus import EntryColumns
 
 __all__ = ["CrlEntryRecord", "EcosystemCrl"]
 
@@ -66,24 +73,56 @@ class EcosystemCrl:
     _series: CrlSeries | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: the entries in the corpus codec's columns (see :attr:`entry_columns`).
+    _entry_columns: EntryColumns | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
         if name in ("entries", "hidden", "serial_bytes"):
-            object.__setattr__(self, "_series", None)
+            self.invalidate_series()
 
     def add_entry(self, entry: CrlEntryRecord) -> None:
         self.entries.append(entry)
-        self._series = None  # timeline is stale; rebuilt on next query
+        self.invalidate_series()  # timeline is stale; rebuilt on next query
 
-    # -- event timeline ------------------------------------------------------
+    # -- entry columns and event timeline ------------------------------------
+
+    @property
+    def entry_columns(self) -> EntryColumns:
+        """The entries as a :class:`~repro.scan.corpus.EntryColumns`.
+
+        A decoded corpus hands each CRL the store rows its entries came
+        from; otherwise the entries are encoded on first use.  Raises
+        ``OverflowError`` for a serial the 21-byte codec cannot hold.
+        """
+        if self._entry_columns is None:
+            from repro.scan.corpus import EntryColumns
+
+            self._entry_columns = EntryColumns.encode(self.entries)
+        return self._entry_columns
+
+    @entry_columns.setter
+    def entry_columns(self, columns: EntryColumns) -> None:
+        """Adopt ``columns`` as the encoding of the current entries."""
+        if len(columns) != len(self.entries):
+            raise ValueError(
+                f"{len(columns)} column rows for {len(self.entries)} entries"
+            )
+        self._entry_columns = columns
+
+    @property
+    def has_entry_columns(self) -> bool:
+        return self._entry_columns is not None
 
     @property
     def series(self) -> CrlSeries:
         """The precomputed event timeline.
 
-        Invalidated by ``add_entry`` and by reassigning ``entries``/
-        ``hidden``; mutating entry records in place requires an explicit
+        Invalidated, together with the entry columns, by ``add_entry``
+        and by reassigning ``entries``/``hidden``/``serial_bytes``;
+        mutating entry records in place requires an explicit
         ``invalidate_series()``.
         """
         if self._series is None:
@@ -91,7 +130,9 @@ class EcosystemCrl:
         return self._series
 
     def invalidate_series(self) -> None:
-        self._series = None
+        """Drop the timeline and the entry columns."""
+        object.__setattr__(self, "_series", None)
+        object.__setattr__(self, "_entry_columns", None)
 
     # -- daily views ---------------------------------------------------------
 

@@ -130,9 +130,10 @@ class HiddenPopulation:
         self._dates = window.dates
         self._additions: list[int] = additions.tolist()
         self._removals: list[int] = removals.tolist()
-        self._cumulative: list[int] = (
-            self._initial + np.cumsum(additions - removals)
-        ).tolist()
+        cumulative = self._initial + np.cumsum(additions - removals)
+        #: the count before the window, then on each window day.
+        self._counts = np.concatenate(([self._initial], cumulative))
+        self._cumulative: list[int] = cumulative.tolist()
 
     def _offset(self, day: datetime.date) -> int:
         return day.toordinal() - self._start
@@ -150,6 +151,11 @@ class HiddenPopulation:
         if offset < 0:
             return self._initial
         return self._cumulative[min(offset, self._days - 1)]
+
+    def counts_at(self, ordinals: np.ndarray) -> np.ndarray:
+        """:meth:`count_at` for an array of day ordinals."""
+        offsets = np.clip(np.asarray(ordinals) - self._start, -1, self._days - 1)
+        return self._counts[offsets + 1]
 
     def active_days(self) -> list[tuple[datetime.date, int, int]]:
         """``(day, additions, removals)`` for each window day on which

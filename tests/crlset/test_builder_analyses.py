@@ -2,28 +2,56 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import datetime
+from operator import attrgetter
 
 import pytest
 
 from repro.crlset.builder import CrlSetBuilder
 from repro.crlset.coverage import analyze_coverage
 from repro.crlset.dynamics import analyze_dynamics
+from repro.scan.crl_model import CrlEntryRecord
+from tests.crlset.reference_sweep import reference_sweep
+
+#: EntryHistory fields in the reference sweep's lifecycle tuple order.
+_LIFECYCLE = attrgetter(
+    "parent",
+    "serial",
+    "crl_url",
+    "revoked_at",
+    "cert_not_after",
+    "eligible",
+    "in_partial_subset",
+    "first_appeared",
+    "removed_at",
+)
+
+#: builder arguments for the default rules and each ablation, with a
+#: check that the ablation bites on the scale-0.002 ecosystem.
+RULES = {
+    "default": ({}, lambda reference, default: True),
+    "no-reason-filter": (
+        {"apply_reason_filter": False},
+        lambda reference, default: reference.lifecycles != default.lifecycles,
+    ),
+    # Drops CRLs on build days, some of which are included on others.
+    "max-entries-800": (
+        {"max_entries_override": 800},
+        lambda reference, default: reference.dropped_urls > default.dropped_urls,
+    ),
+    # The cap drops candidate CRLs on every build day.
+    "size-cap-40k": (
+        {"size_cap_override": 40_000},
+        lambda reference, default: all(reference.cap_drops.values()),
+    ),
+}
 
 
-class FullRebuildBuilder(CrlSetBuilder):
-    """Reference sweep: rebuilds the member set from every included
-    CRL's active set on every build day, never taking the delta path."""
-
-    def _included_urls(self, tracks, day):
-        self._tracks = tracks
-        self._included = super()._included_urls(tracks, day)
-        return self._included
-
-    def _sync_pending(self, members, histories, pending, day):
-        return self._sync_full(
-            self._tracks, members, histories, self._included, day
-        )
+@pytest.fixture(scope="module")
+def default_reference(ecosystem):
+    return reference_sweep(ecosystem)
 
 
 @pytest.fixture(scope="module")
@@ -98,21 +126,47 @@ class TestBuilderRules:
         assert a.daily_entry_counts == b.daily_entry_counts
         assert a.final_snapshot.parents == b.final_snapshot.parents
 
-    def test_incremental_sweep_equals_full_rebuild(self, history, ecosystem):
-        full = FullRebuildBuilder(ecosystem).run()
-        assert full.daily_entry_counts == history.daily_entry_counts
-        assert full.daily_additions == history.daily_additions
-        assert full.daily_removals == history.daily_removals
-        assert full.covered_urls == history.covered_urls
-        assert full.dropped_urls == history.dropped_urls
-        assert full.parents_ever == history.parents_ever
-        assert full.final_snapshot.parents == history.final_snapshot.parents
-        key = lambda h: (h.crl_url, h.serial)
-        assert {
-            key(h): (h.first_appeared, h.removed_at) for h in full.entry_histories
-        } == {
-            key(h): (h.first_appeared, h.removed_at) for h in history.entry_histories
-        }
+    @pytest.mark.parametrize("rules", sorted(RULES))
+    def test_sweep_equals_reference_sweep(self, ecosystem, default_reference, rules):
+        kwargs, bites = RULES[rules]
+        reference = (
+            reference_sweep(ecosystem, **kwargs) if kwargs else default_reference
+        )
+        assert bites(reference, default_reference)
+        history = CrlSetBuilder(ecosystem, **kwargs).run()
+        for name in ("daily_entry_counts", "daily_additions", "daily_removals"):
+            assert list(getattr(history, name).items()) == list(
+                getattr(reference, name).items()
+            ), name
+        assert [_LIFECYCLE(h) for h in history.entry_histories] == reference.lifecycles
+        assert history.covered_urls == reference.covered_urls
+        assert history.dropped_urls == reference.dropped_urls
+        assert history.parents_ever == reference.parents_ever
+        assert history.final_snapshot.parents == reference.final_parents
+
+    def test_repeated_key_is_rejected(self, ecosystem, history):
+        """A second listing of a final-snapshot member's (parent, serial)
+        on its CRL, revoked 30 days earlier and expiring 10 days before
+        the end, would drop the serial from the final snapshot while its
+        first listing is still visible; the sweep refuses the corpus."""
+        url = "http://crl.rapidssl.example/crl0.crl"
+        crl = ecosystem.crl_for_url(url)
+        (listing,) = [entry for entry in crl.entries if entry.serial_number == 2163]
+        assert 2163 in history.final_snapshot.parents[crl.issuer_key_hash]
+        second = CrlEntryRecord(
+            serial_number=2163,
+            revoked_at=listing.revoked_at - datetime.timedelta(days=30),
+            reason=listing.reason,
+            cert_not_after=ecosystem.calibration.measurement_end
+            - datetime.timedelta(days=10),
+        )
+        changed = copy.copy(ecosystem)
+        changed.crls = [
+            dataclasses.replace(c, entries=[*c.entries, second]) if c is crl else c
+            for c in ecosystem.crls
+        ]
+        with pytest.raises(ValueError, match=f"2163 on {url}"):
+            CrlSetBuilder(changed).run()
 
 
 class TestCoverage:

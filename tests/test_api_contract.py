@@ -24,7 +24,7 @@ import pytest
 
 from repro import api
 
-PINNED_VERSION = "5.0"
+PINNED_VERSION = "6.0"
 
 PINNED_ALL = [
     "API_VERSION",
