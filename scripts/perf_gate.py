@@ -12,9 +12,10 @@ worktree of the pull request's base.  The gate fails (exit 1) when:
   is higher than in the last record of ``BENCH_perfbench.json``, or the
   run and the record do not list the same counts.  Traced counts repeat
   exactly, so this check has no noise;
-* over :data:`PAIRS` alternating untraced ``paper-sweep`` runs of this
-  checkout and of ``BASE``, this checkout's median ``pass_s`` is worse
-  than the base's by more than the ``pass_s`` bound in ``BENCHMARK.json``.
+* for each of :data:`TIMED_WORKLOADS`, over :data:`PAIRS` alternating
+  untraced runs of this checkout and of ``BASE``, this checkout's median
+  ``pass_s`` is worse than the base's by more than the ``pass_s`` bound
+  in ``BENCHMARK.json``.
 
 The timing check compares two commits on one machine instead of reading
 a committed wall time: a committed time goes stale as machines and the
@@ -33,7 +34,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOAD = "paper-sweep"
+#: the workload whose traced counts are checked against the record.
+COUNTED_WORKLOAD = "paper-sweep"
+#: the workloads whose ``pass_s`` is paired against the base: the sweep,
+#: and the serving fleet, which the sweep runs only at a small scale.
+TIMED_WORKLOADS = ("paper-sweep", "serve-fleet")
 SEED = 20151028
 #: alternating pairs for the timing check.  Single passes on a 2-vCPU
 #: box range over about ±30 %; a median over five pairs once read +15 %
@@ -45,15 +50,15 @@ class PerfbenchFailed(Exception):
     """perfbench exited non-zero or printed no ``pass_s``."""
 
 
-def perfbench(checkout: Path, trace: int) -> dict[str, float]:
-    """One ``paper-sweep`` run of ``checkout``'s perfbench (one timed
+def perfbench(checkout: Path, workload: str, trace: int) -> dict[str, float]:
+    """One run of ``workload`` by ``checkout``'s perfbench (one timed
     pass, plus a traced one with ``trace=1``): its ``metric`` and
     ``layer`` values by name."""
     completed = subprocess.run(
         [
             sys.executable,
             str(checkout / "perfbench" / "run.py"),
-            "--workload", WORKLOAD,
+            "--workload", workload,
             "--seed", str(SEED),
             "--seconds", "0",
             "--trace", str(trace),
@@ -79,8 +84,8 @@ def perfbench(checkout: Path, trace: int) -> dict[str, float]:
 def count_problems() -> list[str]:
     """This checkout's traced counts against the last committed record."""
     record = json.loads((ROOT / "BENCH_perfbench.json").read_text())["records"][-1]
-    recorded = record["workloads"][WORKLOAD]["counts"]
-    traced = perfbench(ROOT, trace=1)
+    recorded = record["workloads"][COUNTED_WORKLOAD]["counts"]
+    traced = perfbench(ROOT, COUNTED_WORKLOAD, trace=1)
     counts = {name: value for name, value in traced.items() if name.endswith(".calls")}
     problems = []
     for name in sorted(set(recorded) | set(counts)):
@@ -98,7 +103,7 @@ def count_problems() -> list[str]:
     return problems
 
 
-def timing_problems(base: Path) -> list[str]:
+def timing_problems(base: Path, workload: str) -> list[str]:
     """Median ``pass_s`` of this checkout against ``base``, paired."""
     # The bound comes from the base, so a change cannot loosen its own gate.
     benchmark = json.loads((base / "BENCHMARK.json").read_text())
@@ -114,17 +119,23 @@ def timing_problems(base: Path) -> list[str]:
         if pair % 2:
             sides.reverse()
         for checkout, samples in sides:
-            samples.append(perfbench(checkout, trace=0)["pass_s"])
-        print(f"pair {pair + 1}: head {head_s[-1]:.3f} s, base {base_s[-1]:.3f} s")
+            samples.append(perfbench(checkout, workload, trace=0)["pass_s"])
+        print(
+            f"{workload} pair {pair + 1}: head {head_s[-1]:.3f} s, "
+            f"base {base_s[-1]:.3f} s"
+        )
     head_median = statistics.median(head_s)
     base_median = statistics.median(base_s)
     change = head_median / base_median - 1.0
     print(
-        f"pass_s median: head {head_median:.3f} s, base {base_median:.3f} s "
-        f"({change:+.1%}; bound +{bound:.0%})"
+        f"{workload} pass_s median: head {head_median:.3f} s, base "
+        f"{base_median:.3f} s ({change:+.1%}; bound +{bound:.0%})"
     )
     if change > bound:
-        return [f"pass_s median {change:+.1%} against the base, bound +{bound:.0%}"]
+        return [
+            f"{workload} pass_s median {change:+.1%} against the base, "
+            f"bound +{bound:.0%}"
+        ]
     return []
 
 
@@ -137,14 +148,16 @@ def main(argv: list[str]) -> int:
         print(f"perf_gate: {base} has no perfbench/run.py", file=sys.stderr)
         return 2
     try:
-        problems = count_problems() + timing_problems(base)
+        problems = count_problems()
+        for workload in TIMED_WORKLOADS:
+            problems += timing_problems(base, workload)
     except PerfbenchFailed as exc:
         print(f"perf_gate: {exc}", file=sys.stderr)
         return 2
     for problem in problems:
         print(f"FAIL: {problem}")
     if not problems:
-        print("OK: no count rose and pass_s is within its bound")
+        print("OK: no count rose and every pass_s is within its bound")
     return 1 if problems else 0
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import datetime
 import math
 
+import numpy as np
+
 from repro.crlset.bloom import BloomFilter
 from repro.crlset.format import serial_to_bytes
 from repro.mechanisms.base import (
@@ -100,12 +102,10 @@ def build_cascade(
         level = BloomFilter.for_items(
             len(include), _level_bits(len(include), fp_rate)
         )
-        for key in include:
-            level.add(_salted(key, depth))
+        level.update([_salted(key, depth) for key in include])
         levels.append(level)
-        false_positives = [
-            key for key in exclude if _salted(key, depth) in level
-        ]
+        hits = level.contains_many([_salted(key, depth) for key in exclude])
+        false_positives = [exclude[i] for i in np.flatnonzero(hits).tolist()]
         include, exclude = false_positives, include
     return FilterCascade(levels)
 

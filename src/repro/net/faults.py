@@ -24,6 +24,7 @@ import datetime
 import enum
 import random
 from dataclasses import dataclass, field
+from typing import SupportsBytes
 
 from repro.net.http import split_url
 from repro.net.transport import FailureMode
@@ -106,7 +107,16 @@ class FaultDecision:
     def is_noop(self) -> bool:
         return not self.triggered
 
-    def edit_body(self, body: bytes) -> bytes:
+    def edit_body(self, body: SupportsBytes) -> SupportsBytes:
+        """``body`` with the edits applied, in rule order.
+
+        ``body`` is ``bytes`` or any value whose ``bytes()`` is its
+        content; it is converted only when there are edits, and comes
+        back unchanged otherwise.
+        """
+        if not self.body_edits:
+            return body
+        body = bytes(body)
         for edit in self.body_edits:
             body = edit(body)
         return body
@@ -180,17 +190,35 @@ class FaultPlan:
         """Forget per-URL stream state (a fresh run from the same seed)."""
         self._streams.clear()
 
-    def decide(self, url: str, at: datetime.datetime) -> FaultDecision:
-        """Consume one decision for one request, in request order."""
+    def applies_to(self, url: str) -> bool:
+        """Whether any rule matches ``url``.  When none does, no
+        decision on it draws or triggers: every one is a no-op."""
+        if not self._rules:
+            return False
         host, path = split_url(url)
+        return any(self._matches(pattern, host, path) for pattern, _ in self._rules)
+
+    def decide(self, url: str, at: datetime.datetime) -> FaultDecision:
+        """Consume one decision for one request, in request order.
+
+        The URL's stream is created on the first matching rule, and
+        every matching rule takes the same draws whether or not it
+        fires, so the stream position depends only on the number of
+        requests, not on which windows were active or which rules fired.
+        """
         decision = FaultDecision()
-        stream = self._stream(f"{host}{path}")
+        if not self._rules:
+            return decision
+        host, path = split_url(url)
+        stream = None
         for pattern, spec in self._rules:
             if not self._matches(pattern, host, path):
                 continue
-            # Draw unconditionally so the stream position depends only on
-            # the number of requests, not on which windows were active.
+            if stream is None:
+                stream = self._stream(f"{host}{path}")
             draw = stream.random()
+            if spec.kind is FaultKind.CORRUPT:
+                byte_pick, bit = stream.random(), stream.randrange(8)
             if not spec.active_at(at) or draw >= spec.probability:
                 continue
             decision.triggered.append(spec.kind)
@@ -202,9 +230,7 @@ class FaultPlan:
             elif spec.kind is FaultKind.TRUNCATE:
                 decision.body_edits.append(_truncate(spec.truncate_fraction))
             elif spec.kind is FaultKind.CORRUPT:
-                decision.body_edits.append(
-                    _corrupt(stream.random(), stream.randrange(8))
-                )
+                decision.body_edits.append(_corrupt(byte_pick, bit))
             elif spec.kind is FaultKind.STALE:
                 rewind = at - spec.stale_by
                 if decision.serve_at is None or rewind < decision.serve_at:

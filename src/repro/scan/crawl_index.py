@@ -36,11 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.revocation.sizing import (
-    CrlSizeModel,
-    representative_entry_size,
-    revoked_entry_size,
-)
+from repro.revocation.sizing import representative_entry_size, revoked_entry_size
 from repro.scan.bulk import gc_paused
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -178,11 +174,7 @@ class CrlSeries:
         self._additions = dict(zip(self._rev_days, additions))
         self._hidden = crl.hidden
         self._hidden_entry_size = representative_entry_size(crl.serial_bytes)
-        self._size_model = CrlSizeModel(
-            issuer=crl.issuer_name,
-            signature_size=crl.signature_size,
-            signature_algorithm_oid=crl.signature_algorithm_oid,
-        )
+        self._size_model = crl.size_model
 
     # -- per-day queries (all O(log n)) ------------------------------------
 

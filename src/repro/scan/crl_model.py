@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 from repro.pki.name import Name
 from repro.revocation.crl import CertificateRevocationList, RevokedEntry
 from repro.revocation.reason import ReasonCode
+from repro.revocation.sizing import CrlSizeModel
 from repro.scan.crawl_index import CrlSeries
 from repro.scan.hidden import HiddenPopulation
 
@@ -69,6 +70,11 @@ class EcosystemCrl:
     hidden: HiddenPopulation | None = None
     #: Leaf Set certificates whose CRL pointer names this URL.
     assigned_cert_count: int = 0
+    #: size models by CRL header (see :attr:`size_model`); an ecosystem
+    #: hands all of its CRLs one dict.
+    size_models: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     #: lazily built event timeline (see :attr:`series`).
     _series: CrlSeries | None = field(
         default=None, init=False, repr=False, compare=False
@@ -128,6 +134,23 @@ class EcosystemCrl:
         if self._series is None:
             self._series = CrlSeries(self)
         return self._series
+
+    @property
+    def size_model(self) -> CrlSizeModel:
+        """The exact-size model of this CRL's fixed fields, built on
+        first use and shared through :attr:`size_models` by every CRL
+        with the same issuer, signature size and algorithm.  A ``Name``
+        compares by its RDNs, which fix its DER, so CRLs share a model
+        exactly when their headers encode alike."""
+        key = (self.issuer_name, self.signature_size, self.signature_algorithm_oid)
+        model = self.size_models.get(key)
+        if model is None:
+            model = self.size_models[key] = CrlSizeModel(
+                issuer=self.issuer_name,
+                signature_size=self.signature_size,
+                signature_algorithm_oid=self.signature_algorithm_oid,
+            )
+        return model
 
     def invalidate_series(self) -> None:
         """Drop the timeline and the entry columns."""

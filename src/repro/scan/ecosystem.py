@@ -217,6 +217,10 @@ class Ecosystem:
             self.intermediates.extend(state.intermediate_records)
             self.crls.extend(state.crls)
             self._crl_by_url.update(state.crl_by_url)
+        # One size model per distinct CRL header in this ecosystem.
+        size_models: dict = {}
+        for crl in self.crls:
+            crl.size_models = size_models
 
     def _build_in_process(self) -> None:
         """Generate every brand here, in profile order (each brand only

@@ -7,6 +7,8 @@ simulation into its three ports:
 * :class:`MechanismStorage` -- signs deterministic synthetic bodies
   sized from the mechanism's :meth:`serve_model` and the ecosystem's
   exact CRL sizing, and accounts every origin signing (StoragePort);
+  a body is a :class:`SynthBody`, ``(tag, size)``, whose bytes are
+  built only if something asks for them;
 * :class:`FleetTransport` -- applies the seeded fault plan
   (:mod:`repro.net.faults`) and the cohort's :class:`LinkProfile` to
   each batched delivery, accounting costs into a transport-level
@@ -17,25 +19,29 @@ Fault draws are taken per sub-batch (at most :data:`FAULT_SUBBATCHES`
 per request) in request order, and the request stream itself is
 fault-independent -- so the per-URL fault streams line up across runs
 and the triggered fault sets nest as probability rises, which is what
-makes the conformance harness's monotone-p99 check meaningful.
+makes the conformance harness's monotone-p99 check meaningful.  A
+delivery whose URL no rule matches takes no draws at all, so it is
+accounted in one step instead of per sub-batch.
 """
 
 from __future__ import annotations
 
 import datetime
 import hashlib
+from dataclasses import dataclass
 
 from repro.mechanisms.base import OCSP_RESPONSE_BYTES, RevocationMechanism
 from repro.net.faults import FaultPlan
 from repro.net.fetcher import FetchStats
 from repro.net.transport import LINK_PROFILES, FailureMode, LinkProfile
-from repro.serve.core import ServeRequest
+from repro.serve.core import Body, ServeRequest
 from repro.serve.report import LatencyHistogram
 
 __all__ = [
     "FAULT_SUBBATCHES",
     "FleetTransport",
     "MechanismStorage",
+    "SynthBody",
     "TickClock",
     "split_batch",
     "synth_body",
@@ -78,6 +84,29 @@ def synth_body(tag: str, size: int) -> bytes:
     return (seed * reps)[:size]
 
 
+@dataclass(frozen=True)
+class SynthBody:
+    """A synthetic body as ``(tag, size)``: ``len()`` is ``size``, and
+    ``bytes()`` builds ``synth_body(tag, size)``.
+
+    The caches, the service and the transport read only the size, so a
+    body's bytes are built only when a fault edits them.
+    """
+
+    tag: str
+    size: int
+
+    def __post_init__(self) -> None:
+        if self.size < 0:
+            raise ValueError("size must be non-negative")
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __bytes__(self) -> bytes:
+        return synth_body(self.tag, self.size)
+
+
 class MechanismStorage:
     """StoragePort over one mechanism's :class:`ServeModel`.
 
@@ -95,11 +124,11 @@ class MechanismStorage:
         self.signings = 0
         self.signed_bytes = 0
 
-    def body(self, endpoint: str, key: str, at: datetime.datetime) -> bytes:
+    def body(self, endpoint: str, key: str, at: datetime.datetime) -> SynthBody:
         size = self._size(endpoint, key, at.date())
         self.signings += 1
         self.signed_bytes += size
-        return synth_body(f"{self.mechanism.name}/{endpoint}/{key}", size)
+        return SynthBody(f"{self.mechanism.name}/{endpoint}/{key}", size)
 
     def expiry_tick(self, endpoint: str, tick: int) -> int:
         return tick + self.clock.ticks_for_days(self.model.presign_interval_days)
@@ -145,7 +174,10 @@ class FleetTransport:
     sub-batches; each sub-batch consumes exactly one fault decision for
     the request's synthetic URL
     (``http://<endpoint>.<mechanism>.serving/<key>``), so per-URL
-    streams advance purely with request count.
+    streams advance purely with request count.  When no rule of the
+    plan matches that URL (always, under an empty plan), every decision
+    would be a no-op, and the delivery is accounted once for the whole
+    batch with the same totals.
     """
 
     def __init__(
@@ -163,7 +195,7 @@ class FleetTransport:
     def deliver(
         self,
         request: ServeRequest,
-        body: bytes,
+        body: Body,
         at: datetime.datetime,
         source: str,
     ) -> None:
@@ -172,7 +204,18 @@ class FleetTransport:
             f"http://{request.endpoint}.{request.mechanism}.serving"
             f"/{request.key}"
         )
-        for sub in split_batch(request.count, FAULT_SUBBATCHES):
+        shares = split_batch(request.count, FAULT_SUBBATCHES)
+        if not self.plan.applies_to(url):
+            latency = link.transfer_time(len(body))
+            self.stats.fetches += request.count
+            self.stats.attempts += request.count
+            self.stats.successes += request.count
+            self.stats.bytes_downloaded += len(body) * request.count
+            self.stats.latency_total += latency * request.count
+            # one float addition per share, as the per-sub-batch loop makes
+            self.latency.observe_shares(latency / _MS, shares)
+            return
+        for sub in shares:
             decision = self.plan.decide(url, at)
             self.stats.fetches += sub
             self.stats.attempts += sub

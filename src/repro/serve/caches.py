@@ -18,6 +18,10 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.serve.core import Body
 
 __all__ = ["CacheStats", "CacheTiers", "NextUpdateCache"]
 
@@ -56,7 +60,7 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class _Entry:
-    body: bytes
+    body: Body
     expires_tick: int
 
 
@@ -101,7 +105,7 @@ class NextUpdateCache:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def get(self, key: str, now_tick: int) -> bytes | None:
+    def get(self, key: str, now_tick: int) -> Body | None:
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
@@ -115,7 +119,7 @@ class NextUpdateCache:
         self.stats.bytes_served += len(entry.body)
         return entry.body
 
-    def put(self, key: str, body: bytes, expires_tick: int) -> None:
+    def put(self, key: str, body: Body, expires_tick: int) -> None:
         old = self._entries.get(key)
         if old is not None:
             self._remove(key, old)

@@ -7,8 +7,12 @@ looks behind --
 * :class:`ClockPort` turns ticks into simulated instants,
 * :class:`StoragePort` signs/loads response bodies and knows their
   nextUpdate horizon,
-* :class:`TransportPort` delivers the bytes to the requesting clients
+* :class:`TransportPort` delivers the bodies to the requesting clients
   (and is where links, faults, and latency live).
+
+A body is a :class:`Body`: ``len()`` is its size and ``bytes()`` its
+content.  The core and the cache tiers read only the size, so a storage
+may hand out bodies whose bytes are built only on demand.
 
 The core itself performs no I/O, reads no clock, and draws no
 randomness, so any transport (the fleet driver, a unit test, a future
@@ -26,6 +30,7 @@ from typing import Protocol
 from repro.serve.caches import CacheTiers
 
 __all__ = [
+    "Body",
     "ClockPort",
     "ServeRequest",
     "ServiceStats",
@@ -66,21 +71,42 @@ class ClockPort(Protocol):
     def at(self, tick: int) -> datetime.datetime: ...
 
 
-class StoragePort(Protocol):
-    """Signs (or loads) response bodies and knows their expiry."""
+class Body(Protocol):
+    """A response body: ``bytes``, or a value that stands for them."""
 
-    def body(self, endpoint: str, key: str, at: datetime.datetime) -> bytes: ...
+    def __len__(self) -> int:
+        """The body's size in bytes."""
+        ...
+
+    def __bytes__(self) -> bytes:
+        """The body's content, exactly ``len()`` bytes."""
+        ...
+
+
+class StoragePort(Protocol):
+    """Signs (or loads) response bodies and knows their expiry.
+
+    ``body`` returns a :class:`Body`; the caller reads its ``len()`` and
+    calls ``bytes()`` only when it needs the content.
+    """
+
+    def body(self, endpoint: str, key: str, at: datetime.datetime) -> Body: ...
 
     def expiry_tick(self, endpoint: str, tick: int) -> int: ...
 
 
 class TransportPort(Protocol):
-    """Delivers response bytes to the requesting clients."""
+    """Delivers response bodies to the requesting clients.
+
+    ``body`` is the :class:`Body` the storage signed or a cache tier
+    held; a transport that needs its content (a fault editing it) calls
+    ``bytes()``, and otherwise only ``len()``.
+    """
 
     def deliver(
         self,
         request: ServeRequest,
-        body: bytes,
+        body: Body,
         at: datetime.datetime,
         source: str,
     ) -> None: ...
@@ -110,7 +136,7 @@ class StatusService:
     ``handle`` looks the artifact up in the endpoint's cache tier,
     falls back to the storage port (one origin signing) on a miss,
     inserts the fresh body with its nextUpdate expiry, and hands the
-    bytes to the transport.  All branching is on request content and
+    body to the transport.  All branching is on request content and
     tick arithmetic -- nothing else.
     """
 
@@ -127,7 +153,7 @@ class StatusService:
         self.caches = caches if caches is not None else CacheTiers.default()
         self.stats = ServiceStats()
 
-    def handle(self, request: ServeRequest) -> bytes:
+    def handle(self, request: ServeRequest) -> Body:
         at = self.clock.at(request.tick)
         self.stats.requests += request.count
         self.stats.by_endpoint[request.endpoint] = (

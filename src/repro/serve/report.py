@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.report import format_bytes, format_table
@@ -50,13 +51,20 @@ class LatencyHistogram:
         self.sum_ms = 0.0
 
     def observe(self, ms: float, count: int = 1) -> None:
+        self.observe_shares(ms, (count,))
+
+    def observe_shares(self, ms: float, shares: Sequence[int]) -> None:
+        """``observe(ms, share)`` for each of ``shares`` in turn: one
+        bucket lookup, and ``sum_ms`` takes the same float additions."""
         if ms < 0:
             raise ValueError("latency must be non-negative")
-        if count < 1:
+        if min(shares) < 1:
             raise ValueError("count must be positive")
-        self.counts[bisect.bisect_left(self.BOUNDS, ms)] += count
-        self.total += count
-        self.sum_ms += ms * count
+        total = sum(shares)
+        self.counts[bisect.bisect_left(self.BOUNDS, ms)] += total
+        self.total += total
+        for share in shares:
+            self.sum_ms += ms * share
 
     def merge(self, other: "LatencyHistogram") -> None:
         for i, count in enumerate(other.counts):

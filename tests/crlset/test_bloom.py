@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,15 @@ from repro.crlset.bloom import (
     false_positive_rate,
     optimal_k,
 )
+from repro.mechanisms.crlite import build_cascade
+from tests.crlset.reference_bloom import (
+    ReferenceBloom,
+    reference_cascade,
+    reference_positions,
+)
+
+#: 2**33 + 1 bits is a 1 GiB filter: its positions need more than 32 bits.
+_HUGE_M = 2**33 + 1
 
 
 class TestConstruction:
@@ -93,3 +105,111 @@ class TestAnalytics:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             capacity_at_fp_rate(1024, 1.5)
+
+
+@pytest.fixture
+def small_pages():
+    """Back new arrays with small pages, so a 1 GiB filter holds only
+    the pages its bits touch (numpy asks for huge pages otherwise)."""
+    try:
+        from numpy._core.multiarray import _set_madvise_hugepage
+    except ImportError:  # numpy 1.x
+        from numpy.core.multiarray import _set_madvise_hugepage
+    previous = _set_madvise_hugepage(False)
+    yield
+    _set_madvise_hugepage(previous)
+
+
+def _random_items(seed: int, n: int) -> list[bytes]:
+    rng = random.Random(seed)
+    return [rng.randbytes(rng.randrange(0, 24)) for _ in range(n)]
+
+
+class TestAgainstReference:
+    """The batched int64 steps against the per-position 128-bit formula
+    (tests/crlset/reference_bloom.py)."""
+
+    @pytest.mark.parametrize("m_bits", [8, 1_000_003, _HUGE_M])
+    @pytest.mark.parametrize("k", [1, 7, 73, 200])
+    def test_positions_equal_reference(self, m_bits, k):
+        items = _random_items(k, 40)
+        steps = [
+            positions.tolist()
+            for positions in BloomFilter(m_bits, k)._positions(items)
+        ]
+        assert len(steps) == k
+        for index, item in enumerate(items):
+            assert [step[index] for step in steps] == list(
+                reference_positions(item, m_bits, k)
+            )
+
+    @pytest.mark.parametrize("m_bits", [8, 1_000_003])
+    @pytest.mark.parametrize("k", [1, 7, 73, 200])
+    def test_bytes_and_membership_equal_reference(self, m_bits, k):
+        items = _random_items(m_bits + k, 300)
+        bloom, reference = BloomFilter(m_bits, k), ReferenceBloom(m_bits, k)
+        bloom.update(items)
+        for item in items:
+            reference.add(item)
+        assert bytes(bloom._bits) == reference.to_bytes()
+        assert bloom.count == reference.count == len(items)
+        probes = items[::7] + _random_items(m_bits - k, 500)
+        expected = [probe in reference for probe in probes]
+        assert bloom.contains_many(probes).tolist() == expected
+        assert [probe in bloom for probe in probes] == expected
+        assert bloom.measured_fp_rate(probes) == sum(expected) / len(probes)
+
+    @pytest.mark.usefixtures("small_pages")
+    def test_huge_filter_equals_reference(self):
+        k = 200
+        items = _random_items(3, 16)
+        bloom, reference = BloomFilter(_HUGE_M, k), ReferenceBloom(_HUGE_M, k)
+        bloom.update(items)
+        for item in items:
+            reference.add(item)
+        # every byte the reference set, and no other byte
+        assert np.count_nonzero(bloom._bits) == len(reference.bits)
+        for byte, value in reference.bits.items():
+            assert bloom._bits[byte] == value
+        probes = items + _random_items(4, 16)
+        expected = [probe in reference for probe in probes]
+        assert bloom.contains_many(probes).tolist() == expected
+        assert [probe in bloom for probe in probes] == expected
+
+    @pytest.mark.parametrize("m_bits, k", [(8, 3), (1_000_003, 9), (1 << 16, 73)])
+    def test_batch_update_equals_repeated_add(self, m_bits, k):
+        items = _random_items(k, 400)
+        batched, one_by_one = BloomFilter(m_bits, k), BloomFilter(m_bits, k)
+        batched.update(items)
+        for item in items:
+            one_by_one.add(item)
+        assert bytes(batched._bits) == bytes(one_by_one._bits)
+        assert batched.count == one_by_one.count
+        assert batched.fill_ratio == one_by_one.fill_ratio
+
+    def test_empty_batches(self):
+        bloom = BloomFilter(1 << 12, 5)
+        bloom.update([])
+        assert bloom.count == 0 and bloom.fill_ratio == 0.0
+        assert bloom.contains_many([]).tolist() == []
+        assert bloom.measured_fp_rate([]) == 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cascade_levels_equal_reference_build(self, seed):
+        rng = random.Random(seed)
+        keys = sorted({rng.randbytes(12) for _ in range(3000)})
+        revoked_share = rng.choice([0.01, 0.1, 0.4])
+        revoked_set = {key for key in keys if rng.random() < revoked_share}
+        revoked = sorted(revoked_set)
+        live = [key for key in keys if key not in revoked_set]
+        cascade = build_cascade(revoked, live)
+        expected = reference_cascade(revoked, live)
+        assert len(cascade.levels) == len(expected) > 1
+        for level, reference in zip(cascade.levels, expected):
+            assert (level.m_bits, level.k, level.count) == (
+                reference.m_bits, reference.k, reference.count,
+            )
+            assert bytes(level._bits) == reference.to_bytes()
+        assert [key in cascade for key in keys] == [
+            key in revoked_set for key in keys
+        ]

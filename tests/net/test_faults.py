@@ -100,6 +100,47 @@ class TestDeterminism:
         plan.reset()
         assert [plan.decide(URL, NOW).mode for _ in range(20)] == first
 
+    def test_corrupt_firing_does_not_shift_later_rules(self):
+        # A CORRUPT rule takes its byte pick and bit whether or not it
+        # fires, so the rules after it see the same draws at any
+        # CORRUPT probability.
+        def flaky_fired(corrupt_probability):
+            plan = FaultPlan(seed=7)
+            plan.add("*", FaultSpec(FaultKind.CORRUPT, probability=corrupt_probability))
+            plan.add("*", FaultSpec(FaultKind.FLAKY, probability=0.3))
+            return [
+                plan.decide(URL, NOW).mode is FailureMode.NO_RESPONSE
+                for _ in range(200)
+            ]
+
+        baseline = flaky_fired(0.0)
+        assert 0 < sum(baseline) < 200
+        assert flaky_fired(0.5) == baseline
+        assert flaky_fired(1.0) == baseline
+
+    def test_corrupt_edits_nest_as_probability_rises(self):
+        def edits(probability):
+            plan = FaultPlan(seed=7).add(
+                "*", FaultSpec(FaultKind.CORRUPT, probability=probability)
+            )
+            return [plan.decide(URL, NOW).edit_body(BODY) for _ in range(100)]
+
+        low, high = edits(0.2), edits(0.6)
+        assert any(body != BODY for body in low)
+        for at_low, at_high in zip(low, high):
+            if at_low != BODY:
+                assert at_high == at_low
+
+    def test_rules_apply_only_to_matching_urls(self):
+        plan = FaultPlan(seed=1)
+        assert not plan.applies_to(URL)
+        plan.add("crl.other.example/*", FaultSpec(FaultKind.FLAKY))
+        assert not plan.applies_to(URL)
+        assert plan.decide(URL, NOW).is_noop
+        plan.add("crl.faulty.example/a.crl", FaultSpec(FaultKind.SLOW))
+        assert plan.applies_to(URL)
+        assert not plan.applies_to("http://crl.faulty.example/b.crl")
+
 
 class TestFaultKindsThroughNetwork:
     def test_flaky_timeout(self):
