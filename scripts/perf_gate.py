@@ -13,9 +13,9 @@ worktree of the pull request's base.  The gate fails (exit 1) when:
   run and the record do not list the same counts.  Traced counts repeat
   exactly, so this check has no noise;
 * for each of :data:`TIMED_WORKLOADS`, over :data:`PAIRS` alternating
-  untraced runs of this checkout and of ``BASE``, this checkout's median
-  ``pass_s`` is worse than the base's by more than the ``pass_s`` bound
-  in ``BENCHMARK.json``.
+  untraced runs of this checkout and of ``BASE`` at the listed scale,
+  this checkout's median ``pass_s`` is worse than the base's by more
+  than the ``pass_s`` bound in ``BENCHMARK.json``.
 
 The timing check compares two commits on one machine instead of reading
 a committed wall time: a committed time goes stale as machines and the
@@ -36,9 +36,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: the workload whose traced counts are checked against the record.
 COUNTED_WORKLOAD = "paper-sweep"
-#: the workloads whose ``pass_s`` is paired against the base: the sweep,
-#: and the serving fleet, which the sweep runs only at a small scale.
-TIMED_WORKLOADS = ("paper-sweep", "serve-fleet")
+#: the workloads whose ``pass_s`` is paired against the base, each with
+#: the ``--scale`` to run it at (None: the workload's own): the sweep,
+#: the serving fleet, which the sweep runs only at a small scale, and the
+#: corpus store round trip at a fifth of its benchmark scale, which no
+#: other CI job times.
+TIMED_WORKLOADS = (
+    ("paper-sweep", None),
+    ("serve-fleet", None),
+    ("corpus-scale", 0.01),
+)
 SEED = 20151028
 #: alternating pairs for the timing check.  Single passes on a 2-vCPU
 #: box range over about ±30 %; a median over five pairs once read +15 %
@@ -50,10 +57,12 @@ class PerfbenchFailed(Exception):
     """perfbench exited non-zero or printed no ``pass_s``."""
 
 
-def perfbench(checkout: Path, workload: str, trace: int) -> dict[str, float]:
+def perfbench(
+    checkout: Path, workload: str, trace: int, scale: float | None = None
+) -> dict[str, float]:
     """One run of ``workload`` by ``checkout``'s perfbench (one timed
-    pass, plus a traced one with ``trace=1``): its ``metric`` and
-    ``layer`` values by name."""
+    pass, plus a traced one with ``trace=1``), at ``scale`` if given:
+    its ``metric`` and ``layer`` values by name."""
     completed = subprocess.run(
         [
             sys.executable,
@@ -62,6 +71,7 @@ def perfbench(checkout: Path, workload: str, trace: int) -> dict[str, float]:
             "--seed", str(SEED),
             "--seconds", "0",
             "--trace", str(trace),
+            *([] if scale is None else ["--scale", repr(scale)]),
         ],
         cwd=checkout,
         capture_output=True,
@@ -103,7 +113,7 @@ def count_problems() -> list[str]:
     return problems
 
 
-def timing_problems(base: Path, workload: str) -> list[str]:
+def timing_problems(base: Path, workload: str, scale: float | None) -> list[str]:
     """Median ``pass_s`` of this checkout against ``base``, paired."""
     # The bound comes from the base, so a change cannot loosen its own gate.
     benchmark = json.loads((base / "BENCHMARK.json").read_text())
@@ -119,7 +129,7 @@ def timing_problems(base: Path, workload: str) -> list[str]:
         if pair % 2:
             sides.reverse()
         for checkout, samples in sides:
-            samples.append(perfbench(checkout, workload, trace=0)["pass_s"])
+            samples.append(perfbench(checkout, workload, 0, scale)["pass_s"])
         print(
             f"{workload} pair {pair + 1}: head {head_s[-1]:.3f} s, "
             f"base {base_s[-1]:.3f} s"
@@ -149,8 +159,8 @@ def main(argv: list[str]) -> int:
         return 2
     try:
         problems = count_problems()
-        for workload in TIMED_WORKLOADS:
-            problems += timing_problems(base, workload)
+        for workload, scale in TIMED_WORKLOADS:
+            problems += timing_problems(base, workload, scale)
     except PerfbenchFailed as exc:
         print(f"perf_gate: {exc}", file=sys.stderr)
         return 2

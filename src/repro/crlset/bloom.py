@@ -22,6 +22,8 @@ __all__ = ["BloomFilter", "false_positive_rate", "optimal_k", "capacity_at_fp_ra
 _BIT = np.array([1 << i for i in range(8)], np.uint8)
 #: the low 128 bits of a SHA-256 digest (``h2``).
 _LOW_HALF = (1 << 128) - 1
+#: most positions a batch computes at once, unless one step holds more.
+_BLOCK = 1 << 16
 #: the number of set bits in each byte value.
 _POPCOUNT = np.array([bin(value).count("1") for value in range(256)], np.uint8)
 
@@ -61,10 +63,11 @@ class BloomFilter:
     ``sha256(x)`` and ``h2``'s low bit set.
 
     Each item is hashed once, and ``h1`` and ``h2`` are reduced modulo
-    ``m`` first, so every later position is one step ``p += h2; p -= m
-    if p >= m``: no products, every value below ``2 m``.  :meth:`update`
-    and :meth:`contains_many` take those steps in int64 over a whole
-    batch; ``add`` is a one-item ``update``.
+    ``m`` first, so every ``h1 + i h2`` is below ``k m``, which the
+    constructor keeps below ``2**63``.  :meth:`update` and
+    :meth:`contains_many` compute a batch's positions in int64 blocks
+    of several steps at once, so a small batch pays a few numpy calls
+    rather than a few per step; ``add`` is a one-item ``update``.
     """
 
     def __init__(self, m_bits: int, k: int) -> None:
@@ -72,6 +75,8 @@ class BloomFilter:
             raise ValueError("m_bits must be >= 8")
         if k < 1:
             raise ValueError("k must be >= 1")
+        if k * m_bits >= 1 << 63:
+            raise ValueError("k * m_bits must be < 2**63")
         self.m_bits = m_bits
         self.k = k
         self._bits = np.zeros((m_bits + 7) // 8, np.uint8)
@@ -92,39 +97,40 @@ class BloomFilter:
             step.append((digest & _LOW_HALF | 1) % m)
         return first, step
 
-    def _positions(self, items: Iterable[bytes]) -> Iterator[np.ndarray]:
-        """The batch's positions at each of the ``k`` steps: one int64
-        array, advanced in place."""
+    def _position_blocks(self, items: Iterable[bytes]) -> Iterator[np.ndarray]:
+        """The batch's positions ``(h1 + i h2) mod m`` as int64 blocks of
+        shape ``(steps, items)``, covering the ``k`` steps in order."""
         first, step = self._hashes(items)
-        positions = np.array(first, np.int64)
+        first = np.array(first, np.int64)
         step = np.array(step, np.int64)
-        for i in range(self.k):
-            if i:
-                positions += step
-                positions[positions >= self.m_bits] -= self.m_bits
-            yield positions
+        rows = max(1, _BLOCK // max(1, len(first)))
+        for i in range(0, self.k, rows):
+            block = np.arange(i, min(i + rows, self.k), dtype=np.int64)[:, None] * step
+            block += first
+            yield np.remainder(block, self.m_bits, out=block)
 
     def add(self, item: bytes) -> None:
         self.update((item,))
 
     def update(self, items: Iterable[bytes]) -> None:
-        for positions in self._positions(items):
-            np.bitwise_or.at(self._bits, positions >> 3, _BIT[positions & 7])
-        self.count += len(positions)
+        for block in self._position_blocks(items):
+            np.bitwise_or.at(self._bits, block >> 3, _BIT[block & 7])
+        self.count += block.shape[1]
 
     def contains_many(self, items: Iterable[bytes]) -> np.ndarray:
         """Membership of each item, as a boolean array."""
         member = True
-        for positions in self._positions(items):
-            member = member & (self._bits[positions >> 3] & _BIT[positions & 7] != 0)
+        for block in self._position_blocks(items):
+            hit = self._bits[block >> 3] & _BIT[block & 7] != 0
+            member = member & hit.all(axis=0)
             if not member.any():
                 break
         return member
 
     def __contains__(self, item: bytes) -> bool:
-        # One lookup takes the same steps in Python ints, stopping at
-        # the first clear bit: a numpy call per step would cost more
-        # than the whole lookup.
+        # One lookup walks the positions in Python ints, one step
+        # ``p += h2; p -= m if p >= m`` each, stopping at the first
+        # clear bit: a numpy call would cost more than the whole lookup.
         (position,), (step,) = self._hashes((item,))
         for i in range(self.k):
             if i:

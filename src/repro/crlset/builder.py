@@ -19,8 +19,8 @@ and was removed from the CRLSet -- the raw material for Figures 8, 9,
 and 10.
 
 The sweep is a set of vector operations over the covered CRLs' entry
-columns (:func:`repro.scan.corpus.entry_columns`), not a day-by-day
-walk.  An entry sits on its crawled CRL over the day range ``[add,
+columns (:attr:`repro.scan.crl_model.EcosystemCrl.entry_columns`), not
+a day-by-day walk.  An entry sits on its crawled CRL over the day range ``[add,
 remove)``, with ``add = max(revoked + lag, first day)`` and ``remove =
 expiry + 1``, so on a build day it is *active* iff that day falls in the
 range; binning each range's first and last build day per CRL and taking
@@ -49,7 +49,7 @@ from repro.crlset.format import CrlSetSnapshot
 from repro.revocation.reason import ReasonCode, is_crlset_eligible
 from repro.scan.bulk import DayInterner, gc_paused
 from repro.scan.calibration import Calibration
-from repro.scan.corpus import EntryColumns, entry_columns
+from repro.scan.corpus import EntryColumns
 from repro.scan.ecosystem import Ecosystem
 
 __all__ = ["CrlSetBuilder", "CrlSetHistory", "EntryHistory", "EntryLifecycles"]
@@ -226,7 +226,6 @@ class CrlSetBuilder:
 
     # -- the sweep ----------------------------------------------------------
 
-    @gc_paused()
     def run(self) -> CrlSetHistory:
         """Sweep the build window, from the first CRLSet build to the end
         of the measurement."""
@@ -235,7 +234,7 @@ class CrlSetBuilder:
         last = cal.measurement_end.toordinal()
         crls = [crl for crl in self.ecosystem.crls if crl.covered]
         n_crls = len(crls)
-        columns = entry_columns(crls)
+        columns = EntryColumns.concat([crl.entry_columns for crl in crls])
         crl = np.repeat(
             np.arange(n_crls), np.array([len(c.entries) for c in crls], np.int64)
         )

@@ -1,9 +1,9 @@
 """Helpers for the bulk record phases.
 
-Corpus generation, corpus decoding, CRL timeline construction and the
-CRLSet sweep each allocate millions of small, long-lived records
-(leaves, CRL entries, entry histories) in one go.  Two things keep that
-cheap:
+Corpus generation, corpus decoding and the CRLSet entry histories each
+allocate hundreds of thousands to millions of small, long-lived records
+(leaves, observed CRL entries, entry histories) in one go.  Two things
+keep that cheap:
 
 - :func:`gc_paused` switches the cyclic garbage collector off for the
   phase.  None of these records form reference cycles, but every one

@@ -20,12 +20,13 @@ Dates are stored as int32 proleptic ordinals (0 = None), serials as
 21-byte big-endian blobs (fits 160-bit random serials), reason codes as
 int8 (-1 = None).
 
-The entry columns are also the in-memory input of the CRL-entry path:
-every :class:`~repro.scan.crl_model.EcosystemCrl` carries its run of
-rows as an :class:`EntryColumns`, which the CRL timelines, the CRLSet
-sweep and the §7 analyses read instead of the entry records.  A decoded
-corpus keeps the rows it read; a generated one encodes its entries once,
-on first use, and :func:`encode_corpus` writes that same encoding.
+The entry columns are also the in-memory form of the CRL entries:
+generation draws each CRL's synthetic entries straight into an
+:class:`EntryColumns`, the decoder hands each
+:class:`~repro.scan.crl_model.EcosystemCrl` its run of store rows, and
+the CRL timelines, the CRLSet sweep and the §7 analyses read those
+columns.  Entry records are built from them (:meth:`EntryColumns.decode`)
+only where something reads a record.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ __all__ = [
     "decode_crl_population",
     "encode_brand_parts",
     "encode_corpus",
-    "entry_columns",
+    "serial_blob",
     "slice_brand",
 ]
 
@@ -95,7 +96,9 @@ def _ordinals(days) -> np.ndarray:
     )
 
 
-def _serial_blob(serials) -> np.ndarray:
+def serial_blob(serials) -> np.ndarray:
+    """The ``(n, 21)`` big-endian blob column of ``serials`` (ints).  A
+    serial outside 21 unsigned bytes raises ``OverflowError``."""
     width, order = itertools.repeat(_SERIAL_BYTES), itertools.repeat("big")
     buffer = b"".join(map(int.to_bytes, serials, width, order))
     return np.frombuffer(buffer, dtype=np.uint8).reshape(-1, _SERIAL_BYTES)
@@ -117,6 +120,11 @@ _REASON_OF: dict[int, ReasonCode | None] = {
     -1: None,
     **{int(reason): reason for reason in ReasonCode},
 }
+#: the reason column values :data:`_REASON_OF` knows, and the largest
+#: day ordinal a ``date`` holds: the decode checks the columns against
+#: both, so it fails where building the records would.
+_REASON_CODES = np.array(sorted(_REASON_OF), np.int8)
+_MAX_ORDINAL = datetime.date.max.toordinal()
 
 
 def _column(arrays: dict[str, np.ndarray], name: str, rows: slice) -> np.ndarray:
@@ -152,7 +160,7 @@ class EntryColumns:
         """The codec's encoder.  A serial outside 21 unsigned bytes
         (negative, or 2**168 and up) raises ``OverflowError``."""
         return cls(
-            _serial_blob([entry.serial_number for entry in entries]),
+            serial_blob([entry.serial_number for entry in entries]),
             _ordinals([entry.revoked_at for entry in entries]),
             np.array(
                 [-1 if entry.reason is None else int(entry.reason) for entry in entries],
@@ -164,6 +172,20 @@ class EntryColumns:
                 np.int32,
             ),
         )
+
+    def decode(self) -> list[CrlEntryRecord]:
+        """The entry records the rows encode, in row order: the codec's
+        decoder, and the one place entry records are built from columns."""
+        days = DayInterner()
+        # Keys in CrlEntryRecord field order: the records are built positionally.
+        fields = {
+            "serial_number": self.serial_numbers(),
+            "revoked_at": [days[ordinal] for ordinal in self.revoked.tolist()],
+            "reason": [_REASON_OF[code] for code in self.reason.tolist()],
+            "cert_not_after": [days[ordinal] for ordinal in self.expiry.tolist()],
+            "cert_id": [None if cert < 0 else cert for cert in self.cert.tolist()],
+        }
+        return list(map(CrlEntryRecord, *fields.values()))
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], rows: slice) -> EntryColumns:
@@ -209,23 +231,6 @@ class EntryColumns:
         return np.where(lead == 0, 0, _SERIAL_BYTES - first), lead
 
 
-def entry_columns(crls: list[EcosystemCrl]) -> EntryColumns:
-    """The entry columns of ``crls``, concatenated in list order.
-
-    Every CRL whose entries have no columns yet is encoded in one batch
-    and keeps its run of the result, so each entry is encoded once.
-    """
-    missing = [crl for crl in crls if not crl.has_entry_columns]
-    if missing:
-        batch = EntryColumns.encode([entry for crl in missing for entry in crl.entries])
-        start = 0
-        for crl in missing:
-            stop = start + len(crl.entries)
-            crl.entry_columns = batch[start:stop]
-            start = stop
-    return EntryColumns.concat([crl.entry_columns for crl in crls])
-
-
 # ---------------------------------------------------------------------------
 # encode
 # ---------------------------------------------------------------------------
@@ -255,7 +260,7 @@ def _encode_leaves(
             [leaf.stapling_servers for leaf in leaves], np.int32
         ),
         "leaf_alexa": np.array([leaf.alexa_rank or 0 for leaf in leaves], np.int32),
-        "leaf_serial": _serial_blob([leaf.serial_number for leaf in leaves]),
+        "leaf_serial": serial_blob([leaf.serial_number for leaf in leaves]),
         "leaf_intermediate": np.array(
             [leaf.intermediate_id for leaf in leaves], np.int32
         ),
@@ -273,7 +278,7 @@ def _encode_leaves(
 
 
 def _encode_crls(crls: list[EcosystemCrl]) -> dict[str, np.ndarray]:
-    arrays = entry_columns(crls).arrays()
+    arrays = EntryColumns.concat([crl.entry_columns for crl in crls]).arrays()
     arrays.update(
         {
             "crl_entry_count": np.array([len(crl.entries) for crl in crls], np.int32),
@@ -475,12 +480,14 @@ def decode_crl_population(
     entry_offset: int = 0,
 ) -> None:
     """Attach entries, assigned counts, and hidden populations to an
-    already-scaffolded CRL list (in place).  Each CRL keeps the column
-    rows its entries were decoded from as its entry columns.
+    already-scaffolded CRL list (in place).  Each CRL's entries are its
+    run of the entry columns; no record is built.
 
     ``crls`` here is the slice being decoded (a brand's own CRLs for
     parts, the global list for the full corpus); offsets locate the
-    slice inside ``arrays``.
+    slice inside ``arrays``.  A reason code or day ordinal that no entry
+    record could hold raises ``ValueError``, so a damaged column fails
+    the decode.
     """
     from repro.scan.shardgen import _SYNTH_WINDOW_START
 
@@ -489,16 +496,12 @@ def decode_crl_population(
     columns = EntryColumns.from_arrays(
         arrays, slice(entry_offset, entry_offset + sum(counts))
     )
-    days = DayInterner()
-    # Keys in CrlEntryRecord field order: the records are built positionally.
-    fields = {
-        "serial_number": columns.serial_numbers(),
-        "revoked_at": [days[ordinal] for ordinal in columns.revoked.tolist()],
-        "reason": [_REASON_OF[code] for code in columns.reason.tolist()],
-        "cert_not_after": [days[ordinal] for ordinal in columns.expiry.tolist()],
-        "cert_id": [None if cert < 0 else cert for cert in columns.cert.tolist()],
-    }
-    entries = list(map(CrlEntryRecord, *fields.values()))
+    if not np.isin(columns.reason, _REASON_CODES).all():
+        raise ValueError("corpus column entry_reason holds an unknown reason code")
+    for name in ("revoked", "expiry"):
+        ordinals = getattr(columns, name)
+        if len(ordinals) and not 1 <= ordinals.min() <= ordinals.max() <= _MAX_ORDINAL:
+            raise ValueError(f"corpus column entry_{name} holds a day out of range")
     cursor = 0
     for crl, count, assigned, target in zip(
         crls,
@@ -506,9 +509,8 @@ def decode_crl_population(
         _column(arrays, "crl_assigned", crl_rows).tolist(),
         _column(arrays, "crl_hidden", crl_rows).tolist(),
     ):
-        rows = slice(cursor, cursor + count)
+        crl.entry_columns = columns[cursor : cursor + count]
         cursor += count
-        crl.entries = entries[rows]
         crl.assigned_cert_count = assigned
         if target >= 0:
             crl.hidden = HiddenPopulation(
@@ -517,5 +519,3 @@ def decode_crl_population(
                 window_end=calibration.measurement_end,
                 heartbleed_date=calibration.heartbleed_date,
             )
-        # Last: assigning entries or hidden drops a CRL's columns.
-        crl.entry_columns = columns[rows]

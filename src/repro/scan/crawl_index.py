@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.revocation.sizing import representative_entry_size, revoked_entry_size
-from repro.scan.bulk import gc_paused
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.scan.crl_model import EcosystemCrl
@@ -143,7 +142,6 @@ class CrlSeries:
         "_size_model",
     )
 
-    @gc_paused()
     def __init__(self, crl: "EcosystemCrl") -> None:
         try:
             columns = crl.entry_columns

@@ -5,14 +5,19 @@ materialised entries it can identify individually (observed leaf
 revocations plus, on CRLSet-eligible CRLs, synthetic never-observed
 revocations) and -- on the big CRLs -- a bulk :class:`HiddenPopulation`.
 Byte sizes use exact DER arithmetic (:mod:`repro.revocation.sizing`).
-The entry records stay the generator's product and the decoder's
-output; the CRL timelines, the CRLSet sweep and the §7 analyses read the
-same entries as codec columns (:attr:`EcosystemCrl.entry_columns`).
+A CRL's entries are kept in the form they were last written in: a list
+of :class:`CrlEntryRecord` (``add_entry``, assigning ``entries``) or a
+run of corpus codec columns (assigning
+:attr:`EcosystemCrl.entry_columns`, which generation and the store
+decode do).  The CRL timelines, the CRLSet sweep and the §7 analyses
+read the columns; records are built from columns only when something
+reads them (:class:`ColumnEntries`).
 """
 
 from __future__ import annotations
 
 import datetime
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -26,7 +31,7 @@ from repro.scan.hidden import HiddenPopulation
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.scan.corpus import EntryColumns
 
-__all__ = ["CrlEntryRecord", "EcosystemCrl"]
+__all__ = ["ColumnEntries", "CrlEntryRecord", "EcosystemCrl"]
 
 _UTC = datetime.timezone.utc
 
@@ -51,6 +56,49 @@ class CrlEntryRecord:
         return self.revoked_at <= day <= self.cert_not_after
 
 
+class ColumnEntries(Sequence):
+    """The entries of a CRL whose written form is a run of entry columns.
+
+    A read-only sequence: ``len()`` is the row count, and the records
+    are decoded from the columns once, on the first item read or
+    iteration (:meth:`~repro.scan.corpus.EntryColumns.decode`).  It
+    compares equal to the list of the same records.  The records are a
+    decoded copy: an edit to one reaches the CRL's counts, sizes and
+    columns once :meth:`EcosystemCrl.invalidate_series` makes the
+    records the written form.
+    """
+
+    __slots__ = ("_records", "columns")
+
+    def __init__(self, columns: EntryColumns) -> None:
+        self.columns = columns
+        self._records: list[CrlEntryRecord] | None = None
+
+    def _decoded(self) -> list[CrlEntryRecord]:
+        if self._records is None:
+            self._records = self.columns.decode()
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __getitem__(self, index):
+        return self._decoded()[index]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ColumnEntries):
+            other = other._decoded()
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._decoded() == other
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} entries in columns>"
+
+
 @dataclass
 class EcosystemCrl:
     """One CRL in the synthetic ecosystem."""
@@ -66,7 +114,10 @@ class EcosystemCrl:
     reissue_hours: int = 24
     #: whether Google's internal crawl covers this CRL (CRLSet pipeline).
     covered: bool = False
-    entries: list[CrlEntryRecord] = field(default_factory=list)
+    #: the records (the written form after ``add_entry`` or assigning a
+    #: list) or a :class:`ColumnEntries` (after assigning
+    #: :attr:`entry_columns`).
+    entries: list[CrlEntryRecord] | ColumnEntries = field(default_factory=list)
     hidden: HiddenPopulation | None = None
     #: Leaf Set certificates whose CRL pointer names this URL.
     assigned_cert_count: int = 0
@@ -79,7 +130,8 @@ class EcosystemCrl:
     _series: CrlSeries | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: the entries in the corpus codec's columns (see :attr:`entry_columns`).
+    #: the encoding of record entries, made on first use (see
+    #: :attr:`entry_columns`).
     _entry_columns: EntryColumns | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -90,6 +142,9 @@ class EcosystemCrl:
             self.invalidate_series()
 
     def add_entry(self, entry: CrlEntryRecord) -> None:
+        """Append a record; column entries become records first."""
+        if isinstance(self.entries, ColumnEntries):
+            self.entries = list(self.entries)
         self.entries.append(entry)
         self.invalidate_series()  # timeline is stale; rebuilt on next query
 
@@ -99,10 +154,12 @@ class EcosystemCrl:
     def entry_columns(self) -> EntryColumns:
         """The entries as a :class:`~repro.scan.corpus.EntryColumns`.
 
-        A decoded corpus hands each CRL the store rows its entries came
-        from; otherwise the entries are encoded on first use.  Raises
-        ``OverflowError`` for a serial the 21-byte codec cannot hold.
+        The assigned columns, or the encoding of the record entries,
+        made on first use.  Raises ``OverflowError`` for a serial the
+        21-byte codec cannot hold.
         """
+        if isinstance(self.entries, ColumnEntries):
+            return self.entries.columns
         if self._entry_columns is None:
             from repro.scan.corpus import EntryColumns
 
@@ -111,25 +168,18 @@ class EcosystemCrl:
 
     @entry_columns.setter
     def entry_columns(self, columns: EntryColumns) -> None:
-        """Adopt ``columns`` as the encoding of the current entries."""
-        if len(columns) != len(self.entries):
-            raise ValueError(
-                f"{len(columns)} column rows for {len(self.entries)} entries"
-            )
-        self._entry_columns = columns
-
-    @property
-    def has_entry_columns(self) -> bool:
-        return self._entry_columns is not None
+        """Replace the entries with ``columns``: ``entries`` becomes
+        their :class:`ColumnEntries`, and the timeline is dropped."""
+        self.entries = ColumnEntries(columns)
 
     @property
     def series(self) -> CrlSeries:
         """The precomputed event timeline.
 
-        Invalidated, together with the entry columns, by ``add_entry``
-        and by reassigning ``entries``/``hidden``/``serial_bytes``;
-        mutating entry records in place requires an explicit
-        ``invalidate_series()``.
+        Invalidated by ``add_entry`` and by reassigning ``entries``,
+        ``entry_columns``, ``hidden`` or ``serial_bytes``; mutating
+        entry records in place (read ones, on a column-backed CRL)
+        requires an explicit ``invalidate_series()``.
         """
         if self._series is None:
             self._series = CrlSeries(self)
@@ -153,7 +203,14 @@ class EcosystemCrl:
         return model
 
     def invalidate_series(self) -> None:
-        """Drop the timeline and the entry columns."""
+        """Drop the timeline and the encoding of record entries.
+
+        Column entries whose records were read become those records,
+        so an edit made to one in place takes effect; column entries
+        never read stay columns."""
+        entries = getattr(self, "entries", None)  # unset during __init__
+        if isinstance(entries, ColumnEntries) and entries._records is not None:
+            object.__setattr__(self, "entries", list(entries._records))
         object.__setattr__(self, "_series", None)
         object.__setattr__(self, "_entry_columns", None)
 

@@ -239,7 +239,7 @@ def export_study(study: MeasurementStudy, directory: str | Path) -> Path:
             )
 
     scans = {
-        _iso(snapshot.date): sorted(snapshot.cert_ids) for snapshot in study.scans
+        _iso(snapshot.date): snapshot.ids.tolist() for snapshot in study.scans
     }
     (root / "scans.json").write_text(json.dumps(scans))
 

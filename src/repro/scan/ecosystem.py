@@ -295,10 +295,6 @@ class Ecosystem:
         leaves = self.leaves
         return [leaves[i] for i in np.nonzero(self.leaf_index.alive_mask(on))[0]]
 
-    def alive_ids(self, on: datetime.date) -> list[int]:
-        """cert_ids advertised on ``on`` (cert_id == index invariant)."""
-        return np.nonzero(self.leaf_index.alive_mask(on))[0].tolist()
-
     def total_crl_entries(self, on: datetime.date) -> int:
         return sum(crl.entry_count(on) for crl in self.crls)
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.obs import NULL_OBS, Observability
 from repro.scan.calibration import Calibration
@@ -17,18 +20,36 @@ from repro.scan.ecosystem import Ecosystem
 __all__ = ["Rapid7Scanner", "ScanSnapshot"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanSnapshot:
-    """Certificates observed advertised in one full-IPv4 scan."""
+    """Certificates observed advertised in one full-IPv4 scan.
+
+    ``ids`` is the sorted int64 array of their cert_ids; ``len()`` and
+    ``in`` read it directly, and :attr:`cert_ids` is the same set as a
+    ``frozenset``, built on first read.
+    """
 
     date: datetime.date
-    cert_ids: frozenset[int]
+    ids: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.cert_ids)
+        return len(self.ids)
 
     def __contains__(self, cert_id: int) -> bool:
-        return cert_id in self.cert_ids
+        index = int(np.searchsorted(self.ids, cert_id))
+        return index < len(self.ids) and self.ids[index] == cert_id
+
+    @cached_property
+    def cert_ids(self) -> frozenset[int]:
+        return frozenset(self.ids.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScanSnapshot):
+            return NotImplemented
+        return self.date == other.date and np.array_equal(self.ids, other.ids)
+
+    def __hash__(self) -> int:
+        return hash((self.date, self.ids.tobytes()))
 
 
 class Rapid7Scanner:
@@ -44,13 +65,13 @@ class Rapid7Scanner:
     def scan(self, date: datetime.date) -> ScanSnapshot:
         # Vectorised via the ecosystem's LeafIndex: one mask comparison
         # over precomputed date ordinals instead of a per-leaf Python loop.
-        alive = frozenset(self.ecosystem.alive_ids(date))
+        alive = np.flatnonzero(self.ecosystem.leaf_index.alive_mask(date))
         if self.obs.enabled:
             self.obs.tracer.event(
                 "scan.snapshot", date=date.isoformat(), alive=len(alive)
             )
             self.obs.metrics.counter("scan.certs_observed").inc(len(alive))
-        return ScanSnapshot(date=date, cert_ids=alive)
+        return ScanSnapshot(date=date, ids=alive)
 
     def run_all(self) -> list[ScanSnapshot]:
         with self.obs.tracer.span(
@@ -65,7 +86,7 @@ class Rapid7Scanner:
         derives lifetimes from scans (scan-granularity, not ground truth)."""
         seen: dict[int, tuple[datetime.date, datetime.date]] = {}
         for snapshot in snapshots:
-            for cert_id in snapshot.cert_ids:
+            for cert_id in snapshot.ids.tolist():
                 if cert_id in seen:
                     first, _ = seen[cert_id]
                     seen[cert_id] = (first, snapshot.date)

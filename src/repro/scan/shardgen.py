@@ -33,7 +33,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
-from operator import itemgetter
+
+import numpy as np
 
 from repro.ca.authority import CertificateAuthority
 from repro.ca.profiles import PAPER_CA_PROFILES, CaProfile
@@ -41,6 +42,7 @@ from repro.revocation.reason import ReasonCode
 from repro.revocation.sizing import representative_entry_size
 from repro.scan.bulk import DayInterner, gc_paused
 from repro.scan.calibration import Calibration
+from repro.scan.corpus import EntryColumns, encode_brand_parts, serial_blob
 from repro.scan.crl_model import CrlEntryRecord, EcosystemCrl
 from repro.scan.hidden import HiddenPopulation
 from repro.scan.records import IntermediateRecord, LeafRecord
@@ -104,11 +106,18 @@ class _Mix:
     def draw(self, rng):
         return self._values[bisect.bisect_right(self._cumulative, rng.random())]
 
+    def pick(self, rolls: np.ndarray) -> np.ndarray:
+        """:meth:`draw`'s values for rolls already drawn: the same
+        bisection, as one ``searchsorted`` over the same float totals."""
+        index = np.searchsorted(self._cumulative, rolls, side="right")
+        return np.array(self._values)[index]
+
 
 def _reason_mix(cal: Calibration) -> _Mix:
-    """The calibration's reason-code mixture, as :class:`ReasonCode` values."""
+    """The calibration's reason-code mixture, as the codec's reason
+    column codes (-1 = no reason)."""
     return _Mix(
-        (None if name is None else ReasonCode[name], probability)
+        (-1 if name is None else int(ReasonCode[name]), probability)
         for name, probability in cal.reason_mix
     )
 
@@ -546,7 +555,8 @@ def _revoke_leaf(
     reasons: _Mix,
 ) -> None:
     leaf.revoked_at = when
-    leaf.revocation_reason = reasons.draw(rng)
+    code = reasons.draw(rng)
+    leaf.revocation_reason = None if code < 0 else ReasonCode(code)
     if rng.random() >= cal.keep_advertising_after_revoke:
         # Most administrators deploy the replacement certificate right
         # around the revocation (often just before requesting it).
@@ -644,41 +654,49 @@ _SYNTH_WINDOW_START = datetime.date(2013, 1, 1)
 
 def populate_brand_synthetic(calibration: Calibration, state: BrandState) -> None:
     """Fill each CRL up to its size target with never-observed entries:
-    individually identified records on small (CRLSet-eligible) CRLs, bulk
+    individually identified entries on small (CRLSet-eligible) CRLs, bulk
     :class:`HiddenPopulation` counts on big ones.  One substream per CRL,
-    so even CRLs within a brand are order-independent."""
+    so even CRLs within a brand are order-independent.
+
+    Every CRL leaves with its entries as columns: the observed leaf
+    revocations (encoded in one batch per brand), then the synthetic
+    entries, drawn straight into columns."""
     cal = calibration
     profile = state.profile
     reasons = _reason_mix(cal)
-    days = DayInterner()
     random_long = profile.serial_style == "random_long"
+    end = cal.measurement_end.toordinal()
+    observed = EntryColumns.encode(
+        [entry for crl in state.crls for entry in crl.entries]
+    )
+    stop = 0
     for local_index, crl in enumerate(state.crls):
+        start, stop = stop, stop + len(crl.entries)
+        columns = observed[start:stop]
         target = getattr(crl, "_target_entries", 0)
-        observed_end = sum(
-            1 for e in crl.entries if e.visible_on(cal.measurement_end)
+        observed_end = int(
+            np.count_nonzero((columns.revoked <= end) & (end <= columns.expiry))
         )
         synthetic_needed = max(0, target - observed_end)
-        if synthetic_needed == 0:
-            continue
-        schedule = HiddenPopulation(
-            target_end=synthetic_needed,
-            window_start=_SYNTH_WINDOW_START,
-            window_end=cal.measurement_end,
-            heartbleed_date=cal.heartbleed_date,
-        )
-        if target > MATERIALIZE_THRESHOLD:
-            crl.hidden = schedule
-            continue
-        rng = substream(cal.seed, "synth", profile.name, local_index)
-        serial_band = SYNTH_SERIAL_BASE + SYNTH_SERIAL_STRIDE * (
-            state.layout.crl_base + local_index
-        )
-        crl.entries.extend(
-            _synthetic_entries(
-                rng, cal, schedule, reasons, days, None if random_long else serial_band
+        if synthetic_needed:
+            schedule = HiddenPopulation(
+                target_end=synthetic_needed,
+                window_start=_SYNTH_WINDOW_START,
+                window_end=cal.measurement_end,
+                heartbleed_date=cal.heartbleed_date,
             )
-        )
-        crl.invalidate_series()
+            if target > MATERIALIZE_THRESHOLD:
+                crl.hidden = schedule
+            else:
+                rng = substream(cal.seed, "synth", profile.name, local_index)
+                serial_band = SYNTH_SERIAL_BASE + SYNTH_SERIAL_STRIDE * (
+                    state.layout.crl_base + local_index
+                )
+                synthetic = _synthetic_entries(
+                    rng, cal, schedule, reasons, None if random_long else serial_band
+                )
+                columns = EntryColumns.concat([columns, synthetic])
+        crl.entry_columns = columns
 
 
 def _synthetic_entries(
@@ -686,9 +704,8 @@ def _synthetic_entries(
     cal: Calibration,
     schedule: HiddenPopulation,
     reasons: _Mix,
-    days: DayInterner,
     serial_band: int | None,
-) -> list[CrlEntryRecord]:
+) -> EntryColumns:
     """One materialised CRL's synthetic entries, in FIFO order.
 
     They follow the *same* additions/removals schedule as the
@@ -696,52 +713,73 @@ def _synthetic_entries(
     schedule's removal days, so the visible count on any day matches the
     schedule exactly (and equals the size target at the measurement
     end).  Serials are random 160-bit draws, or consecutive from
-    ``serial_band`` when it is given.
+    ``serial_band`` when it is given; ``reasons`` draws column codes.
 
-    Draw order: per initial entry its revocation offset, reason and
-    serial; per added entry (in day order) its reason and serial; per
-    survivor (in FIFO order) its expiry offset.  Removals draw nothing,
-    so the entries are drawn first and their expiries fixed afterwards.
+    Draw order: per initial entry its revocation offset, reason roll and
+    serial; per added entry (in day order) its reason roll and serial;
+    per survivor (in FIFO order) its expiry offset.  Removals draw
+    nothing, so the entries are drawn first and their expiries fixed
+    afterwards.  Only the draws run entry by entry; the rest are vector
+    operations on day ordinals.
     """
-    randint, draw_reason = rng.randint, reasons.draw
+    randint, random = rng.randint, rng.random
     next_serial = (
         partial(rng.getrandbits, 160)
         if serial_band is None
         else itertools.count(serial_band).__next__
     )
     start = _SYNTH_WINDOW_START.toordinal()
-    # (revoked_at, reason, serial) per entry.  The initial entries are
-    # listed oldest first; those revoked on the same day keep draw order.
-    fifo = [
-        (days[start - randint(1, 500)], draw_reason(rng), next_serial())
+    initial = [
+        (randint(1, 500), random(), next_serial())
         for _ in range(schedule.initial_count)
     ]
-    fifo.sort(key=itemgetter(0))
+    # (day ordinal, additions, removals) per active schedule day.
     active = schedule.active_days()
-    for day, added, _ in active:
-        fifo.extend([(day, draw_reason(rng), next_serial()) for _ in range(added)])
+    days, additions, removals = np.array(
+        [(day.toordinal(), added, removed) for day, added, removed in active],
+        np.int64,
+    ).reshape(-1, 3).T
+    added = [(random(), next_serial()) for _ in range(int(additions.sum()))]
+
+    # Rows in draw order, then in FIFO order: the initial entries oldest
+    # first (those revoked on the same day keep draw order), then the
+    # additions in day order.
+    revoked = np.concatenate(
+        [
+            start - np.array([offset for offset, _, _ in initial], np.int64),
+            np.repeat(days, additions),
+        ]
+    )
+    count = len(initial)
+    fifo = np.concatenate(
+        [np.argsort(revoked[:count], kind="stable"), np.arange(count, len(revoked))]
+    )
+    revoked = revoked[fifo]
+    rolls = np.array([roll for _, roll, _ in initial] + [roll for roll, _ in added])
+    serials = [serial for _, _, serial in initial] + [serial for _, serial in added]
 
     # Removals take the oldest listed entries, which stop being listed
-    # the day before (never before their own revocation day).
-    expiry: list[datetime.date | None] = [None] * len(fifo)
-    cursor = 0
-    listed = schedule.initial_count
-    for day, added, removed in active:
-        listed += added
-        stop = min(cursor + removed, listed)
-        if stop > cursor:
-            last_listed = days[day.toordinal() - 1]
-            for i in range(cursor, stop):
-                expiry[i] = max(fifo[i][0], last_listed)
-            cursor = stop
+    # the day before (never before their own revocation day).  Day k ends
+    # with FIFO rows [0, cursor[k]) removed, cursor[k] = min(cursor[k-1]
+    # + removals[k], listed[k]); that clamped running sum is the plain
+    # one plus the running minimum of the headroom, capped at 0.
+    listed = count + np.cumsum(additions)
+    removed = np.cumsum(removals)
+    cursor = removed + np.minimum(np.minimum.accumulate(listed - removed), 0)
+    gone = int(cursor[-1]) if len(cursor) else 0
+    expiry = np.empty(len(revoked), np.int64)
+    removal_day = days[np.searchsorted(cursor, np.arange(gone), side="right")]
+    expiry[:gone] = np.maximum(revoked[:gone], removal_day - 1)
     # Survivors expire after the study window.
     end = cal.measurement_end.toordinal()
-    for i in range(cursor, len(fifo)):
-        expiry[i] = days[end + randint(30, 700)]
-    return [
-        CrlEntryRecord(serial, revoked_at, reason, expires)
-        for (revoked_at, reason, serial), expires in zip(fifo, expiry)
-    ]
+    expiry[gone:] = [end + randint(30, 700) for _ in range(len(revoked) - gone)]
+    return EntryColumns(
+        serial_blob(serials)[fifo],
+        revoked.astype(np.int32),
+        reasons.pick(rolls)[fifo].astype(np.int8),
+        expiry.astype(np.int32),
+        np.full(len(revoked), -1, np.int32),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -802,10 +840,8 @@ def build_shard_parts(
     """Worker entry point: build every brand in ``brand_names`` and return
     columnar parts (cheap to pickle back to the parent -- record objects
     are 40x bigger on the wire)."""
-    from repro.scan import corpus
-
     parts: dict[str, dict] = {}
     for profile, layout in _shard_layouts(calibration, profiles, brand_names):
         state, leaves = build_brand(calibration, profile, layout)
-        parts[profile.name] = corpus.encode_brand_parts(state, leaves)
+        parts[profile.name] = encode_brand_parts(state, leaves)
     return parts

@@ -344,7 +344,7 @@ class ClientFleet:
         """Short-lived certificates: no endpoint, pure signing load --
         every alive certificate re-issued once per lifetime."""
         end = self.host.calibration.measurement_end
-        alive = len(self.host.ecosystem.alive_ids(end))
+        alive = int(self.host.ecosystem.leaf_index.alive_mask(end).sum())
         lifetime = self.model.presign_interval_days
         signings = round(alive * self.config.sim_days / lifetime)
         self.storage.sign_offline(signings, ISSUED_CERT_BYTES)

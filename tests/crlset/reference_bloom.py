@@ -1,10 +1,11 @@
 """The per-position Bloom filter and cascade build, kept as a test oracle.
 
 :class:`repro.crlset.bloom.BloomFilter` reduces each item's two SHA-256
-halves modulo ``m`` once and then steps every position of a batch in
-int64.  This module computes each position on its own from the full
-128-bit halves, ``(h1 + i * h2) mod m``, and sets or tests one bit at a
-time in a ``bytearray``, as the filter did before it handled batches.
+halves modulo ``m`` once and then computes a batch's positions in
+int64 blocks.  This module computes each position on its own from the
+full 128-bit halves, ``(h1 + i * h2) mod m``, and sets or tests one bit
+at a time in a ``bytearray``, as the filter did before it handled
+batches.
 ``test_bloom.py`` checks that both give the same positions, filter
 bytes, membership and cascade levels.
 """

@@ -32,6 +32,9 @@ class TestConstruction:
             BloomFilter(m_bits=4, k=1)
         with pytest.raises(ValueError):
             BloomFilter(m_bits=1024, k=0)
+        # Positions need k m < 2**63; the filter is never allocated.
+        with pytest.raises(ValueError):
+            BloomFilter(m_bits=1 << 62, k=2)
 
     def test_size_bytes(self):
         assert BloomFilter(m_bits=8192, k=3).size_bytes == 1024
@@ -126,16 +129,17 @@ def _random_items(seed: int, n: int) -> list[bytes]:
 
 
 class TestAgainstReference:
-    """The batched int64 steps against the per-position 128-bit formula
-    (tests/crlset/reference_bloom.py)."""
+    """The batched int64 positions against the per-position 128-bit
+    formula (tests/crlset/reference_bloom.py)."""
 
     @pytest.mark.parametrize("m_bits", [8, 1_000_003, _HUGE_M])
     @pytest.mark.parametrize("k", [1, 7, 73, 200])
     def test_positions_equal_reference(self, m_bits, k):
         items = _random_items(k, 40)
         steps = [
-            positions.tolist()
-            for positions in BloomFilter(m_bits, k)._positions(items)
+            row.tolist()
+            for block in BloomFilter(m_bits, k)._position_blocks(items)
+            for row in block
         ]
         assert len(steps) == k
         for index, item in enumerate(items):

@@ -81,10 +81,16 @@ class TestRunAllInvariant:
         )
         assert [r.render() for r in results] == baseline_renders
 
-    def test_run_key_separates_calibrations_and_net_faults(self, cache_dir):
+    def test_run_key_separates_calibrations_and_net_faults(
+        self, cache_dir, monkeypatch
+    ):
         """The journal key covers everything the results depend on (and
         nothing else): calibration + network faults, never exec faults."""
         from repro.experiments.runner import _run_key
+
+        # The base study takes the default fault profile from the
+        # environment; unset it, so "chaos" below differs from it.
+        monkeypatch.delenv("REPRO_FAULT_PROFILE", raising=False)
 
         base = _run_key(_study(cache_dir))
         other_seed = MeasurementStudy(

@@ -33,8 +33,12 @@ class TestTraceOut:
         assert main(ARGS + ["--trace-out", str(again)]) == 0
         assert again.read_bytes() == trace_path.read_bytes()
 
-    def test_meta_header_records_the_invocation(self, trace_path):
-        meta = json.loads(trace_path.read_text().splitlines()[0])
+    def test_meta_header_records_the_invocation(self, tmp_path, monkeypatch):
+        # The default fault profile comes from the environment: unset it.
+        monkeypatch.delenv("REPRO_FAULT_PROFILE", raising=False)
+        path = tmp_path / "trace.jsonl"
+        assert main(ARGS + ["--trace-out", str(path)]) == 0
+        meta = json.loads(path.read_text().splitlines()[0])
         assert meta["type"] == "meta"
         assert meta["experiment"] == "fig2"
         assert meta["scale"] == pytest.approx(0.0005)
