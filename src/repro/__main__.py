@@ -67,6 +67,7 @@ import argparse
 import sys
 
 from repro import api
+from repro.scan.calibration import Calibration
 
 
 def _fault_parent(suppress: bool) -> argparse.ArgumentParser:
@@ -126,12 +127,21 @@ def _exec_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _scale(value: str) -> float:
+    """``--scale``: a float that :class:`Calibration` accepts, so an
+    out-of-range scale is a usage error (exit 2), not a traceback."""
+    try:
+        return Calibration(scale=float(value)).scale
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(f"{value!r}: {error}") from None
+
+
 def _calibration_parent() -> argparse.ArgumentParser:
     """The shared ``--scale``/``--seed`` calibration flags."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--scale",
-        type=float,
+        type=_scale,
         default=0.002,
         help="ecosystem scale factor (default 0.002)",
     )

@@ -4,7 +4,7 @@ pyproject.toml.
 Recognised keys::
 
     [tool.repro.analysis]
-    paths = ["src", "tests", "benchmarks"]   # default CLI targets
+    paths = ["src", "tests", "scripts"]      # CLI targets (DEFAULT_PATHS if absent)
     exclude = ["tests/analysis/fixtures"]    # never analysed
     fix-exclude = ["tests"]                  # analysed but never autofixed
     baseline = ".repro-analysis-baseline.json"
@@ -28,11 +28,14 @@ from pathlib import Path
 
 __all__ = ["AnalysisConfig", "load_config"]
 
+#: the CLI's targets when neither the command line nor pyproject names any.
+DEFAULT_PATHS = ("src", "tests", "scripts")
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     root: Path
-    paths: tuple[str, ...] = ("src", "tests", "benchmarks")
+    paths: tuple[str, ...] = DEFAULT_PATHS
     exclude: tuple[str, ...] = ()
     #: paths the linter analyses but ``--fix`` must never edit.  Not
     #: part of :meth:`digest` -- autofix eligibility cannot change what
@@ -96,7 +99,7 @@ def load_config(root: Path) -> AnalysisConfig:
     ignores_raw = section.get("per-path-ignores", {})
     return AnalysisConfig(
         root=root,
-        paths=tuple(section.get("paths", ("src", "tests", "benchmarks"))),
+        paths=tuple(section.get("paths", DEFAULT_PATHS)),
         exclude=tuple(section.get("exclude", ())),
         fix_exclude=tuple(section.get("fix-exclude", ())),
         baseline=section.get("baseline"),

@@ -1,7 +1,7 @@
 """Stable programmatic facade over the repro package.
 
 ``repro.api`` is the supported entry surface for scripts, notebooks,
-benchmarks, and the CLI (``python -m repro`` is a thin shell over this
+perfbench, and the CLI (``python -m repro`` is a thin shell over this
 module).  Since API 2.0 the surface is organised into namespaced
 sub-facades:
 
@@ -29,13 +29,14 @@ parameters that chose another path (the supervision and error-isolation
 switches of ``run_study``/``run_experiments``/``corpus.build``, and
 ``new_study``'s generation shard and worker counts) are gone.  API 6.0
 removed ``CrlSetBuilder``'s ``index`` argument, which the columnar sweep
-never read.
+never read.  API 7.0 kept only the component re-exports that code
+outside the tests reads.
 
-Component re-exports: the classes and helpers the micro-benchmarks (and
-similar out-of-tree consumers) exercise directly -- browser models, PKI
-builders, CRLSet structures -- are re-exported lazily by name (PEP 562),
-so ``api.CrlSetBuilder`` is stable even if the implementing module
-moves.
+Component re-exports: the browser-suite helpers that perfbench and
+``scripts/update_golden.py`` read (``BrowserTestHarness``,
+``generate_test_suite``, ``all_browsers``, ``traffic_report``) are
+re-exported lazily by name (PEP 562).  Everything else is imported from
+its module.
 
 Typical use::
 
@@ -77,8 +78,9 @@ from repro.serve import run_fleet as _run_fleet
 #: ``FleetConfig.with_sessions`` are gone.  5.0: one execution path --
 #: the supervision and error-isolation switches and ``new_study``'s
 #: generation shard/worker counts are gone.  6.0: ``CrlSetBuilder`` takes
-#: no ``index`` argument.
-API_VERSION = "6.0"
+#: no ``index`` argument.  7.0: 44 component re-exports are gone; the 4
+#: left are the ones perfbench and ``scripts/`` read.
+API_VERSION = "7.0"
 
 __all__ = [
     "API_VERSION",
@@ -93,53 +95,9 @@ __all__ = [
 #: are part of the facade contract: renaming an implementing module is
 #: fine, dropping or renaming an attribute is a breaking change.
 _COMPONENT_EXPORTS = {
-    "AndroidBrowser": "repro.browsers.mobile",
-    "BloomFilter": "repro.crlset.bloom",
     "BrowserTestHarness": "repro.browsers.testsuite",
-    "Calibration": "repro.scan.calibration",
-    "Certificate": "repro.pki.certificate",
-    "CertificateBuilder": "repro.pki.certificate",
-    "CertificateRevocationList": "repro.revocation.crl",
-    "ChainContext": "repro.browsers.policy",
-    "CheckCost": "repro.mechanisms",
-    "Chrome": "repro.browsers.desktop",
-    "CrlPublisher": "repro.ca.crl_publisher",
-    "CrlSetBuilder": "repro.crlset.builder",
-    "Delivery": "repro.mechanisms",
-    "Ed25519Backend": "repro.pki.keys",
-    "Firefox": "repro.browsers.desktop",
-    "GolombCompressedSet": "repro.crlset.gcs",
-    "InternetExplorer": "repro.browsers.desktop",
-    "KeyPair": "repro.pki.keys",
-    "LINK_PROFILES": "repro.net.transport",
-    "LinkProfile": "repro.net.transport",
-    "MobileSafari": "repro.browsers.mobile",
-    "MultiStapleServer": "repro.mechanisms.stapling",
-    "Name": "repro.pki.name",
-    "OcspRequest": "repro.revocation.ocsp",
-    "Opera12": "repro.browsers.desktop",
-    "Opera31": "repro.browsers.desktop",
-    "RevocationMechanism": "repro.mechanisms",
-    "RevocationRegime": "repro.mechanisms.shortlived",
-    "RevokedEntry": "repro.revocation.crl",
-    "Safari": "repro.browsers.desktop",
-    "ServeModel": "repro.mechanisms",
-    "SessionCostModel": "repro.core.cost",
-    "SessionState": "repro.mechanisms",
-    "SimBackend": "repro.pki.keys",
-    "StrictClient": "repro.browsers.strict",
-    "TestPki": "repro.browsers.certgen",
-    "UpdateModel": "repro.mechanisms",
     "all_browsers": "repro.browsers.registry",
-    "analyze_coverage": "repro.crlset.coverage",
-    "attack_window_study": "repro.mechanisms.shortlived",
-    "blast_radius": "repro.mechanisms.onecrl",
-    "build_onecrl": "repro.mechanisms.onecrl",
-    "chain_check_cost": "repro.mechanisms.stapling",
-    "format_bytes": "repro.core.report",
-    "format_table": "repro.core.report",
     "generate_test_suite": "repro.browsers.testsuite",
-    "is_crlset_eligible": "repro.revocation.reason",
     "traffic_report": "repro.browsers.traffic",
 }
 
@@ -297,7 +255,7 @@ def _new_study(
 ) -> MeasurementStudy:
     """Build a :class:`MeasurementStudy` without running anything.
 
-    The supported way for scripts and benchmarks to get a study handle
+    The supported way for scripts and perfbench to get a study handle
     (substrate, scans, crawl index, ...) without importing ``repro.core``.
     """
     return MeasurementStudy(

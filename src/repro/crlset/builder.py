@@ -185,10 +185,11 @@ class CrlSetBuilder:
         max_entries_override: int | None = None,
         size_cap_override: int | None = None,
     ) -> None:
-        """The three ``*_override``/``apply_*`` knobs exist for the
-        ablation benches: they disable, respectively, the reason-code
-        filter (rule 4), the per-CRL entry drop threshold (rule 3), and
-        the 250 KB cap (rule 1)."""
+        """The three ``*_override``/``apply_*`` knobs exist for the rule
+        ablations (``tests/crlset/test_builder_analyses.py``): they
+        disable, respectively, the reason-code filter (rule 4), the
+        per-CRL entry drop threshold (rule 3), and the 250 KB cap
+        (rule 1)."""
         self.ecosystem = ecosystem
         self.calibration: Calibration = ecosystem.calibration
         self.removal_brand = removal_brand

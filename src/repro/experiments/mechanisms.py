@@ -23,7 +23,7 @@ from repro.revocation.checker import CheckOutcome
 EXPERIMENT_ID = "mechanisms"
 TITLE = "Revocation mechanisms compared on one substrate (scenario pack)"
 
-#: sites per priced browsing session (matches bench_session_cost).
+#: sites per priced browsing session.
 SESSION_SITES = 100
 
 

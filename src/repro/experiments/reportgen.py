@@ -13,6 +13,7 @@ import sys
 
 from repro.core.pipeline import MeasurementStudy
 from repro.experiments.runner import run_all
+from repro.scan.calibration import Calibration
 
 __all__ = ["generate", "main"]
 
@@ -87,9 +88,17 @@ def generate(
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Print the report; exit 2 with one line on stderr for a scale that
+    :class:`Calibration` rejects, as ``python -m repro report`` does."""
     if argv is None:
         argv = sys.argv[1:]
-    scale = float(argv[0]) if argv else 0.002
+    scale = 0.002
+    if argv:
+        try:
+            scale = Calibration(scale=float(argv[0])).scale
+        except ValueError as error:
+            print(f"reportgen: error: scale {argv[0]!r}: {error}", file=sys.stderr)
+            return 2
     sys.stdout.write(generate(scale))
     return 0
 

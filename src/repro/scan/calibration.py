@@ -73,9 +73,10 @@ class PaperTargets:
 class Calibration:
     """Generator parameters.
 
-    ``scale`` multiplies the paper's full-scale certificate counts; the
-    default 0.002 yields a ~10 k-leaf corpus suitable for tests, while
-    benchmarks use 0.01 (~50 k leaves).  Fractions are scale-invariant.
+    ``scale`` multiplies the paper's full-scale certificate counts and
+    must lie in (0, 1]; the default 0.002 yields a ~10 k-leaf corpus, the
+    tests' scale, and 0.01 yields ~50 k leaves.  Fractions are
+    scale-invariant.
     """
 
     scale: float = 0.002

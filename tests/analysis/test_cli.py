@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +119,16 @@ def test_list_rules_prints_catalogue(project, capsys):
     out = capsys.readouterr().out
     for cls in ALL_RULES:
         assert cls.code in out
+
+
+def test_repository_tree_has_no_findings(monkeypatch, capsys):
+    """The gate CI runs: the paths pyproject.toml configures, linted
+    against the repository's baseline, which is empty, yield nothing."""
+    root = Path(__file__).resolve().parents[2]
+    baseline = json.loads((root / ".repro-analysis-baseline.json").read_text())
+    assert baseline["fingerprints"] == {}
+    monkeypatch.chdir(root)
+    code = main(["--no-cache"])
+    out, err = capsys.readouterr()
+    assert code == 0, out
+    assert "0 new finding(s), 0 baselined" in err

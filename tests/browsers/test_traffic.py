@@ -4,8 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.browsers.desktop import Chrome, InternetExplorer, Safari
-from repro.browsers.mobile import MobileSafari
+from repro.browsers.desktop import (
+    Chrome,
+    Firefox,
+    InternetExplorer,
+    Opera12,
+    Opera31,
+    Safari,
+)
+from repro.browsers.mobile import AndroidBrowser, MobileSafari
+from repro.browsers.strict import StrictClient
 from repro.browsers.testsuite import BrowserTestHarness, generate_test_suite
 from repro.browsers.traffic import traffic_report
 
@@ -70,3 +78,26 @@ class TestTrafficReport:
     def test_report_covers_all_browsers(self, report, sample_cases):
         assert len(report) == 4
         assert all(row.cases == len(sample_cases) for row in report)
+
+    def test_strict_client_catches_most(self):
+        """The §6 trade-off at both ends, over every fourth suite case:
+        full checking costs real bandwidth and catches the most
+        revocations; zero traffic catches none."""
+        browsers = [
+            StrictClient(os="linux"),
+            InternetExplorer(version="11.0"),
+            Safari(),
+            Opera31(os="windows"),
+            Opera12(os="osx"),
+            Firefox(os="linux"),
+            Chrome(os="windows"),
+            Chrome(os="osx"),
+            AndroidBrowser("Chrome", "5.1"),
+            MobileSafari("8"),
+        ]
+        report = traffic_report(browsers, generate_test_suite()[::4])
+        strict = next(row for row in report if "Strict" in row.browser_label)
+        mobile = next(row for row in report if "Mobile" in row.browser_label)
+        assert strict.revocations_caught == max(row.revocations_caught for row in report)
+        assert strict.bytes_downloaded > 0
+        assert mobile.bytes_downloaded == 0 and mobile.revocations_caught == 0

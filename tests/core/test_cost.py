@@ -57,6 +57,21 @@ class TestSessionCost:
         with pytest.raises(KeyError):
             create_suite(model, ("pigeon",))
 
+    def test_registry_sweep(self, study):
+        """A 100-site session priced under every registered mechanism:
+        the pushed mechanisms cost no browse-time bytes, and a CRL
+        download costs more than an OCSP query."""
+        suite = study.mechanism_suite
+        comparison = SessionCostModel(study.ecosystem).compare_mechanisms(
+            suite, site_count=100
+        )
+        assert set(comparison) == {m.name for m in suite} | {"none"}
+        pushed = [
+            comparison[m.name].bytes_downloaded for m in suite if not m.uses_network
+        ]
+        assert pushed and all(cost == 0 for cost in pushed)
+        assert comparison["crl"].bytes_downloaded > comparison["ocsp"].bytes_downloaded
+
     def test_mobile_profile_latency_higher(self, ecosystem):
         broadband = SessionCostModel(ecosystem, LinkProfile(), seed=9)
         mobile = SessionCostModel(ecosystem, LinkProfile.mobile(), seed=9)

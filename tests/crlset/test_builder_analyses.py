@@ -12,6 +12,7 @@ import pytest
 from repro.crlset.builder import CrlSetBuilder
 from repro.crlset.coverage import analyze_coverage
 from repro.crlset.dynamics import analyze_dynamics
+from repro.revocation.reason import is_crlset_eligible
 from repro.scan.crl_model import CrlEntryRecord
 from tests.crlset.reference_sweep import reference_sweep
 
@@ -195,6 +196,44 @@ class TestCoverage:
     def test_parent_counts(self, coverage, history):
         assert coverage.parents_in_crlset == len(history.parents_ever)
         assert coverage.parents_in_crlset < coverage.total_ca_certs
+
+
+def _uncapped_coverage(ecosystem, reason_filter: bool) -> float:
+    """Coverage if every covered CRL were admitted in full: no entry
+    threshold and no byte cap.  A counting question, since the dropped
+    CRLs' populations are bulk-modelled."""
+    end = ecosystem.calibration.measurement_end
+    admitted = 0
+    for crl in ecosystem.crls:
+        if not crl.covered:
+            continue
+        count = crl.entry_count(end)
+        if reason_filter:
+            visible = crl.visible_entries(end)
+            eligible = sum(1 for e in visible if is_crlset_eligible(e.reason))
+            # Hidden entries share the corpus-wide reason mix (~87% eligible).
+            admitted += eligible + int((count - len(visible)) * 0.87)
+        else:
+            admitted += count
+    return admitted / ecosystem.total_crl_entries(end)
+
+
+class TestRuleAblation:
+    """§7.2: the entry threshold, not the byte cap or the reason filter,
+    is what holds CRLSet coverage near 0.35%."""
+
+    def test_dropping_the_reason_filter_admits_more(self, ecosystem, coverage):
+        unfiltered = CrlSetBuilder(ecosystem, apply_reason_filter=False).run()
+        assert (
+            analyze_coverage(ecosystem, unfiltered).coverage_fraction
+            >= coverage.coverage_fraction
+        )
+
+    def test_entry_threshold_limits_coverage(self, ecosystem, coverage):
+        no_threshold = _uncapped_coverage(ecosystem, reason_filter=True)
+        no_rules = _uncapped_coverage(ecosystem, reason_filter=False)
+        assert no_threshold > 5 * coverage.coverage_fraction
+        assert no_rules >= no_threshold
 
 
 class TestDynamics:

@@ -15,8 +15,11 @@ NOW = datetime.datetime(2015, 3, 31, 12, 0, tzinfo=datetime.timezone.utc)
 
 
 @pytest.fixture()
-def pki():
-    return TestPki("ms", 2, {"ocsp"}, ev=False)
+def pki(request):
+    """A two-intermediate chain; tests that parametrize ``pki``
+    indirectly choose the intermediate count."""
+    intermediates = getattr(request, "param", 2)
+    return TestPki(f"ms{intermediates}", intermediates, {"ocsp"}, ev=False)
 
 
 def make_server(pki: TestPki) -> MultiStapleServer:
@@ -92,6 +95,23 @@ class TestChainCheckCost:
             pki.chain, (None,) * (len(pki.chain) - 1), pki.checker(), NOW
         )
         assert cost.fetches == len(pki.chain) - 1
+
+    @pytest.mark.parametrize("pki", [1, 2, 3], indirect=True)
+    def test_classic_staple_saves_one_fetch_multi_saves_all(self, pki):
+        """RFC 6961 against RFC 6066, at every chain length: a classic
+        (leaf-only) staple removes exactly one blocking fetch, and
+        whole-chain staples remove them all."""
+        server = make_server(pki)
+        server.warm_all(NOW)
+        full = server.handshake(NOW, status_request_v2=True)
+        checker = pki.checker()
+        unstapled = (None,) * len(full.staples)
+        leaf_only = (full.staples[0],) + unstapled[1:]
+        none = chain_check_cost(full.chain, unstapled, checker, NOW).fetches
+        classic = chain_check_cost(full.chain, leaf_only, checker, NOW).fetches
+        multi = chain_check_cost(full.chain, full.staples, checker, NOW).fetches
+        assert classic == none - 1
+        assert multi == 0
 
     def test_revoked_intermediate_caught_via_staple(self, pki):
         pki.revoke(1)

@@ -78,11 +78,12 @@ class TestOneCrl:
         late = build_onecrl(ecosystem, datetime.date(2015, 3, 31))
         assert len(early) < len(late)
 
-    def test_tiny_size(self, ecosystem, measurement_end):
+    def test_tiny_size(self, ecosystem, measurement_end, crlset_history):
         """The whole point: complete intermediate coverage in <1 KB,
         vs 250 KB for a 0.x%-coverage CRLSet."""
         onecrl = build_onecrl(ecosystem, measurement_end)
         assert onecrl.size_bytes < 1024
+        assert onecrl.size_bytes * 100 < crlset_history.final_snapshot.size_bytes
 
     def test_blocks_chain(self, ecosystem, measurement_end):
         onecrl = build_onecrl(ecosystem, measurement_end)
@@ -103,3 +104,11 @@ class TestOneCrl:
         assert radius > 0
         # Blocking one 32-byte entry protects every one of those leaves.
         assert radius * 32 > OneCrl(measurement_end, frozenset()).size_bytes
+        # Each entry blocks a whole subtree: the list protects more than
+        # ten leaves per entry.
+        protected = sum(
+            blast_radius(ecosystem, record.intermediate_id)
+            for record in ecosystem.intermediates
+            if record.revoked_at is not None and record.revoked_at <= measurement_end
+        )
+        assert protected > len(onecrl) * 10

@@ -113,6 +113,11 @@ class TestWireFormat:
         big = make_crl(issuer_name, issuer_keys, serials=tuple(range(1000, 2000)))
         per_entry = (big.encoded_size - small.encoded_size) / 1000
         assert 20 <= per_entry <= 50
+        # A 10,000-entry CRL, header included, averages between 20 and
+        # 50 bytes an entry, and parses back whole.
+        der = make_crl(issuer_name, issuer_keys, serials=range(1000, 11_000)).to_der()
+        assert 20 * 10_000 < len(der) < 50 * 10_000
+        assert len(CertificateRevocationList.from_der(der)) == 10_000
 
     @given(
         st.sets(st.integers(min_value=0, max_value=2**64), min_size=0, max_size=30)

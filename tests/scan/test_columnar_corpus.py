@@ -23,6 +23,7 @@ import pytest
 from repro import api
 from repro.ca.profiles import PAPER_CA_PROFILES
 from repro.core.pipeline import MeasurementStudy
+from repro.pki.keys import KeyPair
 from repro.pki.name import Name
 from repro.revocation.reason import ReasonCode
 from repro.scan import shardgen
@@ -168,7 +169,7 @@ def _crl() -> EcosystemCrl:
         brand="Unit",
         intermediate_id=0,
         issuer_name=Name.make("Unit CA", organization="Unit CA"),
-        issuer_key_hash=b"\x01" * 32,
+        issuer_key_hash=KeyPair.generate("columns-ca").key_id,
         signature_size=256,
         signature_algorithm_oid="1.2.840.113549.1.1.11",
         serial_bytes=21,

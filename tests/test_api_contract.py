@@ -7,7 +7,8 @@ API 3.0 removed those aliases.  A former flat name now raises
 ``AttributeError``, suggesting its namespaced home where it is close
 enough to match.  API 4.0 removed the member ``study.crawl_figures_legs``.
 API 5.0 removed the parameters that chose between a supervised and a
-plain execution path.
+plain execution path.  API 7.0 kept only the 4 component re-exports that
+code outside the tests reads.
 
 Anything pinned here is a compatibility promise: removing or renaming an
 entry is a breaking change (major bump of ``API_VERSION``), adding one
@@ -18,13 +19,12 @@ pinned lists here in the same commit.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro import api
+from repro.net.transport import LINK_PROFILES, LinkProfile
 
-PINNED_VERSION = "6.0"
+PINNED_VERSION = "7.0"
 
 PINNED_ALL = [
     "API_VERSION",
@@ -138,54 +138,13 @@ UNSUGGESTED_HOMES = {
     "verify_corpus",
 }
 
+#: read by perfbench (``BrowserTestHarness``, ``generate_test_suite``)
+#: and ``scripts/update_golden.py`` (``generate_test_suite``,
+#: ``all_browsers``, ``traffic_report``).
 PINNED_COMPONENTS = [
-    "AndroidBrowser",
-    "BloomFilter",
     "BrowserTestHarness",
-    "Calibration",
-    "Certificate",
-    "CertificateBuilder",
-    "CertificateRevocationList",
-    "ChainContext",
-    "CheckCost",
-    "Chrome",
-    "CrlPublisher",
-    "CrlSetBuilder",
-    "Delivery",
-    "Ed25519Backend",
-    "Firefox",
-    "GolombCompressedSet",
-    "InternetExplorer",
-    "KeyPair",
-    "LINK_PROFILES",
-    "LinkProfile",
-    "MobileSafari",
-    "MultiStapleServer",
-    "Name",
-    "OcspRequest",
-    "Opera12",
-    "Opera31",
-    "RevocationMechanism",
-    "RevocationRegime",
-    "RevokedEntry",
-    "Safari",
-    "ServeModel",
-    "SessionCostModel",
-    "SessionState",
-    "SimBackend",
-    "StrictClient",
-    "TestPki",
-    "UpdateModel",
     "all_browsers",
-    "analyze_coverage",
-    "attack_window_study",
-    "blast_radius",
-    "build_onecrl",
-    "chain_check_cost",
-    "format_bytes",
-    "format_table",
     "generate_test_suite",
-    "is_crlset_eligible",
     "traffic_report",
 ]
 
@@ -270,20 +229,13 @@ class TestComponentReExports:
             )
             assert attr is getattr(module, name), name
 
-    def test_component_exports_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            api.LinkProfile  # noqa: B018
-            api.LINK_PROFILES  # noqa: B018
-            api.ServeModel  # noqa: B018
-
     def test_link_profiles_canonical(self):
-        """The broadband/mobile profiles have one home: the facade and
-        the serving fleet share the same objects."""
-        profiles = api.LINK_PROFILES
+        """The broadband/mobile profiles have one home,
+        ``repro.net.transport``, whose objects the serving fleet reads."""
+        profiles = LINK_PROFILES
         assert set(profiles) == {"broadband", "mobile"}
-        assert profiles["broadband"] == api.LinkProfile()
-        assert profiles["mobile"] == api.LinkProfile.mobile()
+        assert profiles["broadband"] == LinkProfile()
+        assert profiles["mobile"] == LinkProfile.mobile()
 
 
 class TestErrorPath:
@@ -307,22 +259,3 @@ class TestErrorPath:
         with pytest.raises(AttributeError) as excinfo:
             api.zzqx_not_even_close  # noqa: B018
         assert "did you mean" not in str(excinfo.value)
-
-
-class TestBenchmarkDiscipline:
-    def test_benchmarks_only_import_the_facade(self):
-        """The micro-benches ride on the facade: no ``repro.*`` internals
-        (the RPR012 lint rule enforces the pool side of this)."""
-        from pathlib import Path
-        import re
-
-        bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
-        pattern = re.compile(
-            r"^\s*(?:from|import)\s+(repro[.\w]*)", re.MULTILINE
-        )
-        for path in sorted(bench_dir.glob("*.py")):
-            for module in pattern.findall(path.read_text()):
-                assert module in ("repro", "repro.api"), (
-                    f"{path.name} imports {module}; benchmarks must go "
-                    "through repro.api"
-                )

@@ -41,6 +41,24 @@ class TestExitCodes:
             main([])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "1.5", "nan"])
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "fig2"], ["report"], ["serve-bench"], ["corpus", "build", "store"]],
+        ids=" ".join,
+    )
+    def test_out_of_range_scale_is_usage_error(self, command, scale, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--scale", scale])
+        assert excinfo.value.code == 2
+        assert "scale must be in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "1.5", "nan"])
+    def test_reportgen_out_of_range_scale_is_2(self, scale, capsys):
+        assert reportgen.main([scale]) == 2
+        _, err = capsys.readouterr()
+        assert err.count("\n") == 1 and "scale must be in (0, 1]" in err
+
     def test_trace_missing_file_is_2(self, capsys):
         assert main(["trace", "/nonexistent/trace.jsonl"]) == 2
         assert "trace.jsonl" in capsys.readouterr().err

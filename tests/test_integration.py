@@ -14,6 +14,7 @@ from repro.browsers.certgen import TestPki
 from repro.browsers.desktop import InternetExplorer, Safari
 from repro.browsers.mobile import MobileSafari
 from repro.browsers.policy import ChainContext
+from repro.browsers.registry import all_browsers
 
 NOW = datetime.datetime(2015, 3, 31, 12, 0, tzinfo=datetime.timezone.utc)
 
@@ -62,6 +63,28 @@ class TestRevocationLifecycle:
         chain, staple = pki_b.handshake(status_request=True)
         hard = browser.validate(ChainContext(chain, staple, pki_b.checker(), NOW))
         assert not hard.accepted
+
+    def test_blocking_attacker_beats_most_browsers(self):
+        """§2.3: "any attacker who can block access to specific domains
+        could leverage soft-failures to effectively turn off revocation
+        checking."  With every CRL and OCSP endpoint of a revoked chain
+        blocked, the soft-fail browser/OS combinations outnumber the
+        hard-fail ones."""
+        accepted = rejected = 0
+        for index, browser in enumerate(all_browsers()):
+            pki = TestPki(f"sf{index}", 1, {"crl", "ocsp"}, ev=False)
+            pki.revoke(0)
+            for position in (0, 1):
+                for protocol in ("crl", "ocsp"):
+                    pki.make_unavailable(position, protocol, "no_response")
+            chain, staple = pki.handshake(status_request=browser.requests_staple())
+            result = browser.validate(ChainContext(chain, staple, pki.checker(), NOW))
+            if result.accepted:
+                accepted += 1
+            else:
+                rejected += 1
+        assert accepted > rejected
+        assert accepted + rejected == 30
 
     def test_mobile_user_accepts_revoked_cert(self):
         """The paper's bleakest path: a revoked certificate sails through
