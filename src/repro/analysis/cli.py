@@ -117,16 +117,16 @@ def _discover(root: Path, targets: list[Path], config: AnalysisConfig):
         for path in candidates:
             if path.suffix != ".py":
                 continue
-            if any(
-                part == "__pycache__" or part.startswith(".")
-                for part in path.parts
-            ):
-                continue
             resolved = path.resolve()
             try:
                 rel = resolved.relative_to(root).as_posix()
             except ValueError:
                 rel = path.as_posix()
+            if any(
+                part == "__pycache__" or part.startswith(".")
+                for part in Path(rel).parts
+            ):
+                continue
             if rel in seen or config.is_excluded(rel):
                 continue
             seen.add(rel)
@@ -152,7 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     root = find_project_root(Path.cwd())
     config = load_config(root)
-    raw_targets = args.paths or list(config.paths)
+    # Paths on the command line are relative to the working directory;
+    # the configured ones are relative to the project root.
+    raw_targets = args.paths or [root / raw for raw in config.paths]
     targets: list[Path] = []
     for raw in raw_targets:
         path = Path(raw)

@@ -19,8 +19,8 @@ and was removed from the CRLSet -- the raw material for Figures 8, 9,
 and 10.
 
 The sweep is a set of vector operations over the covered CRLs' entry
-columns (:attr:`repro.scan.crl_model.EcosystemCrl.entry_columns`), not
-a day-by-day walk.  An entry sits on its crawled CRL over the day range ``[add,
+columns (:attr:`repro.scan.crl_model.EcosystemCrl.entries`), not a
+day-by-day walk.  An entry sits on its crawled CRL over the day range ``[add,
 remove)``, with ``add = max(revoked + lag, first day)`` and ``remove =
 expiry + 1``, so on a build day it is *active* iff that day falls in the
 range; binning each range's first and last build day per CRL and taking
@@ -235,7 +235,7 @@ class CrlSetBuilder:
         last = cal.measurement_end.toordinal()
         crls = [crl for crl in self.ecosystem.crls if crl.covered]
         n_crls = len(crls)
-        columns = EntryColumns.concat([crl.entry_columns for crl in crls])
+        columns = EntryColumns.concat([crl.entries for crl in crls])
         crl = np.repeat(
             np.arange(n_crls), np.array([len(c.entries) for c in crls], np.int64)
         )

@@ -9,7 +9,6 @@ encoding is implemented for real so the study's CRL byte-size measurements
 from __future__ import annotations
 
 import datetime
-import os
 from dataclasses import dataclass
 
 from repro.asn1 import der
@@ -24,10 +23,6 @@ _UTC = datetime.timezone.utc
 
 # RFC 5280 TBSCertList context tag: crlExtensions [0].
 _CTX_CRL_EXTENSIONS = 0
-
-#: When set, every arithmetic ``encoded_size`` is cross-checked against a
-#: full re-encoding (slow; for debugging the DER fast path only).
-_DER_CHECK = bool(os.environ.get("REPRO_DER_CHECK"))
 
 
 def _encode_time(when: datetime.datetime) -> bytes:
@@ -168,9 +163,7 @@ class CertificateRevocationList:
     def encoded_size(self) -> int:
         """Byte size of the DER encoding (what clients download).
 
-        Computed with exact DER length arithmetic (no encoding); set the
-        ``REPRO_DER_CHECK`` environment variable to cross-check every
-        result against ``len(to_der())``.
+        Computed with exact DER length arithmetic (no encoding).
         """
         cached = self.__dict__.get("_encoded_size_cache")
         if cached is None:
@@ -194,13 +187,6 @@ class CertificateRevocationList:
                 for entry in self.entries
             )
             cached = model.size(entry_bytes)
-            if _DER_CHECK:
-                actual = len(self.to_der())
-                if cached != actual:
-                    raise AssertionError(
-                        f"DER fast path size {cached} != encoded {actual} "
-                        f"for CRL {self.url or self.crl_number}"
-                    )
             object.__setattr__(self, "_encoded_size_cache", cached)
         return cached
 

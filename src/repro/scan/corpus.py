@@ -20,13 +20,13 @@ Dates are stored as int32 proleptic ordinals (0 = None), serials as
 21-byte big-endian blobs (fits 160-bit random serials), reason codes as
 int8 (-1 = None).
 
-The entry columns are also the in-memory form of the CRL entries:
-generation draws each CRL's synthetic entries straight into an
-:class:`EntryColumns`, the decoder hands each
-:class:`~repro.scan.crl_model.EcosystemCrl` its run of store rows, and
-the CRL timelines, the CRLSet sweep and the §7 analyses read those
-columns.  Entry records are built from them (:meth:`EntryColumns.decode`)
-only where something reads a record.
+The entry columns are also the one in-memory form of the CRL entries:
+generation encodes each brand's observed entries and draws the synthetic
+ones straight into an :class:`EntryColumns`, the decoder hands each
+:class:`~repro.scan.crl_model.EcosystemCrl` its run of rows, and the CRL
+timelines, the CRLSet sweep and the §7 analyses read those columns.
+:class:`CrlEntryRecord` is the codec's row type: records are built
+(:meth:`EntryColumns.decode`) only as a copy, where something reads one.
 """
 
 from __future__ import annotations
@@ -34,17 +34,22 @@ from __future__ import annotations
 import datetime
 import hashlib
 import itertools
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.revocation.reason import ReasonCode
 from repro.scan.bulk import DayInterner
-from repro.scan.crl_model import CrlEntryRecord, EcosystemCrl
 from repro.scan.hidden import HiddenPopulation
 from repro.scan.records import LeafRecord
 
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.scan.crl_model import EcosystemCrl
+
 __all__ = [
     "CORPUS_FORMAT",
+    "CrlEntryRecord",
     "EntryColumns",
     "brand_digests",
     "concat_parts",
@@ -135,13 +140,27 @@ def _column(arrays: dict[str, np.ndarray], name: str, rows: slice) -> np.ndarray
     return column
 
 
+@dataclass(slots=True)
+class CrlEntryRecord:
+    """One individually identified CRL entry: a decoded row of
+    :class:`EntryColumns`."""
+
+    serial_number: int
+    revoked_at: datetime.date
+    reason: ReasonCode | None
+    cert_not_after: datetime.date
+    #: cert_id of the Leaf Set certificate this entry revokes, if observed.
+    cert_id: int | None = None
+
+
 class EntryColumns:
     """A run of CRL entries in the codec's entry columns.
 
     ``serial`` is the ``(n, 21)`` big-endian blob, ``revoked`` and
     ``expiry`` int32 day ordinals, ``reason`` int8 (-1 = no reason) and
     ``cert`` int32 (-1 = not a Leaf Set certificate): row ``i`` encodes
-    the ``i``-th entry record.
+    the ``i``-th entry record.  A run is never edited in place, so runs
+    sliced out of one column set share its arrays.
     """
 
     __slots__ = ("cert", "expiry", "reason", "revoked", "serial")
@@ -278,7 +297,7 @@ def _encode_leaves(
 
 
 def _encode_crls(crls: list[EcosystemCrl]) -> dict[str, np.ndarray]:
-    arrays = EntryColumns.concat([crl.entry_columns for crl in crls]).arrays()
+    arrays = EntryColumns.concat([crl.entries for crl in crls]).arrays()
     arrays.update(
         {
             "crl_entry_count": np.array([len(crl.entries) for crl in crls], np.int32),
@@ -419,20 +438,14 @@ def brand_digests(
 
 
 def decode_brand_leaves(
-    arrays: dict[str, np.ndarray],
-    state,
-    crls: list[EcosystemCrl],
-    offset: int = 0,
+    arrays: dict[str, np.ndarray], state, crls: list[EcosystemCrl]
 ) -> list[LeafRecord]:
-    """Rebuild one brand's leaf records from columns.
-
-    ``arrays`` may be the full corpus (pass the brand's ``offset`` =
-    ``layout.cert_base``) or a single brand's parts (offset 0); ``crls``
-    is always the *global* CRL list the ``leaf_crl`` indexes point into.
-    """
+    """Rebuild one brand's leaf records from the full corpus columns
+    (rows ``layout.cert_base`` on); ``crls`` is the global CRL list the
+    ``leaf_crl`` indexes point into."""
     layout = state.layout
     count = layout.cert_count
-    rows = slice(offset, offset + count)
+    rows = slice(layout.cert_base, layout.cert_base + count)
     days = DayInterner()
 
     def column(name: str) -> list:
@@ -473,29 +486,20 @@ def decode_brand_leaves(
 
 
 def decode_crl_population(
-    arrays: dict[str, np.ndarray],
-    crls: list[EcosystemCrl],
-    calibration,
-    crl_offset: int = 0,
-    entry_offset: int = 0,
+    arrays: dict[str, np.ndarray], crls: list[EcosystemCrl], calibration
 ) -> None:
-    """Attach entries, assigned counts, and hidden populations to an
-    already-scaffolded CRL list (in place).  Each CRL's entries are its
-    run of the entry columns; no record is built.
+    """Attach entries, assigned counts, and hidden populations to the
+    scaffolded global CRL list (in place).  Each CRL's ``entries`` is
+    assigned its run of the entry columns; no record is built.
 
-    ``crls`` here is the slice being decoded (a brand's own CRLs for
-    parts, the global list for the full corpus); offsets locate the
-    slice inside ``arrays``.  A reason code or day ordinal that no entry
-    record could hold raises ``ValueError``, so a damaged column fails
-    the decode.
+    A reason code or day ordinal that no entry record could hold raises
+    ``ValueError``, so a damaged column fails the decode.
     """
     from repro.scan.shardgen import _SYNTH_WINDOW_START
 
-    crl_rows = slice(crl_offset, crl_offset + len(crls))
+    crl_rows = slice(0, len(crls))
     counts = _column(arrays, "crl_entry_count", crl_rows).tolist()
-    columns = EntryColumns.from_arrays(
-        arrays, slice(entry_offset, entry_offset + sum(counts))
-    )
+    columns = EntryColumns.from_arrays(arrays, slice(0, sum(counts)))
     if not np.isin(columns.reason, _REASON_CODES).all():
         raise ValueError("corpus column entry_reason holds an unknown reason code")
     for name in ("revoked", "expiry"):
@@ -509,7 +513,7 @@ def decode_crl_population(
         _column(arrays, "crl_assigned", crl_rows).tolist(),
         _column(arrays, "crl_hidden", crl_rows).tolist(),
     ):
-        crl.entry_columns = columns[cursor : cursor + count]
+        crl.entries = columns[cursor : cursor + count]
         cursor += count
         crl.assigned_cert_count = assigned
         if target >= 0:

@@ -11,7 +11,7 @@ generation.
 timeline with byte-size prefix sums, making ``entry_count(day)``,
 ``additions_on(day)``, and ``size_bytes(day)`` O(log n) bisections.  It
 is built from the CRL's entry columns
-(:attr:`~repro.scan.crl_model.EcosystemCrl.entry_columns`) with a few
+(:attr:`~repro.scan.crl_model.EcosystemCrl.entries`) with a few
 vector operations: a size-table lookup, then per distinct revocation and
 expiry day an entry count and byte sum (``bincount``) and their prefix
 sums.  :class:`CrawlIndex` aggregates the per-CRL series across
@@ -82,27 +82,6 @@ def _entry_sizes(columns) -> np.ndarray:
     return _ENTRY_SIZES[code]
 
 
-def _record_timeline(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(revoked, expiry, size)`` columns sized entry by entry: the
-    fallback for serials the codec cannot hold (negative, or 2**168 and
-    up), which only hand-built CRLs carry."""
-    return (
-        np.array([entry.revoked_at.toordinal() for entry in entries], np.int64),
-        np.array([entry.cert_not_after.toordinal() for entry in entries], np.int64),
-        np.array(
-            [
-                revoked_entry_size(
-                    entry.serial_number,
-                    with_reason=entry.reason is not None,
-                    generalized_time=entry.revoked_at.year > 2049,
-                )
-                for entry in entries
-            ],
-            np.int64,
-        ),
-    )
-
-
 def _day_totals(days: np.ndarray, sizes: np.ndarray) -> tuple[list[int], ...]:
     """``(distinct days, running counts, running bytes, per-day counts)``
     of entries keyed by ``days``: the days ascending, the running totals
@@ -143,18 +122,13 @@ class CrlSeries:
     )
 
     def __init__(self, crl: "EcosystemCrl") -> None:
-        try:
-            columns = crl.entry_columns
-        except OverflowError:
-            revoked, expiry, sizes = _record_timeline(crl.entries)
-        else:
-            revoked, expiry = columns.revoked, columns.expiry
-            sizes = _entry_sizes(columns)
+        columns = crl.entries
+        revoked, expiry = columns.revoked, columns.expiry
         late = revoked > expiry
         if late.any():
-            entry = crl.entries[int(late.argmax())]
+            (serial,) = columns.serial_numbers([int(late.argmax())])
             raise ValueError(
-                f"entry {entry.serial_number} on {crl.url} revoked after "
+                f"entry {serial} on {crl.url} revoked after "
                 "certificate expiry; timeline decomposition needs "
                 "revoked_at <= cert_not_after"
             )
@@ -162,6 +136,7 @@ class CrlSeries:
         # The distinct revocation days and expiry days (when entries drop
         # off the CRL), ascending, each with the running entry count and
         # byte total up to and including it (index 0: none yet).
+        sizes = _entry_sizes(columns)
         self._rev_days, self._rev_count, self._rev_bytes, additions = _day_totals(
             revoked, sizes
         )
@@ -266,6 +241,3 @@ class CrawlIndex:
 
     def sizes_at(self, day: datetime.date) -> dict[str, int]:
         return {crl.url: crl.series.size_bytes(day) for crl in self.ecosystem.crls}
-
-    def total_entries(self, day: datetime.date) -> int:
-        return sum(crl.series.entry_count(day) for crl in self.ecosystem.crls)

@@ -5,103 +5,47 @@ materialised entries it can identify individually (observed leaf
 revocations plus, on CRLSet-eligible CRLs, synthetic never-observed
 revocations) and -- on the big CRLs -- a bulk :class:`HiddenPopulation`.
 Byte sizes use exact DER arithmetic (:mod:`repro.revocation.sizing`).
-A CRL's entries are kept in the form they were last written in: a list
-of :class:`CrlEntryRecord` (``add_entry``, assigning ``entries``) or a
-run of corpus codec columns (assigning
-:attr:`EcosystemCrl.entry_columns`, which generation and the store
-decode do).  The CRL timelines, the CRLSet sweep and the §7 analyses
-read the columns; records are built from columns only when something
-reads them (:class:`ColumnEntries`).
+The materialised entries are one run of the corpus codec's entry
+columns (:class:`~repro.scan.corpus.EntryColumns`), which generation and
+the store decode assign.  The CRL timelines, the CRLSet sweep and the
+§7 analyses read those columns; entry records exist only as a decoded
+copy, for :meth:`EcosystemCrl.visible_entries` and
+:meth:`EcosystemCrl.to_crl`.
 """
 
 from __future__ import annotations
 
 import datetime
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.pki.name import Name
 from repro.revocation.crl import CertificateRevocationList, RevokedEntry
-from repro.revocation.reason import ReasonCode
 from repro.revocation.sizing import CrlSizeModel
+from repro.scan.corpus import CrlEntryRecord, EntryColumns
 from repro.scan.crawl_index import CrlSeries
 from repro.scan.hidden import HiddenPopulation
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.scan.corpus import EntryColumns
-
-__all__ = ["ColumnEntries", "CrlEntryRecord", "EcosystemCrl"]
+__all__ = ["EcosystemCrl"]
 
 _UTC = datetime.timezone.utc
+
+#: the entries of a CRL that lists none; one run serves every such CRL,
+#: since columns are never edited in place.
+_NO_ENTRIES = EntryColumns.concat([])
 
 
 def _noon(day: datetime.date) -> datetime.datetime:
     return datetime.datetime(day.year, day.month, day.day, 12, 0, tzinfo=_UTC)
 
 
-@dataclass(slots=True)
-class CrlEntryRecord:
-    """One individually identified CRL entry."""
-
-    serial_number: int
-    revoked_at: datetime.date
-    reason: ReasonCode | None
-    cert_not_after: datetime.date
-    #: cert_id of the Leaf Set certificate this entry revokes, if observed.
-    cert_id: int | None = None
-
-    def visible_on(self, day: datetime.date) -> bool:
-        """CAs list an entry from revocation until certificate expiry."""
-        return self.revoked_at <= day <= self.cert_not_after
-
-
-class ColumnEntries(Sequence):
-    """The entries of a CRL whose written form is a run of entry columns.
-
-    A read-only sequence: ``len()`` is the row count, and the records
-    are decoded from the columns once, on the first item read or
-    iteration (:meth:`~repro.scan.corpus.EntryColumns.decode`).  It
-    compares equal to the list of the same records.  The records are a
-    decoded copy: an edit to one reaches the CRL's counts, sizes and
-    columns once :meth:`EcosystemCrl.invalidate_series` makes the
-    records the written form.
-    """
-
-    __slots__ = ("_records", "columns")
-
-    def __init__(self, columns: EntryColumns) -> None:
-        self.columns = columns
-        self._records: list[CrlEntryRecord] | None = None
-
-    def _decoded(self) -> list[CrlEntryRecord]:
-        if self._records is None:
-            self._records = self.columns.decode()
-        return self._records
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def __getitem__(self, index):
-        return self._decoded()[index]
-
-    def __iter__(self):
-        return iter(self._decoded())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ColumnEntries):
-            other = other._decoded()
-        if not isinstance(other, list):
-            return NotImplemented
-        return self._decoded() == other
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} entries in columns>"
-
-
 @dataclass
 class EcosystemCrl:
-    """One CRL in the synthetic ecosystem."""
+    """One CRL in the synthetic ecosystem.
+
+    Its materialised entries are one :class:`~repro.scan.corpus.EntryColumns`
+    run.  Columns are replaced, never edited in place: assigning
+    ``entries`` is the only write, and it drops the series.
+    """
 
     url: str
     brand: str
@@ -114,10 +58,8 @@ class EcosystemCrl:
     reissue_hours: int = 24
     #: whether Google's internal crawl covers this CRL (CRLSet pipeline).
     covered: bool = False
-    #: the records (the written form after ``add_entry`` or assigning a
-    #: list) or a :class:`ColumnEntries` (after assigning
-    #: :attr:`entry_columns`).
-    entries: list[CrlEntryRecord] | ColumnEntries = field(default_factory=list)
+    #: the materialised entries, one row each.
+    entries: EntryColumns = _NO_ENTRIES
     hidden: HiddenPopulation | None = None
     #: Leaf Set certificates whose CRL pointer names this URL.
     assigned_cert_count: int = 0
@@ -130,57 +72,18 @@ class EcosystemCrl:
     _series: CrlSeries | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: the encoding of record entries, made on first use (see
-    #: :attr:`entry_columns`).
-    _entry_columns: EntryColumns | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
         if name in ("entries", "hidden", "serial_bytes"):
             self.invalidate_series()
 
-    def add_entry(self, entry: CrlEntryRecord) -> None:
-        """Append a record; column entries become records first."""
-        if isinstance(self.entries, ColumnEntries):
-            self.entries = list(self.entries)
-        self.entries.append(entry)
-        self.invalidate_series()  # timeline is stale; rebuilt on next query
-
-    # -- entry columns and event timeline ------------------------------------
-
-    @property
-    def entry_columns(self) -> EntryColumns:
-        """The entries as a :class:`~repro.scan.corpus.EntryColumns`.
-
-        The assigned columns, or the encoding of the record entries,
-        made on first use.  Raises ``OverflowError`` for a serial the
-        21-byte codec cannot hold.
-        """
-        if isinstance(self.entries, ColumnEntries):
-            return self.entries.columns
-        if self._entry_columns is None:
-            from repro.scan.corpus import EntryColumns
-
-            self._entry_columns = EntryColumns.encode(self.entries)
-        return self._entry_columns
-
-    @entry_columns.setter
-    def entry_columns(self, columns: EntryColumns) -> None:
-        """Replace the entries with ``columns``: ``entries`` becomes
-        their :class:`ColumnEntries`, and the timeline is dropped."""
-        self.entries = ColumnEntries(columns)
+    # -- event timeline ------------------------------------------------------
 
     @property
     def series(self) -> CrlSeries:
-        """The precomputed event timeline.
-
-        Invalidated by ``add_entry`` and by reassigning ``entries``,
-        ``entry_columns``, ``hidden`` or ``serial_bytes``; mutating
-        entry records in place (read ones, on a column-backed CRL)
-        requires an explicit ``invalidate_series()``.
-        """
+        """The precomputed event timeline, dropped by assigning
+        ``entries``, ``hidden`` or ``serial_bytes``."""
         if self._series is None:
             self._series = CrlSeries(self)
         return self._series
@@ -203,21 +106,18 @@ class EcosystemCrl:
         return model
 
     def invalidate_series(self) -> None:
-        """Drop the timeline and the encoding of record entries.
-
-        Column entries whose records were read become those records,
-        so an edit made to one in place takes effect; column entries
-        never read stay columns."""
-        entries = getattr(self, "entries", None)  # unset during __init__
-        if isinstance(entries, ColumnEntries) and entries._records is not None:
-            object.__setattr__(self, "entries", list(entries._records))
+        """Drop the timeline; the next query rebuilds it."""
         object.__setattr__(self, "_series", None)
-        object.__setattr__(self, "_entry_columns", None)
 
     # -- daily views ---------------------------------------------------------
 
     def visible_entries(self, day: datetime.date) -> list[CrlEntryRecord]:
-        return [entry for entry in self.entries if entry.visible_on(day)]
+        """The records of the entries listed on ``day``: CAs list an
+        entry from its revocation until its certificate expires."""
+        ordinal = day.toordinal()
+        entries = self.entries
+        listed = (entries.revoked <= ordinal) & (ordinal <= entries.expiry)
+        return entries[listed].decode()
 
     def entry_count(self, day: datetime.date) -> int:
         return self.series.entry_count(day)

@@ -29,7 +29,7 @@ from repro.ca.profiles import PAPER_CA_PROFILES, CaProfile
 from repro.pki.certificate import Certificate, CertificateBuilder
 from repro.pki.keys import KeyPair
 from repro.pki.name import Name
-from repro.scan import shardgen
+from repro.scan import corpus, shardgen
 from repro.scan.bulk import gc_paused
 from repro.scan.calibration import Calibration
 from repro.scan.crl_model import EcosystemCrl
@@ -130,8 +130,6 @@ class Ecosystem:
         generated randomness is decoded from ``arrays``.  Raises
         ``ValueError`` on a format/seed/scale mismatch.
         """
-        from repro.scan import corpus
-
         if meta.get("format") != corpus.CORPUS_FORMAT:
             raise ValueError(f"unsupported corpus format {meta.get('format')!r}")
         if meta.get("seed") != calibration.seed or meta.get("scale") != repr(
@@ -147,15 +145,7 @@ class Ecosystem:
             layout.cert_count for layout in self._layouts
         ):
             raise ValueError("corpus leaf count does not match the calibration")
-        self.leaves = []
-        for profile, layout in zip(profiles, self._layouts):
-            state = self.brands[profile.name]
-            self.leaves.extend(
-                corpus.decode_brand_leaves(
-                    arrays, state, self.crls, offset=layout.cert_base
-                )
-            )
-        corpus.decode_crl_population(arrays, self.crls, calibration)
+        self._decode(arrays)
         self._finalize(assign_alexa=False)  # ranks came out of the columns
         return self
 
@@ -174,7 +164,10 @@ class Ecosystem:
         build merges checkpointed and freshly generated parts through
         this one path, so interrupted and uninterrupted builds converge
         on the same ecosystem (the parts are keyed on brand substreams,
-        not on which run or shard produced them).
+        not on which run or shard produced them).  The parts are
+        concatenated in profile order and decoded exactly as
+        :meth:`from_corpus` decodes a store; only the Alexa ranks, which
+        worker-built parts leave as zeros, are assigned here.
         """
         self = cls.__new__(cls)
         self.calibration = calibration
@@ -187,7 +180,9 @@ class Ecosystem:
         ]
         if missing:
             raise ValueError(f"missing brand parts: {', '.join(missing)}")
-        self._build_from_parts(parts_by_brand)
+        self._decode(
+            corpus.concat_parts([parts_by_brand[profile.name] for profile in profiles])
+        )
         self._finalize(assign_alexa=True)
         return self
 
@@ -235,24 +230,15 @@ class Ecosystem:
             shardgen.populate_brand_synthetic(calibration, state)
             self.leaves.extend(brand_leaves)
 
-    def _build_from_parts(self, parts_by_brand: dict) -> None:
-        """Decode shard-built columnar parts into this scaffold.
-
-        Fresh brand states generated in the workers carry entries and
-        counters; our own states only have the scaffold.  Decoding per
-        brand attaches both and rebuilds the leaf records.
-        """
-        from repro.scan import corpus
-
-        calibration = self.calibration
+    def _decode(self, arrays: dict) -> None:
+        """Decode full corpus columns into this scaffold: the leaves
+        brand by brand, then every CRL's entries."""
         self.leaves = []
-        for profile, layout in zip(self.profiles, self._layouts):
-            state = self.brands[profile.name]
-            arrays = parts_by_brand[profile.name]
+        for profile in self.profiles:
             self.leaves.extend(
-                corpus.decode_brand_leaves(arrays, state, self.crls, offset=0)
+                corpus.decode_brand_leaves(arrays, self.brands[profile.name], self.crls)
             )
-            corpus.decode_crl_population(arrays, state.crls, calibration)
+        corpus.decode_crl_population(arrays, self.crls, self.calibration)
 
     def _finalize(self, assign_alexa: bool) -> None:
         """Merge-time global stages + derived counts."""

@@ -42,8 +42,13 @@ from repro.revocation.reason import ReasonCode
 from repro.revocation.sizing import representative_entry_size
 from repro.scan.bulk import DayInterner, gc_paused
 from repro.scan.calibration import Calibration
-from repro.scan.corpus import EntryColumns, encode_brand_parts, serial_blob
-from repro.scan.crl_model import CrlEntryRecord, EcosystemCrl
+from repro.scan.corpus import (
+    CrlEntryRecord,
+    EntryColumns,
+    encode_brand_parts,
+    serial_blob,
+)
+from repro.scan.crl_model import EcosystemCrl
 from repro.scan.hidden import HiddenPopulation
 from repro.scan.records import IntermediateRecord, LeafRecord
 from repro.scan.streams import substream
@@ -248,6 +253,10 @@ class BrandState:
         self.crls: list[EcosystemCrl] = []
         self.ocsp_urls: list[str] = []
         self.crl_by_url: dict[str, EcosystemCrl] = {}
+        #: CRL URL -> the observed leaf revocations listed on it, in
+        #: revocation order, until :func:`populate_brand_synthetic`
+        #: encodes them into the CRLs' entries.
+        self.observed_entries: dict[str, list[CrlEntryRecord]] = {}
         #: cert_ids of this brand's leaves (contiguous by construction).
         self.leaf_ids: list[int] = []
 
@@ -563,7 +572,7 @@ def _revoke_leaf(
         takedown = when + datetime.timedelta(days=rng.randint(-14, 3))
         leaf.death = max(leaf.birth, min(leaf.death, takedown))
     if leaf.crl_url is not None:
-        state.crl_by_url[leaf.crl_url].add_entry(
+        state.observed_entries.setdefault(leaf.crl_url, []).append(
             CrlEntryRecord(
                 serial_number=leaf.serial_number,
                 revoked_at=when,
@@ -580,7 +589,7 @@ def assign_brand_revocations(
     """Steady-state churn + the Heartbleed burst, one substream per brand.
 
     Mutates leaf records in place and appends observed entries to the
-    brand's CRLs; depends only on this brand's own leaves.
+    brand's ``observed_entries``; depends only on this brand's own leaves.
     """
     cal = calibration
     profile = state.profile
@@ -658,20 +667,20 @@ def populate_brand_synthetic(calibration: Calibration, state: BrandState) -> Non
     :class:`HiddenPopulation` counts on big ones.  One substream per CRL,
     so even CRLs within a brand are order-independent.
 
-    Every CRL leaves with its entries as columns: the observed leaf
-    revocations (encoded in one batch per brand), then the synthetic
-    entries, drawn straight into columns."""
+    Every CRL is assigned its entries as columns: the observed leaf
+    revocations (encoded in one batch per brand, in CRL order, then
+    revocation order), then the synthetic entries, drawn straight into
+    columns."""
     cal = calibration
     profile = state.profile
     reasons = _reason_mix(cal)
     random_long = profile.serial_style == "random_long"
     end = cal.measurement_end.toordinal()
-    observed = EntryColumns.encode(
-        [entry for crl in state.crls for entry in crl.entries]
-    )
+    by_crl = [state.observed_entries.pop(crl.url, []) for crl in state.crls]
+    observed = EntryColumns.encode([entry for entries in by_crl for entry in entries])
     stop = 0
-    for local_index, crl in enumerate(state.crls):
-        start, stop = stop, stop + len(crl.entries)
+    for local_index, (crl, entries) in enumerate(zip(state.crls, by_crl)):
+        start, stop = stop, stop + len(entries)
         columns = observed[start:stop]
         target = getattr(crl, "_target_entries", 0)
         observed_end = int(
@@ -696,7 +705,7 @@ def populate_brand_synthetic(calibration: Calibration, state: BrandState) -> Non
                     rng, cal, schedule, reasons, None if random_long else serial_band
                 )
                 columns = EntryColumns.concat([columns, synthetic])
-        crl.entry_columns = columns
+        crl.entries = columns
 
 
 def _synthetic_entries(

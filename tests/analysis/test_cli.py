@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -123,12 +124,18 @@ def test_list_rules_prints_catalogue(project, capsys):
 
 def test_repository_tree_has_no_findings(monkeypatch, capsys):
     """The gate CI runs: the paths pyproject.toml configures, linted
-    against the repository's baseline, which is empty, yield nothing."""
+    against the repository's baseline, which is empty, yield nothing.
+    Run from a subdirectory, the configured paths still resolve against
+    the project root, so the same files are analysed."""
     root = Path(__file__).resolve().parents[2]
     baseline = json.loads((root / ".repro-analysis-baseline.json").read_text())
     assert baseline["fingerprints"] == {}
-    monkeypatch.chdir(root)
-    code = main(["--no-cache"])
-    out, err = capsys.readouterr()
-    assert code == 0, out
-    assert "0 new finding(s), 0 baselined" in err
+    analysed = []
+    for workdir in (root, root / "tests"):
+        monkeypatch.chdir(workdir)
+        code = main(["--no-cache"])
+        out, err = capsys.readouterr()
+        assert code == 0, (workdir, out, err)
+        assert "0 new finding(s), 0 baselined" in err
+        analysed.append(re.search(r"(\d+) file\(s\) analysed", err).group(1))
+    assert analysed[0] == analysed[1]

@@ -107,7 +107,7 @@ def reference_sweep(
         )
         tracks[crl.url] = track
         parent = crl.issuer_key_hash
-        for entry in crl.entries:
+        for entry in crl.entries.decode():
             serial = entry.serial_number
             key = (parent, serial)
             eligible = not apply_reason_filter or is_crlset_eligible(entry.reason)

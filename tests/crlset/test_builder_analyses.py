@@ -13,7 +13,7 @@ from repro.crlset.builder import CrlSetBuilder
 from repro.crlset.coverage import analyze_coverage
 from repro.crlset.dynamics import analyze_dynamics
 from repro.revocation.reason import is_crlset_eligible
-from repro.scan.crl_model import CrlEntryRecord
+from repro.scan.corpus import CrlEntryRecord, EntryColumns
 from tests.crlset.reference_sweep import reference_sweep
 
 #: EntryHistory fields in the reference sweep's lifecycle tuple order.
@@ -152,7 +152,9 @@ class TestBuilderRules:
         first listing is still visible; the sweep refuses the corpus."""
         url = "http://crl.rapidssl.example/crl0.crl"
         crl = ecosystem.crl_for_url(url)
-        (listing,) = [entry for entry in crl.entries if entry.serial_number == 2163]
+        (listing,) = [
+            entry for entry in crl.entries.decode() if entry.serial_number == 2163
+        ]
         assert 2163 in history.final_snapshot.parents[crl.issuer_key_hash]
         second = CrlEntryRecord(
             serial_number=2163,
@@ -163,7 +165,11 @@ class TestBuilderRules:
         )
         changed = copy.copy(ecosystem)
         changed.crls = [
-            dataclasses.replace(c, entries=[*c.entries, second]) if c is crl else c
+            dataclasses.replace(
+                c, entries=EntryColumns.encode([*c.entries.decode(), second])
+            )
+            if c is crl
+            else c
             for c in ecosystem.crls
         ]
         with pytest.raises(ValueError, match=f"2163 on {url}"):
@@ -209,7 +215,9 @@ def _uncapped_coverage(ecosystem, reason_filter: bool) -> float:
             continue
         count = crl.entry_count(end)
         if reason_filter:
-            visible = crl.visible_entries(end)
+            visible = [
+                e for e in crl.entries.decode() if e.revoked_at <= end <= e.cert_not_after
+            ]
             eligible = sum(1 for e in visible if is_crlset_eligible(e.reason))
             # Hidden entries share the corpus-wide reason mix (~87% eligible).
             admitted += eligible + int((count - len(visible)) * 0.87)

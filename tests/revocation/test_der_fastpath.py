@@ -113,21 +113,3 @@ class TestIncrementalEncodedSize:
             url="http://crl.example/fastpath.crl",
         )
         assert crl.encoded_size == len(crl.to_der())
-
-    def test_debug_flag_checks_against_real_encoding(
-        self, issuer_name, issuer_keys, monkeypatch
-    ):
-        from repro.revocation import crl as crl_module
-
-        monkeypatch.setattr(crl_module, "_DER_CHECK", True)
-        crl = CertificateRevocationList.build(
-            issuer=issuer_name,
-            issuer_keys=issuer_keys,
-            entries=[RevokedEntry(1234, THIS, ReasonCode.KEY_COMPROMISE)],
-            this_update=THIS,
-            next_update=NEXT,
-            url="http://crl.example/checked.crl",
-        )
-        # With the flag on, the arithmetic path is asserted against a
-        # full re-encode on every query; it must agree.
-        assert crl.encoded_size == len(crl.to_der())

@@ -1,30 +1,45 @@
 """Reference crawl: the per-day rescans that predate the crawl index.
 
-Each query re-walks every entry of every CRL for the day it asks about,
-O(days x entries), the way Figures 5, 6 and 9 were computed before
-:class:`repro.scan.crawl_index.CrawlIndex`.  ``test_crawl_index.py``
-checks the index against these results and times the two against each
-other.  Not a test module: pytest does not collect it.
+Each query re-walks every entry record of every CRL for the day it asks
+about, O(days x entries), the way Figures 5, 6 and 9 were computed
+before :class:`repro.scan.crawl_index.CrawlIndex`.
+``test_crawl_index.py`` checks the index against these results and
+times the two against each other.  Not a test module: pytest does not
+collect it.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 
 from repro.revocation.sizing import estimated_crl_size, representative_entry_size
+from repro.scan.corpus import CrlEntryRecord, EntryColumns
 from repro.scan.crl_model import EcosystemCrl
 from repro.scan.ecosystem import Ecosystem
 
 
+@functools.cache
+def _records(entries: EntryColumns) -> list[CrlEntryRecord]:
+    """A run of entry columns as records, decoded once, so that each
+    rescan below costs one walk over a record list."""
+    return entries.decode()
+
+
+def _visible(entry: CrlEntryRecord, date: datetime.date) -> bool:
+    """CAs list an entry from revocation until certificate expiry."""
+    return entry.revoked_at <= date <= entry.cert_not_after
+
+
 def entry_count(crl: EcosystemCrl, date: datetime.date) -> int:
-    count = sum(1 for entry in crl.entries if entry.visible_on(date))
+    count = sum(1 for entry in _records(crl.entries) if _visible(entry, date))
     if crl.hidden is not None:
         count += crl.hidden.count_at(date)
     return count
 
 
 def additions_on(crl: EcosystemCrl, date: datetime.date) -> int:
-    count = sum(1 for entry in crl.entries if entry.revoked_at == date)
+    count = sum(1 for entry in _records(crl.entries) if entry.revoked_at == date)
     if crl.hidden is not None:
         count += crl.hidden.additions_on(date)
     return count
@@ -49,8 +64,8 @@ def sizes_at(ecosystem: Ecosystem, date: datetime.date) -> dict[str, int]:
     for crl in ecosystem.crls:
         materialized = sum(
             len(EcosystemCrl._to_revoked_entry(entry).to_der())
-            for entry in crl.entries
-            if entry.visible_on(date)
+            for entry in _records(crl.entries)
+            if _visible(entry, date)
         )
         hidden = crl.hidden.count_at(date) if crl.hidden is not None else 0
         sizes[crl.url] = estimated_crl_size(

@@ -2,7 +2,7 @@
 predates the columnar one.
 
 :func:`synthetic_records` draws one materialised CRL's synthetic entries
-as :class:`~repro.scan.crl_model.CrlEntryRecord` objects, entry by
+as :class:`~repro.scan.corpus.CrlEntryRecord` objects, entry by
 entry, the way :func:`repro.scan.shardgen._synthetic_entries` did before
 it drew straight into entry columns.  ``test_columnar_corpus.py`` checks
 that the columns equal the encoding of these records and that both leave
@@ -20,7 +20,7 @@ from operator import itemgetter
 from repro.revocation.reason import ReasonCode
 from repro.scan.bulk import DayInterner
 from repro.scan.calibration import Calibration
-from repro.scan.crl_model import CrlEntryRecord
+from repro.scan.corpus import CrlEntryRecord
 from repro.scan.hidden import HiddenPopulation
 from repro.scan.shardgen import _SYNTH_WINDOW_START, _Mix
 

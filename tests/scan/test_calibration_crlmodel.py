@@ -10,7 +10,8 @@ from repro.pki.keys import KeyPair
 from repro.pki.name import Name
 from repro.revocation.reason import ReasonCode
 from repro.scan.calibration import Calibration, PaperTargets
-from repro.scan.crl_model import CrlEntryRecord, EcosystemCrl
+from repro.scan.corpus import CrlEntryRecord, EntryColumns
+from repro.scan.crl_model import EcosystemCrl
 
 
 class TestCalibration:
@@ -70,7 +71,7 @@ class TestEcosystemCrl:
             reason=None,
             cert_not_after=datetime.date(2014, 12, 1),
         )
-        model.add_entry(entry)
+        model.entries = EntryColumns.encode([entry])
         assert model.entry_count(datetime.date(2014, 7, 1)) == 1
         assert model.entry_count(datetime.date(2014, 5, 1)) == 0
         assert model.entry_count(datetime.date(2015, 1, 1)) == 0  # expired
@@ -78,8 +79,10 @@ class TestEcosystemCrl:
     def test_additions_on(self, crl):
         model, _keys = crl
         day = datetime.date(2014, 6, 1)
-        model.add_entry(CrlEntryRecord(1, day, None, day + datetime.timedelta(days=90)))
-        model.add_entry(CrlEntryRecord(2, day, None, day + datetime.timedelta(days=90)))
+        expiry = day + datetime.timedelta(days=90)
+        model.entries = EntryColumns.encode(
+            [CrlEntryRecord(1, day, None, expiry), CrlEntryRecord(2, day, None, expiry)]
+        )
         assert model.additions_on(day) == 2
         assert model.additions_on(day + datetime.timedelta(days=1)) == 0
 
@@ -88,15 +91,17 @@ class TestEcosystemCrl:
         entries are materialised."""
         model, keys = crl
         day = datetime.date(2014, 6, 1)
-        for serial in range(200):
-            model.add_entry(
+        model.entries = EntryColumns.encode(
+            [
                 CrlEntryRecord(
                     1000 + serial,
                     day,
                     ReasonCode.UNSPECIFIED if serial % 3 == 0 else None,
                     day + datetime.timedelta(days=365),
                 )
-            )
+                for serial in range(200)
+            ]
+        )
         check_day = datetime.date(2014, 8, 1)
         real = model.to_crl(check_day, keys)
         assert model.size_bytes(check_day) == len(real.to_der())

@@ -3,8 +3,8 @@
 - Synthetic CRL entries are drawn straight into columns; the columns
   equal the encoding of the record-building reference
   (``reference_synthetic.py``), with the same draws in the same order.
-- A column-backed CRL's ``entries`` is a read-only sequence whose
-  records are decoded on first read.
+- A CRL's ``entries`` is one run of entry columns; records are only a
+  decoded copy.  The codec refuses a serial outside 21 unsigned bytes.
 - A scan snapshot is a sorted id array that answers ``len``, ``in``,
   ``cert_ids`` and equality as the frozenset it replaced did.
 - The store decode builds no record but rejects damaged entry columns.
@@ -28,8 +28,8 @@ from repro.pki.name import Name
 from repro.revocation.reason import ReasonCode
 from repro.scan import shardgen
 from repro.scan.calibration import Calibration
-from repro.scan.corpus import EntryColumns, encode_corpus
-from repro.scan.crl_model import ColumnEntries, CrlEntryRecord, EcosystemCrl
+from repro.scan.corpus import CrlEntryRecord, EntryColumns, encode_corpus
+from repro.scan.crl_model import EcosystemCrl
 from repro.scan.ecosystem import Ecosystem
 from repro.scan.hidden import HiddenPopulation
 from repro.scan.scanner import Rapid7Scanner, ScanSnapshot
@@ -107,15 +107,16 @@ class TestSyntheticColumns:
         ):
             state, _ = shardgen.build_brand(cal, profile, layout)
             for local_index, crl in enumerate(state.crls):
-                columns = crl.entry_columns
+                columns = crl.entries
                 synthetic = columns[columns.cert < 0]
                 if crl.hidden is not None or not len(synthetic):
                     continue
+                end = cal.measurement_end
                 observed_end = sum(
                     1
-                    for entry in crl.entries
+                    for entry in columns.decode()
                     if entry.cert_id is not None
-                    and entry.visible_on(cal.measurement_end)
+                    and entry.revoked_at <= end <= entry.cert_not_after
                 )
                 schedule = _schedule(cal, crl._target_entries - observed_end)
                 band = shardgen.SYNTH_SERIAL_BASE + shardgen.SYNTH_SERIAL_STRIDE * (
@@ -178,115 +179,94 @@ def _crl() -> EcosystemCrl:
 
 @pytest.fixture()
 def loaded_crl() -> EcosystemCrl:
-    """A CRL whose entries were written as columns, as the store decode
-    and generation write them."""
+    """A CRL whose entries were assigned as columns, as the store decode
+    and generation assign them."""
     crl = _crl()
-    crl.entry_columns = EntryColumns.encode(_records())
+    crl.entries = EntryColumns.encode(_records())
     return crl
 
 
-class TestColumnEntries:
+class TestCrlEntries:
+    """A CRL's entries are one run of entry columns, replaced by
+    assignment and never edited in place."""
+
     def test_len_reads_the_row_count(self, loaded_crl, monkeypatch):
         decoded = []
         monkeypatch.setattr(
             EntryColumns, "decode", lambda self: decoded.append(self) or []
         )
-        assert isinstance(loaded_crl.entries, ColumnEntries)
         assert len(loaded_crl.entries) == 4
         assert loaded_crl.entry_count(datetime.date(2014, 4, 15)) == 4
         assert decoded == []
 
-    def test_indexing_and_iteration(self, loaded_crl):
-        records = _records()
-        entries = loaded_crl.entries
-        assert [entries[i] for i in range(4)] == records
-        assert entries[-1] == records[-1]
-        assert entries[1:3] == records[1:3]
-        assert list(entries) == records
-        assert list(reversed(entries)) == records[::-1]
-        assert records[2] in entries
-        with pytest.raises(IndexError):
-            entries[4]
+    def test_decode_gives_the_records(self, loaded_crl):
+        assert loaded_crl.entries.decode() == _records()
 
-    def test_records_are_decoded_once(self, loaded_crl):
-        assert loaded_crl.entries[0] is loaded_crl.entries[0]
-        assert next(iter(loaded_crl.entries)) is loaded_crl.entries[0]
+    def test_a_new_crl_lists_nothing(self):
+        crl = _crl()
+        _assert_columns_equal(crl.entries, EntryColumns.encode([]))
+        assert crl.entry_count(datetime.date(2014, 4, 15)) == 0
+        assert crl.visible_entries(datetime.date(2014, 4, 15)) == []
 
-    def test_equals_the_list_of_decoded_records(self, loaded_crl):
-        records = _records()
-        assert loaded_crl.entries == records
-        assert records == loaded_crl.entries
-        assert loaded_crl.entries == loaded_crl.entry_columns.decode()
-        assert loaded_crl.entries != records[:-1]
-        assert loaded_crl.entries != records[::-1]
-        other = _crl()
-        other.entry_columns = EntryColumns.encode(_records())
-        assert loaded_crl.entries == other.entries
-        assert loaded_crl == other
-
-    def test_no_mutation_through_the_view(self, loaded_crl):
-        entries = loaded_crl.entries
-        with pytest.raises(AttributeError):
-            entries.append(_records()[0])
-        with pytest.raises(AttributeError):
-            entries.extend(_records())
-        with pytest.raises(TypeError):
-            entries[0] = _records()[1]
-        with pytest.raises(TypeError):
-            del entries[0]
-        assert len(loaded_crl.entries) == 4
-        assert loaded_crl.entries == _records()
-
-    def test_add_entry_after_a_load(self, loaded_crl):
-        day = datetime.date(2014, 4, 20)
-        assert loaded_crl.entry_count(day) == 4
-        extra = CrlEntryRecord(77, day, None, day + datetime.timedelta(days=9))
-        loaded_crl.add_entry(extra)
-        assert loaded_crl.entries == [*_records(), extra]
-        assert loaded_crl.entry_count(day) == 5
-        assert loaded_crl.additions_on(day) == 1
-        _assert_columns_equal(
-            loaded_crl.entry_columns, EntryColumns.encode([*_records(), extra])
-        )
-
-    def test_assigning_columns_replaces_records(self):
+    def test_assigning_entries_replaces_them(self):
         day = datetime.date(2014, 4, 20)
         crl = _crl()
-        crl.add_entry(CrlEntryRecord(9, day, None, day + datetime.timedelta(days=3)))
+        crl.entries = EntryColumns.encode(
+            [CrlEntryRecord(9, day, None, day + datetime.timedelta(days=3))]
+        )
         assert crl.entry_count(day) == 1
-        crl.entry_columns = EntryColumns.encode(_records())
-        assert crl.entries == _records()
+        crl.entries = EntryColumns.encode(_records())
+        assert crl.entries.decode() == _records()
         assert crl.entry_count(day) == 4
 
     def test_columns_survive_invalidation(self, loaded_crl):
         day = datetime.date(2014, 4, 15)
-        columns = loaded_crl.entry_columns
+        columns = loaded_crl.entries
         loaded_crl.invalidate_series()
         loaded_crl.hidden = None
-        assert loaded_crl.entry_columns is columns
+        assert loaded_crl.entries is columns
         assert loaded_crl.entry_count(day) == 4
 
-    def test_record_edit_takes_effect_on_invalidation(self, loaded_crl):
-        day = datetime.date(2014, 4, 15)
-        size = loaded_crl.size_bytes(day)
-        loaded_crl.entries[0].cert_not_after = datetime.date(2014, 4, 12)
-        loaded_crl.invalidate_series()
-        edited = _records()
-        edited[0].cert_not_after = datetime.date(2014, 4, 12)
-        assert loaded_crl.entries == edited
-        assert loaded_crl.entry_count(day) == 3
-        _assert_columns_equal(loaded_crl.entry_columns, EntryColumns.encode(edited))
-        reference = _crl()
-        reference.entries = edited
-        assert loaded_crl.size_bytes(day) == reference.size_bytes(day) < size
-        assert [e.serial_number for e in loaded_crl.visible_entries(day)] == [
-            e.serial_number for e in edited[1:]
-        ]
+    def test_visible_entries_decode_the_listed_rows_only(
+        self, loaded_crl, monkeypatch
+    ):
+        decode, rows = EntryColumns.decode, []
+        monkeypatch.setattr(
+            EntryColumns, "decode", lambda self: rows.append(len(self)) or decode(self)
+        )
+        start = datetime.date(2014, 4, 8)
+        for offset in range(60):
+            day = start + datetime.timedelta(days=offset)
+            expected = [
+                record
+                for record in _records()
+                if record.revoked_at <= day <= record.cert_not_after
+            ]
+            assert loaded_crl.visible_entries(day) == expected, day
+            assert rows[-1] == len(expected) == loaded_crl.entry_count(day), day
+        assert 0 in rows and 4 in rows and set(rows) - {0, 4}
 
     def test_copies_share_the_columns(self, loaded_crl):
         copy = dataclasses.replace(loaded_crl, url="http://crl.example/copy.crl")
-        assert copy.entry_columns is loaded_crl.entry_columns
-        assert copy.entries == _records()
+        assert copy.entries is loaded_crl.entries
+
+
+class TestSerialRange:
+    """The codec holds a serial in 21 unsigned bytes and raises
+    ``OverflowError`` on any other.  No corpus carries one: generation
+    draws 160-bit or counter serials, and RFC 5280 serials are positive
+    and at most 20 octets."""
+
+    @pytest.mark.parametrize("serial", [-1, -129, 2**168])
+    def test_encode_raises_on_a_serial_it_cannot_hold(self, serial):
+        day = datetime.date(2014, 4, 10)
+        with pytest.raises(OverflowError):
+            EntryColumns.encode([CrlEntryRecord(serial, day, None, day)])
+
+    def test_largest_serial_round_trips(self):
+        day = datetime.date(2014, 4, 10)
+        records = [CrlEntryRecord(2**168 - 1, day, None, day), *_records()]
+        assert EntryColumns.encode(records).decode() == records
 
 
 class TestDecodeFailsClosed:
@@ -369,7 +349,7 @@ class TestNoRecordsAfterLoad:
             assert not built, experiment_id
         assert study.scans
         assert not [s for s in study.scans if "cert_ids" in vars(s)]
-        # The probe counts: reading one entry builds the CRL's records.
+        # The probe counts: decoding a CRL's entries builds its records.
         crl = next(crl for crl in study.ecosystem.crls if len(crl.entries))
-        crl.entries[0]
+        crl.entries.decode()
         assert len(built) == len(crl.entries)
