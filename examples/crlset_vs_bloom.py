@@ -37,29 +37,29 @@ def main() -> None:
     parent_by_int = {
         rec.intermediate_id: rec.spki_hash for rec in eco.intermediates
     }
-    revoked_keys = [
-        parent_by_int[leaf.intermediate_id] + serial_to_bytes(leaf.serial_number)
-        for leaf in eco.leaves
-        if leaf.is_revoked_by(end) and leaf.is_fresh(end)
-    ]
+
+    def key(leaf) -> bytes:
+        return parent_by_int[leaf.intermediate_id] + serial_to_bytes(
+            leaf.serial_number
+        )
+
+    # Masks over the columnar Leaf Set pick the rows; only those decode.
+    fresh = eco.leaves.fresh_mask(end)
+    revoked = eco.leaf_records(fresh & eco.leaves.revoked_mask(end))
+    never_revoked = eco.leaf_records(fresh & ~eco.leaves.revoked_mask())
+    revoked_keys = [key(leaf) for leaf in revoked]
     bloom = BloomFilter.for_items(len(revoked_keys), 256 * 1024 * 8)
     bloom.update(revoked_keys)
     gcs = GolombCompressedSet(revoked_keys, fp_rate=0.01)
 
-    fresh_keys = [
-        parent_by_int[leaf.intermediate_id] + serial_to_bytes(leaf.serial_number)
-        for leaf in eco.leaves
-        if leaf.is_fresh(end) and not leaf.is_revoked
-    ]
+    fresh_keys = [key(leaf) for leaf in never_revoked]
     bloom_fp = bloom.measured_fp_rate(fresh_keys)
     gcs_fp = sum(1 for key in fresh_keys if key in gcs) / len(fresh_keys)
 
     crlset_caught = sum(
         1
-        for leaf in eco.leaves
-        if leaf.is_revoked_by(end)
-        and leaf.is_fresh(end)
-        and snapshot.is_revoked(
+        for leaf in revoked
+        if snapshot.is_revoked(
             parent_by_int[leaf.intermediate_id], leaf.serial_number
         )
     )

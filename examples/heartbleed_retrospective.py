@@ -33,12 +33,7 @@ def main() -> None:
     series = []
     for week_start in weeks:
         week_end = week_start + datetime.timedelta(days=7)
-        count = sum(
-            1
-            for leaf in eco.leaves
-            if leaf.revoked_at is not None
-            and week_start <= leaf.revoked_at < week_end
-        )
+        count = _revoked_between(eco, week_start, week_end)
         series.append((week_start, float(count)))
     print(render_series(series, value_format="{:,.0f}"))
 
@@ -61,11 +56,12 @@ def main() -> None:
 
     # -- client exposure --------------------------------------------------
     peak = heartbleed + datetime.timedelta(days=30)
-    alive_peak = eco.alive_leaves(peak)
-    exposed = [leaf for leaf in alive_peak if leaf.is_revoked_by(peak)]
+    alive_mask = eco.leaves.alive_mask(peak)
+    alive_peak = int(alive_mask.sum())
+    exposed = int((alive_mask & eco.leaves.revoked_mask(peak)).sum())
     print(
-        f"\nAt the peak ({peak}), {len(exposed)} of {len(alive_peak):,} "
-        f"advertised certificates ({len(exposed) / len(alive_peak):.2%}) were "
+        f"\nAt the peak ({peak}), {exposed} of {alive_peak:,} "
+        f"advertised certificates ({exposed / alive_peak:.2%}) were "
         "already revoked."
     )
     print(
@@ -88,14 +84,19 @@ def main() -> None:
             break
 
 
+def _revoked_between(eco, start: datetime.date, end: datetime.date) -> int:
+    """Certificates revoked on a day in [start, end): a difference of
+    two of the Leaf Set's "revoked by" masks."""
+    last_day = end - datetime.timedelta(days=1)
+    day_before = start - datetime.timedelta(days=1)
+    leaves = eco.leaves
+    revoked = leaves.revoked_mask(last_day) & ~leaves.revoked_mask(day_before)
+    return int(revoked.sum())
+
+
 def _weekly_rate(eco, start: datetime.date, weeks: int) -> float:
     end = start + datetime.timedelta(days=7 * weeks)
-    count = sum(
-        1
-        for leaf in eco.leaves
-        if leaf.revoked_at is not None and start <= leaf.revoked_at < end
-    )
-    return count / weeks
+    return _revoked_between(eco, start, end) / weeks
 
 
 if __name__ == "__main__":

@@ -51,9 +51,10 @@ def main() -> None:
         LifecycleShape.REVOKED_STILL_ADVERTISED,
         LifecycleShape.ATYPICAL,
     ]
+    leaves = eco.leaf_records()
     for shape in wanted:
         example = next(
-            (leaf for leaf in eco.leaves if classify(leaf, end) is shape), None
+            (leaf for leaf in leaves if classify(leaf, end) is shape), None
         )
         if example is None:
             continue

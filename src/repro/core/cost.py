@@ -18,6 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.mechanisms import RevocationMechanism, SessionState
 from repro.net.transport import LinkProfile
 from repro.scan.ecosystem import Ecosystem
@@ -76,17 +78,17 @@ class SessionCostModel:
         return self.ecosystem.calibration
 
     def sample_sites(self, count: int) -> list[LeafRecord]:
-        """Popularity-weighted site sample (Alexa-ranked sites repeat)."""
+        """Popularity-weighted site sample (Alexa-ranked sites repeat):
+        rows are drawn, then only the picks are decoded."""
         end = self.ecosystem.calibration.measurement_end
-        ranked = [
-            leaf
-            for leaf in self.ecosystem.leaves
-            if leaf.alexa_rank is not None and leaf.is_alive(end)
-        ]
-        if not ranked:
-            ranked = self.ecosystem.alive_leaves(end)
-        weights = [1.0 / leaf.alexa_rank if leaf.alexa_rank else 1.0 for leaf in ranked]
-        return self._rng.choices(ranked, weights=weights, k=count)
+        leaves = self.ecosystem.leaves
+        alive = leaves.alive_mask(end)
+        rows = np.flatnonzero(alive & (leaves.alexa != 0))
+        if not len(rows):
+            rows = np.flatnonzero(alive)
+        weights = [1.0 / rank if rank else 1.0 for rank in leaves.alexa[rows].tolist()]
+        picks = self._rng.choices(rows.tolist(), weights=weights, k=count)
+        return self.ecosystem.leaf_records(picks)
 
     def session_for(
         self, sites: list[LeafRecord], mechanism: RevocationMechanism

@@ -56,7 +56,7 @@ def lifecycle_census(
 ) -> Counter:
     """Count Figure 1 shapes across the Leaf Set on date ``on``."""
     on = on or ecosystem.calibration.measurement_end
-    return Counter(classify(leaf, on) for leaf in ecosystem.leaves)
+    return Counter(classify(leaf, on) for leaf in ecosystem.leaf_records())
 
 
 def render_lifecycle(leaf: LeafRecord, width: int = 60) -> str:

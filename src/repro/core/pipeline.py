@@ -20,6 +20,8 @@ import os
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.timelines import RevocationSeries, revocation_series
 from repro.crlset.builder import CrlSetBuilder, CrlSetHistory
 from repro.crlset.coverage import CoverageReport, analyze_coverage
@@ -145,15 +147,21 @@ class MeasurementStudy:
         leaves = eco.leaves
         last_scan = self.scans[-1]
         n = len(leaves)
-        with_crl = sum(1 for leaf in leaves if leaf.has_crl)
-        with_ocsp = sum(1 for leaf in leaves if leaf.has_ocsp)
-        neither = sum(1 for leaf in leaves if not leaf.has_revocation_info)
+        has_crl = leaves.crl >= 0
+        has_ocsp = leaves.has_ocsp != 0
+        with_crl = int(np.count_nonzero(has_crl))
+        with_ocsp = int(np.count_nonzero(has_ocsp))
+        neither = int(np.count_nonzero(~has_crl & ~has_ocsp))
         int_crl = sum(1 for rec in eco.intermediates if rec.has_crl)
         int_ocsp = sum(1 for rec in eco.intermediates if rec.has_ocsp)
         int_neither = sum(
             1 for rec in eco.intermediates if not rec.has_revocation_info
         )
-        ocsp_urls = {leaf.ocsp_url for leaf in leaves if leaf.ocsp_url}
+        # A leaf's OCSP URL is its intermediate's responder.
+        ocsp_urls = {
+            eco.ocsp_urls[intermediate]
+            for intermediate in np.unique(leaves.intermediate[has_ocsp]).tolist()
+        }
         return {
             "leaf_set_size": n,
             "unique_certs_seen": n + eco.invalid_cert_count,
@@ -181,14 +189,7 @@ class MeasurementStudy:
     ) -> RevocationSeries:
         """Figure 2."""
         end = end or self.calibration.measurement_end
-        eco = self.ecosystem
-        return revocation_series(
-            eco.leaves,
-            start,
-            end,
-            step_days,
-            arrays=eco.leaf_index.timeline_arrays(),
-        )
+        return revocation_series(self.ecosystem.leaves, start, end, step_days)
 
     @cached_property
     def stapling_summary(self) -> StaplingSummary:
@@ -202,20 +203,27 @@ class MeasurementStudy:
         return self.tls_scanner.probe_experiment(server_sample, probes)
 
     def revocation_info_by_issue_month(self) -> dict[datetime.date, dict[str, float]]:
-        """Figure 4: fraction of new certs with CRL / OCSP pointers."""
-        buckets: dict[datetime.date, list] = {}
-        for leaf in self.ecosystem.leaves:
-            month = leaf.not_before.replace(day=1)
-            buckets.setdefault(month, []).append(leaf)
-        series: dict[datetime.date, dict[str, float]] = {}
-        for month in sorted(buckets):
-            leaves = buckets[month]
-            series[month] = {
-                "crl": sum(1 for l in leaves if l.has_crl) / len(leaves),
-                "ocsp": sum(1 for l in leaves if l.has_ocsp) / len(leaves),
-                "count": len(leaves),
-            }
-        return series
+        """Figure 4: fraction of new certs with CRL / OCSP pointers, by
+        month of notBefore."""
+        leaves = self.ecosystem.leaves
+        # Day ordinals as datetime64 days since 1970-01-01, then months.
+        days = leaves.not_before - datetime.date(1970, 1, 1).toordinal()
+        months, bucket = np.unique(
+            days.astype("datetime64[D]").astype("datetime64[M]"), return_inverse=True
+        )
+
+        def per_month(rows: np.ndarray) -> list[int]:
+            return np.bincount(rows, minlength=len(months)).tolist()
+
+        counts = per_month(bucket)
+        with_crl = per_month(bucket[leaves.crl >= 0])
+        with_ocsp = per_month(bucket[leaves.has_ocsp != 0])
+        return {
+            month: {"crl": crl / count, "ocsp": ocsp / count, "count": count}
+            for month, count, crl, ocsp in zip(
+                months.tolist(), counts, with_crl, with_ocsp
+            )
+        }
 
     # -- §5: CAs --------------------------------------------------------------
 

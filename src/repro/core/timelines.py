@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.scan.records import LeafRecord
+from repro.scan.corpus import LeafColumns
 
 __all__ = ["RevocationSeries", "revocation_series"]
-
-_FAR_FUTURE = datetime.date(9999, 1, 1).toordinal()
 
 
 @dataclass(frozen=True)
@@ -46,44 +44,17 @@ class RevocationSeries:
         return self.dates[index], self.fresh_revoked_all[index]
 
 
-def _arrays(leaves: list[LeafRecord]):
-    n = len(leaves)
-    not_before = np.empty(n, dtype=np.int64)
-    not_after = np.empty(n, dtype=np.int64)
-    birth = np.empty(n, dtype=np.int64)
-    death = np.empty(n, dtype=np.int64)
-    revoked = np.empty(n, dtype=np.int64)
-    is_ev = np.empty(n, dtype=bool)
-    for i, leaf in enumerate(leaves):
-        not_before[i] = leaf.not_before.toordinal()
-        not_after[i] = leaf.not_after.toordinal()
-        birth[i] = leaf.birth.toordinal()
-        death[i] = leaf.death.toordinal()
-        revoked[i] = (
-            leaf.revoked_at.toordinal() if leaf.revoked_at is not None else _FAR_FUTURE
-        )
-        is_ev[i] = leaf.is_ev
-    return not_before, not_after, birth, death, revoked, is_ev
-
-
 def revocation_series(
-    leaves: list[LeafRecord],
+    leaves: LeafColumns,
     start: datetime.date,
     end: datetime.date,
     step_days: int = 7,
-    arrays: tuple[np.ndarray, ...] | None = None,
 ) -> RevocationSeries:
-    """Compute Figure 2's series between ``start`` and ``end``.
-
-    ``arrays`` optionally supplies precomputed timeline columns in
-    :func:`_arrays` order (e.g. ``Ecosystem.leaf_index.timeline_arrays()``)
-    so repeated series over the same corpus skip the per-leaf extraction.
-    """
+    """Compute Figure 2's series between ``start`` and ``end`` over the
+    leaf columns' date ordinals."""
     if end < start:
         raise ValueError("end must not precede start")
-    not_before, not_after, birth, death, revoked, is_ev = (
-        arrays if arrays is not None else _arrays(leaves)
-    )
+    is_ev = leaves.is_ev != 0
 
     dates: list[datetime.date] = []
     day = start
@@ -96,10 +67,9 @@ def revocation_series(
     alive_all: list[float] = []
     alive_ev: list[float] = []
     for day in dates:
-        ordinal = day.toordinal()
-        fresh = (not_before <= ordinal) & (ordinal <= not_after)
-        alive = (birth <= ordinal) & (ordinal <= death)
-        is_revoked = revoked <= ordinal
+        fresh = leaves.fresh_mask(day)
+        alive = leaves.alive_mask(day)
+        is_revoked = leaves.revoked_mask(day)
         fresh_all.append(_fraction(is_revoked, fresh))
         alive_all.append(_fraction(is_revoked, alive))
         fresh_ev.append(_fraction(is_revoked, fresh & is_ev))
@@ -115,7 +85,7 @@ def revocation_series(
 
 
 def _fraction(numerator_mask: np.ndarray, denominator_mask: np.ndarray) -> float:
-    denominator = int(denominator_mask.sum())
+    denominator = int(np.count_nonzero(denominator_mask))
     if denominator == 0:
         return 0.0
-    return float((numerator_mask & denominator_mask).sum() / denominator)
+    return int(np.count_nonzero(numerator_mask & denominator_mask)) / denominator

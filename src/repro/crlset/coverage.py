@@ -118,15 +118,18 @@ def analyze_coverage(
     parent_by_int = {
         rec.intermediate_id: rec.spki_hash for rec in ecosystem.intermediates
     }
-    for leaf in ecosystem.leaves:
-        if leaf.alexa_rank is None or not leaf.is_revoked:
-            continue
-        key = (parent_by_int[leaf.intermediate_id], leaf.serial_number)
-        covered = key in ever_appeared
-        if leaf.alexa_rank <= alexa_1m_cut:
+    leaves = ecosystem.leaves
+    rows = np.flatnonzero((leaves.alexa != 0) & leaves.revoked_mask())
+    for intermediate, serial, rank in zip(
+        leaves.intermediate[rows].tolist(),
+        leaves.serial_numbers(rows),
+        leaves.alexa[rows].tolist(),
+    ):
+        covered = (parent_by_int[intermediate], serial) in ever_appeared
+        if rank <= alexa_1m_cut:
             alexa_1m_revoked += 1
             alexa_1m_in += covered
-        if leaf.alexa_rank <= alexa_1k_cut:
+        if rank <= alexa_1k_cut:
             alexa_1k_revoked += 1
             alexa_1k_in += covered
 

@@ -19,11 +19,8 @@ def mechanism_window_table(study: MeasurementStudy) -> str:
     mechanisms show up here without touching this module.
     """
     end = study.calibration.measurement_end
-    revoked = [
-        leaf
-        for leaf in study.ecosystem.leaves
-        if leaf.revoked_at is not None and leaf.revoked_at <= end
-    ]
+    eco = study.ecosystem
+    revoked = eco.leaf_records(eco.leaves.revoked_mask(end))
     rows = []
     for mechanism in study.mechanism_suite:
         windows = sorted(

@@ -64,11 +64,8 @@ def sweep(study: MeasurementStudy) -> list[MechanismStats]:
     digests stay stable as the registry grows.
     """
     end = study.calibration.measurement_end
-    revoked = [
-        leaf
-        for leaf in study.ecosystem.leaves
-        if leaf.revoked_at is not None and leaf.revoked_at <= end
-    ]
+    eco = study.ecosystem
+    revoked = eco.leaf_records(eco.leaves.revoked_mask(end))
     model = SessionCostModel(study.ecosystem)
     sites = model.sample_sites(SESSION_SITES)
     rows = []

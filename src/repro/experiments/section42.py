@@ -13,7 +13,7 @@ from collections import Counter
 from repro.core.pipeline import MeasurementStudy
 from repro.core.report import format_table
 from repro.experiments.common import ExperimentResult, stage
-from repro.revocation.reason import is_crlset_eligible
+from repro.revocation.reason import ReasonCode, is_crlset_eligible
 
 EXPERIMENT_ID = "section42"
 TITLE = "Reasons for revocation (paper §4.2)"
@@ -21,15 +21,15 @@ TITLE = "Reasons for revocation (paper §4.2)"
 
 def run(study: MeasurementStudy) -> ExperimentResult:
     with stage(study, "collect_revocations"):
-        revocations = [
-            leaf for leaf in study.ecosystem.leaves if leaf.is_revoked
-        ]
+        leaves = study.ecosystem.leaves
+        codes = leaves.reason[leaves.revoked_mask()].tolist()
+        # Rows in cert_id order: most_common breaks ties by first insertion.
+        reasons = [None if code < 0 else ReasonCode(code) for code in codes]
     counts = Counter(
-        "(no reason code)" if leaf.revocation_reason is None
-        else leaf.revocation_reason.label
-        for leaf in revocations
+        "(no reason code)" if reason is None else reason.label
+        for reason in reasons
     )
-    total = len(revocations)
+    total = len(reasons)
     rows = [
         (label, count, f"{count / total:.1%}")
         for label, count in counts.most_common()
@@ -39,9 +39,7 @@ def run(study: MeasurementStudy) -> ExperimentResult:
         rows,
         title=f"reason codes across {total:,} revocations",
     )
-    eligible = sum(
-        1 for leaf in revocations if is_crlset_eligible(leaf.revocation_reason)
-    )
+    eligible = sum(1 for reason in reasons if is_crlset_eligible(reason))
     rendered += (
         f"\n\nCRLSet-eligible (no reason / Unspecified / KeyCompromise / "
         f"CACompromise / AACompromise): {eligible / total:.1%}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.ca.profiles import PAPER_CA_PROFILES
 from repro.core.pipeline import MeasurementStudy
 from repro.core.report import format_table
@@ -34,8 +36,8 @@ def run(study: MeasurementStudy) -> ExperimentResult:
     rows = []
     data = {}
     for brand in TABLE1_BRANDS:
-        leaves = [leaf for leaf in eco.leaves if leaf.brand == brand]
-        revoked = sum(1 for leaf in leaves if leaf.is_revoked)
+        leaves = eco.leaves[eco.brands[brand].layout.cert_rows]
+        revoked = int(np.count_nonzero(leaves.revoked_mask()))
         brand_crls = [crl for crl in eco.crls if crl.brand == brand]
         # Average CRL size per certificate (each cert weighted by the
         # size of the CRL it points at), as in the paper.

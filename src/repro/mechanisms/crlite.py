@@ -121,29 +121,31 @@ class CrliteMechanism(RevocationMechanism):
         self._cascade: FilterCascade | None = None
         self._spki_by_intermediate: dict[int, bytes] | None = None
 
-    def _key(self, leaf: LeafRecord) -> bytes:
+    def _key(self, intermediate_id: int, serial_number: int) -> bytes:
         if self._spki_by_intermediate is None:
             self._spki_by_intermediate = {
                 record.intermediate_id: record.spki_hash
                 for record in self.ecosystem.intermediates
             }
-        parent = self._spki_by_intermediate[leaf.intermediate_id]
-        return parent + serial_to_bytes(leaf.serial_number)
+        parent = self._spki_by_intermediate[intermediate_id]
+        return parent + serial_to_bytes(serial_number)
 
     @property
     def cascade(self) -> FilterCascade:
         """The cascade published at measurement end, built once over
-        the full enrolled universe (every leaf in the ecosystem)."""
+        the full enrolled universe (every leaf in the ecosystem), keyed
+        from the leaf columns in cert_id order."""
         if self._cascade is None:
-            end = self.measurement_end
+            leaves = self.ecosystem.leaves
             revoked = []
             live = []
-            for leaf in self.ecosystem.leaves:
-                key = self._key(leaf)
-                if leaf.revoked_at is not None and leaf.revoked_at <= end:
-                    revoked.append(key)
-                else:
-                    live.append(key)
+            for intermediate, serial, is_revoked in zip(
+                leaves.intermediate.tolist(),
+                leaves.serial_numbers(),
+                leaves.revoked_mask(self.measurement_end).tolist(),
+            ):
+                key = self._key(intermediate, serial)
+                (revoked if is_revoked else live).append(key)
             self._cascade = build_cascade(revoked, live)
         return self._cascade
 
@@ -151,7 +153,7 @@ class CrliteMechanism(RevocationMechanism):
         return True  # every known certificate is enrolled
 
     def lookup(self, leaf: LeafRecord, at: datetime.date) -> CheckOutcome:
-        flagged = self._key(leaf) in self.cascade
+        flagged = self._key(leaf.intermediate_id, leaf.serial_number) in self.cascade
         if flagged and leaf.revoked_at is not None and leaf.revoked_at <= at:
             return CheckOutcome.REVOKED
         if at > leaf.not_after:

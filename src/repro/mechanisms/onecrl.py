@@ -23,6 +23,8 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.mechanisms.base import (
     CheckCost,
     Delivery,
@@ -77,9 +79,7 @@ def build_onecrl(ecosystem: Ecosystem, at: datetime.date) -> OneCrl:
 def blast_radius(ecosystem: Ecosystem, intermediate_id: int) -> int:
     """Leaf certificates issued under one intermediate: everything a
     compromise of that single CA key endangers."""
-    return sum(
-        1 for leaf in ecosystem.leaves if leaf.intermediate_id == intermediate_id
-    )
+    return int(np.count_nonzero(ecosystem.leaves.intermediate == intermediate_id))
 
 
 @register

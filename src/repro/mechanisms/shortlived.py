@@ -28,6 +28,8 @@ import enum
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core import stats
 from repro.mechanisms.base import (
     CheckCost,
@@ -145,11 +147,12 @@ def attack_window_study(
     responses are cacheable for days).
     """
     rng = random.Random(seed)
-    revoked = [leaf for leaf in ecosystem.leaves if leaf.revoked_at is not None]
-    if not revoked:
+    rows = np.flatnonzero(ecosystem.leaves.revoked_mask()).tolist()
+    if not rows:
         raise ValueError("ecosystem contains no revocations")
-    if sample < len(revoked):
-        revoked = rng.sample(revoked, sample)
+    if sample < len(rows):
+        rows = rng.sample(rows, sample)
+    revoked = ecosystem.leaf_records(rows)
 
     windows: dict[RevocationRegime, list[float]] = {
         regime: [] for regime in RevocationRegime

@@ -1,22 +1,22 @@
 """Helpers for the bulk record phases.
 
-Corpus generation, corpus decoding and the CRLSet entry histories each
-allocate hundreds of thousands to millions of small, long-lived records
-(leaves, observed CRL entries, entry histories) in one go.  Two things
-keep that cheap:
+The corpus itself holds no records: generation draws it into the codec's
+columns and the store load attaches them (:mod:`repro.scan.corpus`).
+Records are built in bulk only as copies -- the CRLSet entry histories
+(hundreds of thousands of small, long-lived ``EntryHistory`` records in
+one go) and the decoders of leaf and entry columns.  Two things keep
+that cheap:
 
 - :func:`gc_paused` switches the cyclic garbage collector off for the
-  phase.  None of these records form reference cycles, but every one
-  counts towards the collector's thresholds, so with the collector on
-  it keeps re-walking young generations that only ever survive, and
-  the heap the whole corpus already occupies (docs/PERFORMANCE.md has
-  the measured share).  Reference counting still frees every temporary
-  during the pause; anything cyclic waits for the first collection
-  after it.
+  entry-history phase.  None of these records form reference cycles,
+  but every one counts towards the collector's thresholds, so with the
+  collector on it keeps re-walking young generations that only ever
+  survive (docs/PERFORMANCE.md has the measured share).  Reference
+  counting still frees every temporary during the pause; anything
+  cyclic waits for the first collection after it.
 - :class:`DayInterner` hands out one shared ``datetime.date`` per day.
-  A corpus spans a few thousand distinct days, so records share date
-  objects instead of holding millions of copies, and day arithmetic
-  can run on ordinals instead of building a ``timedelta`` per record.
+  A corpus spans a few thousand distinct days, so decoded records share
+  date objects instead of holding a copy per field per record.
 """
 
 from __future__ import annotations

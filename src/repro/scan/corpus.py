@@ -20,13 +20,20 @@ Dates are stored as int32 proleptic ordinals (0 = None), serials as
 21-byte big-endian blobs (fits 160-bit random serials), reason codes as
 int8 (-1 = None).
 
-The entry columns are also the one in-memory form of the CRL entries:
-generation encodes each brand's observed entries and draws the synthetic
-ones straight into an :class:`EntryColumns`, the decoder hands each
-:class:`~repro.scan.crl_model.EcosystemCrl` its run of rows, and the CRL
-timelines, the CRLSet sweep and the §7 analyses read those columns.
-:class:`CrlEntryRecord` is the codec's row type: records are built
-(:meth:`EntryColumns.decode`) only as a copy, where something reads one.
+The columns are also the one in-memory form of the corpus.  Generation
+draws each brand's leaves into a :class:`LeafColumns` and its CRL
+entries into :class:`EntryColumns` (the observed ones indexed out of the
+leaf columns, the synthetic ones drawn straight in).  Every ecosystem
+constructor attaches the concatenated columns the same way: the Leaf
+Set is a :class:`LeafColumns` of views (:func:`decode_leaves`) and each
+:class:`~repro.scan.crl_model.EcosystemCrl` gets its run of entry rows
+(:func:`decode_crl_population`); both check the values and copy
+nothing.  The scans, the timelines, the CRLSet sweep and the §3-§7
+counts read the columns.  :class:`CrlEntryRecord` and
+:class:`~repro.scan.records.LeafRecord` are the row types: records are
+built (:meth:`EntryColumns.decode`,
+:meth:`repro.scan.ecosystem.Ecosystem.leaf_records`) only as a copy, for
+an API that takes one.
 """
 
 from __future__ import annotations
@@ -42,7 +49,6 @@ import numpy as np
 from repro.revocation.reason import ReasonCode
 from repro.scan.bulk import DayInterner
 from repro.scan.hidden import HiddenPopulation
-from repro.scan.records import LeafRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.scan.crl_model import EcosystemCrl
@@ -51,11 +57,12 @@ __all__ = [
     "CORPUS_FORMAT",
     "CrlEntryRecord",
     "EntryColumns",
+    "LeafColumns",
     "brand_digests",
     "concat_parts",
     "corpus_digest",
-    "decode_brand_leaves",
     "decode_crl_population",
+    "decode_leaves",
     "encode_brand_parts",
     "encode_corpus",
     "serial_blob",
@@ -119,8 +126,7 @@ def _serials(blob: np.ndarray) -> list[int]:
     ]
 
 
-#: int8 reason column value -> reason (-1 = no reason extension); an
-#: unknown value raises KeyError, so a damaged column fails the decode.
+#: int8 reason column value -> reason (-1 = no reason extension).
 _REASON_OF: dict[int, ReasonCode | None] = {
     -1: None,
     **{int(reason): reason for reason in ReasonCode},
@@ -153,26 +159,58 @@ class CrlEntryRecord:
     cert_id: int | None = None
 
 
-class EntryColumns:
+class _Columns:
+    """Rows of one codec column group, held under attribute names.
+
+    ``_FIELDS`` names the attributes in the order of the group's corpus
+    column names ``_COLUMNS``; the constructor takes the columns in that
+    order.  A run is never edited in place, so runs sliced out of one
+    column set share its arrays.
+    """
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+    _COLUMNS: tuple[str, ...] = ()
+
+    def __init__(self, *columns: np.ndarray) -> None:
+        for name, column in zip(self._FIELDS, columns, strict=True):
+            setattr(self, name, column)
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], rows: slice):
+        """Rows ``rows`` of a column set's columns of this group (views)."""
+        return cls(*(_column(arrays, name, rows) for name in cls._COLUMNS))
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._FIELDS[0]))
+
+    def __getitem__(self, rows):
+        """The rows selected by a slice, mask or index array."""
+        return type(self)(*(getattr(self, name)[rows] for name in self._FIELDS))
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The columns under their corpus names."""
+        return {
+            column: getattr(self, name)
+            for column, name in zip(self._COLUMNS, self._FIELDS)
+        }
+
+    def serial_numbers(self, rows=None) -> list[int]:
+        """The serials (of ``rows`` only, if given) as Python ints."""
+        return _serials(self.serial if rows is None else self.serial[rows])
+
+
+class EntryColumns(_Columns):
     """A run of CRL entries in the codec's entry columns.
 
     ``serial`` is the ``(n, 21)`` big-endian blob, ``revoked`` and
     ``expiry`` int32 day ordinals, ``reason`` int8 (-1 = no reason) and
     ``cert`` int32 (-1 = not a Leaf Set certificate): row ``i`` encodes
-    the ``i``-th entry record.  A run is never edited in place, so runs
-    sliced out of one column set share its arrays.
+    the ``i``-th entry record.
     """
 
-    __slots__ = ("cert", "expiry", "reason", "revoked", "serial")
-    #: attribute names in ``_ENTRY_COLUMNS`` order.
-    _FIELDS = ("serial", "revoked", "reason", "expiry", "cert")
-
-    def __init__(self, serial, revoked, reason, expiry, cert) -> None:
-        self.serial = serial
-        self.revoked = revoked
-        self.reason = reason
-        self.expiry = expiry
-        self.cert = cert
+    __slots__ = _FIELDS = ("serial", "revoked", "reason", "expiry", "cert")
+    _COLUMNS = _ENTRY_COLUMNS
 
     @classmethod
     def encode(cls, entries: list[CrlEntryRecord]) -> EntryColumns:
@@ -207,11 +245,6 @@ class EntryColumns:
         return list(map(CrlEntryRecord, *fields.values()))
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], rows: slice) -> EntryColumns:
-        """Rows ``rows`` of a column set's ``entry_*`` columns (views)."""
-        return cls(*(_column(arrays, name, rows) for name in _ENTRY_COLUMNS))
-
-    @classmethod
     def concat(cls, parts: list[EntryColumns]) -> EntryColumns:
         if not parts:
             return cls.encode([])
@@ -221,24 +254,6 @@ class EntryColumns:
                 for name in cls._FIELDS
             )
         )
-
-    def __len__(self) -> int:
-        return len(self.revoked)
-
-    def __getitem__(self, rows) -> EntryColumns:
-        """The rows selected by a slice, mask or index array."""
-        return EntryColumns(*(getattr(self, name)[rows] for name in self._FIELDS))
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """The columns under their corpus names."""
-        return {
-            column: getattr(self, name)
-            for column, name in zip(_ENTRY_COLUMNS, self._FIELDS)
-        }
-
-    def serial_numbers(self, rows=None) -> list[int]:
-        """The serials (of ``rows`` only, if given) as Python ints."""
-        return _serials(self.serial if rows is None else self.serial[rows])
 
     def serial_significance(self, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """``(significant bytes, leading significant byte)`` of each
@@ -250,50 +265,45 @@ class EntryColumns:
         return np.where(lead == 0, 0, _SERIAL_BYTES - first), lead
 
 
+class LeafColumns(_Columns):
+    """The Leaf Set (or a run of it) in the codec's leaf columns, one
+    row per leaf in cert_id order.
+
+    ``not_before``, ``not_after``, ``birth`` and ``death`` are int32 day
+    ordinals, and so is ``revoked``, with 0 for a leaf never revoked;
+    ``reason`` is int8 (-1 = no reason), ``is_ev`` and ``has_ocsp``
+    uint8 flags, and ``server_count``, ``stapling`` (the servers that
+    staple) and ``alexa`` (0 = unranked) int32.  ``serial`` is the
+    ``(n, 21)`` big-endian blob, ``intermediate`` the issuing
+    intermediate's id and ``crl`` the global index of the CRL the leaf
+    points at (-1 = no CRL pointer), both int32.  The scaffold turns ids
+    into brands and URLs: :meth:`repro.scan.ecosystem.Ecosystem.leaf_records`
+    decodes rows into :class:`~repro.scan.records.LeafRecord` copies.
+    """
+
+    __slots__ = _FIELDS = tuple(name.removeprefix("leaf_") for name in _LEAF_COLUMNS)
+    _COLUMNS = _LEAF_COLUMNS
+
+    def fresh_mask(self, day: datetime.date) -> np.ndarray:
+        """Rows within [notBefore, notAfter] on ``day``."""
+        ordinal = day.toordinal()
+        return (self.not_before <= ordinal) & (ordinal <= self.not_after)
+
+    def alive_mask(self, day: datetime.date) -> np.ndarray:
+        """Rows advertised by at least one host on ``day``."""
+        ordinal = day.toordinal()
+        return (self.birth <= ordinal) & (ordinal <= self.death)
+
+    def revoked_mask(self, day: datetime.date | None = None) -> np.ndarray:
+        """Rows revoked by ``day``, or revoked at all without one."""
+        if day is None:
+            return self.revoked != 0
+        return (self.revoked != 0) & (self.revoked <= day.toordinal())
+
+
 # ---------------------------------------------------------------------------
 # encode
 # ---------------------------------------------------------------------------
-
-
-def _encode_leaves(
-    leaves: list[LeafRecord], crl_index_of_url: dict[str, int]
-) -> dict[str, np.ndarray]:
-    return {
-        "leaf_not_before": _ordinals([leaf.not_before for leaf in leaves]),
-        "leaf_not_after": _ordinals([leaf.not_after for leaf in leaves]),
-        "leaf_birth": _ordinals([leaf.birth for leaf in leaves]),
-        "leaf_death": _ordinals([leaf.death for leaf in leaves]),
-        "leaf_revoked": _ordinals([leaf.revoked_at for leaf in leaves]),
-        "leaf_reason": np.array(
-            [
-                -1 if leaf.revocation_reason is None else int(leaf.revocation_reason)
-                for leaf in leaves
-            ],
-            np.int8,
-        ),
-        "leaf_is_ev": np.array([leaf.is_ev for leaf in leaves], np.uint8),
-        "leaf_server_count": np.array(
-            [leaf.server_count for leaf in leaves], np.int32
-        ),
-        "leaf_stapling": np.array(
-            [leaf.stapling_servers for leaf in leaves], np.int32
-        ),
-        "leaf_alexa": np.array([leaf.alexa_rank or 0 for leaf in leaves], np.int32),
-        "leaf_serial": serial_blob([leaf.serial_number for leaf in leaves]),
-        "leaf_intermediate": np.array(
-            [leaf.intermediate_id for leaf in leaves], np.int32
-        ),
-        "leaf_crl": np.array(
-            [
-                -1 if leaf.crl_url is None else crl_index_of_url[leaf.crl_url]
-                for leaf in leaves
-            ],
-            np.int32,
-        ),
-        "leaf_has_ocsp": np.array(
-            [leaf.ocsp_url is not None for leaf in leaves], np.uint8
-        ),
-    }
 
 
 def _encode_crls(crls: list[EcosystemCrl]) -> dict[str, np.ndarray]:
@@ -313,16 +323,13 @@ def _encode_crls(crls: list[EcosystemCrl]) -> dict[str, np.ndarray]:
     return arrays
 
 
-def encode_brand_parts(state, leaves: list[LeafRecord]) -> dict[str, np.ndarray]:
+def encode_brand_parts(state, leaves: LeafColumns) -> dict[str, np.ndarray]:
     """One brand's generated randomness as columns (worker -> parent).
 
     ``leaf_crl`` holds *global* CRL indexes (``layout.crl_base`` +
     local), so brand parts concatenate directly into the full corpus.
     """
-    crl_index_of_url = {
-        crl.url: state.layout.crl_base + i for i, crl in enumerate(state.crls)
-    }
-    arrays = _encode_leaves(leaves, crl_index_of_url)
+    arrays = leaves.arrays()
     arrays.update(_encode_crls(state.crls))
     return arrays
 
@@ -343,8 +350,7 @@ def encode_corpus(ecosystem) -> tuple[dict[str, np.ndarray], dict]:
     layout + digests, so :func:`repro.scan.corpus_store.verify_store`
     can localise corruption to a brand slice without the calibration.
     """
-    crl_index_of_url = {crl.url: i for i, crl in enumerate(ecosystem.crls)}
-    arrays = _encode_leaves(ecosystem.leaves, crl_index_of_url)
+    arrays = ecosystem.leaves.arrays()
     arrays.update(_encode_crls(ecosystem.crls))
     calibration = ecosystem.calibration
     layouts = [
@@ -388,7 +394,7 @@ def corpus_digest(
 
 #: columns a brand's generation substream fully determines.  leaf_alexa
 #: is excluded: Alexa ranks are a merge-time global stage
-#: (:func:`repro.scan.shardgen.assign_alexa_ranks`), so worker-built
+#: (:func:`repro.scan.shardgen.alexa_ranks`), so worker-built
 #: parts carry zeros there; the whole-corpus digest still covers it.
 _BRAND_COLUMNS = tuple(c for c in ALL_COLUMNS if c != "leaf_alexa")
 
@@ -437,52 +443,40 @@ def brand_digests(
 # ---------------------------------------------------------------------------
 
 
-def decode_brand_leaves(
-    arrays: dict[str, np.ndarray], state, crls: list[EcosystemCrl]
-) -> list[LeafRecord]:
-    """Rebuild one brand's leaf records from the full corpus columns
-    (rows ``layout.cert_base`` on); ``crls`` is the global CRL list the
-    ``leaf_crl`` indexes point into."""
-    layout = state.layout
-    count = layout.cert_count
-    rows = slice(layout.cert_base, layout.cert_base + count)
-    days = DayInterner()
+def _check_range(column: np.ndarray, name: str, low: int, high: int) -> None:
+    """Raise ``ValueError`` naming column ``name`` unless every value of
+    ``column`` is in [low, high]."""
+    if len(column) and not low <= column.min() <= column.max() <= high:
+        raise ValueError(f"corpus column {name} holds a value out of range")
 
-    def column(name: str) -> list:
-        return _column(arrays, name, rows).tolist()
 
-    def dates(name: str) -> list[datetime.date | None]:
-        return [days[ordinal] if ordinal else None for ordinal in column(name)]
+def decode_leaves(arrays: dict[str, np.ndarray], states) -> LeafColumns:
+    """The Leaf Set: views of the leaf columns of ``arrays``, no copy.
 
-    crl_urls = [crl.url for crl in crls]
-    ocsp_urls = state.ocsp_urls
-    intermediates = column("leaf_intermediate")
-    # Keys in LeafRecord field order: the records are built positionally.
-    fields = {
-        "cert_id": range(layout.cert_base, layout.cert_base + count),
-        "brand": itertools.repeat(state.profile.name, count),
-        "intermediate_id": intermediates,
-        "serial_number": _serials(_column(arrays, "leaf_serial", rows)),
-        "not_before": dates("leaf_not_before"),
-        "not_after": dates("leaf_not_after"),
-        "birth": dates("leaf_birth"),
-        "death": dates("leaf_death"),
-        "is_ev": [bool(flag) for flag in column("leaf_is_ev")],
-        "crl_url": [
-            None if index < 0 else crl_urls[index] for index in column("leaf_crl")
-        ],
-        "ocsp_url": [
-            ocsp_urls[intermediate - layout.intermediate_base] if has_ocsp else None
-            for intermediate, has_ocsp in zip(intermediates, column("leaf_has_ocsp"))
-        ],
-        "revoked_at": dates("leaf_revoked"),
-        "revocation_reason": [_REASON_OF[code] for code in column("leaf_reason")],
-        "server_count": column("leaf_server_count"),
-        "stapling_servers": column("leaf_stapling"),
-        "alexa_rank": [rank or None for rank in column("leaf_alexa")],
-    }
-    state.leaf_ids.extend(fields["cert_id"])
-    return list(map(LeafRecord, *fields.values()))
+    ``states`` are the scaffolded brands in profile order.  Every value
+    a decoded :class:`~repro.scan.records.LeafRecord` would rest on is
+    checked, brand slice by brand slice, so a damaged column raises
+    ``ValueError`` naming it: a known reason code, days a ``date``
+    holds (``revoked`` may also be 0), an intermediate of the leaf's
+    own brand, and a CRL pointer that is -1 or one of its brand's CRLs.
+    """
+    count = sum(state.layout.cert_count for state in states)
+    leaves = LeafColumns.from_arrays(arrays, slice(0, count))
+    if not np.isin(leaves.reason, _REASON_CODES).all():
+        raise ValueError("corpus column leaf_reason holds an unknown reason code")
+    for name in ("not_before", "not_after", "birth", "death"):
+        _check_range(getattr(leaves, name), f"leaf_{name}", 1, _MAX_ORDINAL)
+    _check_range(leaves.revoked, "leaf_revoked", 0, _MAX_ORDINAL)
+    for state in states:
+        layout = state.layout
+        brand = leaves[layout.cert_rows]
+        first = layout.intermediate_base
+        last = first + len(state.intermediate_records) - 1
+        _check_range(brand.intermediate, "leaf_intermediate", first, last)
+        crls = brand.crl[brand.crl != -1]
+        last = layout.crl_base + layout.crl_count - 1
+        _check_range(crls, "leaf_crl", layout.crl_base, last)
+    return leaves
 
 
 def decode_crl_population(
@@ -503,9 +497,7 @@ def decode_crl_population(
     if not np.isin(columns.reason, _REASON_CODES).all():
         raise ValueError("corpus column entry_reason holds an unknown reason code")
     for name in ("revoked", "expiry"):
-        ordinals = getattr(columns, name)
-        if len(ordinals) and not 1 <= ordinals.min() <= ordinals.max() <= _MAX_ORDINAL:
-            raise ValueError(f"corpus column entry_{name} holds a day out of range")
+        _check_range(getattr(columns, name), f"entry_{name}", 1, _MAX_ORDINAL)
     cursor = 0
     for crl, count, assigned, target in zip(
         crls,

@@ -217,7 +217,7 @@ def export_study(study: MeasurementStudy, directory: str | Path) -> Path:
                 "alexa_rank",
             ]
         )
-        for leaf in eco.leaves:
+        for leaf in eco.leaf_records():
             writer.writerow(
                 [
                     leaf.cert_id,

@@ -2,7 +2,7 @@
 
 :class:`Ecosystem` generates, deterministically from a seed, everything
 the paper's scans observed: a root store, an Intermediate Set of real CA
-certificates, a Leaf Set of certificate lifecycle records, per-CA CRLs
+certificates, a Leaf Set of certificate lifecycles, per-CA CRLs
 (with realistic sharding, entry populations, and byte sizes), revocation
 events including the Heartbleed burst of April 2014, hosting/stapling
 deployment, and Alexa popularity ranks.
@@ -29,80 +29,35 @@ from repro.ca.profiles import PAPER_CA_PROFILES, CaProfile
 from repro.pki.certificate import Certificate, CertificateBuilder
 from repro.pki.keys import KeyPair
 from repro.pki.name import Name
+from repro.revocation.reason import ReasonCode
 from repro.scan import corpus, shardgen
-from repro.scan.bulk import gc_paused
+from repro.scan.bulk import DayInterner
 from repro.scan.calibration import Calibration
+from repro.scan.corpus import LeafColumns
 from repro.scan.crl_model import EcosystemCrl
 from repro.scan.records import IntermediateRecord, LeafRecord
 from repro.scan.shardgen import BrandState
 
-__all__ = ["Ecosystem", "LeafIndex"]
+__all__ = ["Ecosystem"]
 
 _UTC = datetime.timezone.utc
-
-#: far-future ordinal standing in for "never revoked" in the index.
-_NEVER = datetime.date(9999, 1, 1).toordinal()
 
 
 def _dt(day: datetime.date) -> datetime.datetime:
     return datetime.datetime(day.year, day.month, day.day, tzinfo=_UTC)
 
 
-class LeafIndex:
-    """Columnar view of the Leaf Set for the per-scan hot loops.
-
-    Built once per ecosystem (lazily); fresh/alive sweeps over a
-    scale-0.5 corpus drop from ~0.2 s of per-record predicate calls to a
-    couple of numpy mask operations.  The Leaf Set is immutable after
-    generation, so the index is never invalidated.
-    """
-
-    def __init__(self, leaves: list[LeafRecord]) -> None:
-        def ordinals(days) -> np.ndarray:
-            return np.array([day.toordinal() for day in days], np.int64)
-
-        self.not_before = ordinals([leaf.not_before for leaf in leaves])
-        self.not_after = ordinals([leaf.not_after for leaf in leaves])
-        self.birth = ordinals([leaf.birth for leaf in leaves])
-        self.death = ordinals([leaf.death for leaf in leaves])
-        self.revoked = np.array(
-            [
-                leaf.revoked_at.toordinal() if leaf.revoked_at else _NEVER
-                for leaf in leaves
-            ],
-            np.int64,
-        )
-        self.is_ev = np.array([leaf.is_ev for leaf in leaves], bool)
-
-    def fresh_mask(self, on: datetime.date) -> np.ndarray:
-        ordinal = on.toordinal()
-        return (self.not_before <= ordinal) & (ordinal <= self.not_after)
-
-    def alive_mask(self, on: datetime.date) -> np.ndarray:
-        ordinal = on.toordinal()
-        return (self.birth <= ordinal) & (ordinal <= self.death)
-
-    def timeline_arrays(self):
-        """The array tuple :func:`repro.core.timelines.revocation_series`
-        consumes, in its declaration order."""
-        return (
-            self.not_before,
-            self.not_after,
-            self.birth,
-            self.death,
-            self.revoked,
-            self.is_ev,
-        )
-
-
 class Ecosystem:
     """Deterministic synthetic PKI ecosystem (see module docstring).
 
     The constructor generates every brand in-process, in profile order;
-    :meth:`from_parts` assembles one from shard parts built elsewhere.
+    :meth:`from_parts` assembles one from shard parts built elsewhere,
+    and :meth:`from_corpus` from a corpus store's columns.  All three
+    attach the generated columns through one path, so :attr:`leaves` is
+    the Leaf Set as :class:`~repro.scan.corpus.LeafColumns` (row ``i``
+    is cert_id ``i``) and every CRL's ``entries`` its entry columns.
     """
 
-    @gc_paused()
     def __init__(
         self,
         calibration: Calibration | None = None,
@@ -111,11 +66,18 @@ class Ecosystem:
         self.calibration = calibration or Calibration()
         self.profiles = profiles
         self._scaffold()
-        self._build_in_process()
+        # Each brand only reads its own substreams, so the order is
+        # bookkeeping; the scaffold built above is the one populated.
+        parts = [
+            corpus.encode_brand_parts(
+                state, shardgen.populate_brand(self.calibration, state)
+            )
+            for state in self.brands.values()
+        ]
+        self._decode(corpus.concat_parts(parts))
         self._finalize(assign_alexa=True)
 
     @classmethod
-    @gc_paused()
     def from_corpus(
         cls,
         calibration: Calibration,
@@ -127,8 +89,9 @@ class Ecosystem:
 
         The deterministic scaffold (roots, intermediates, CRL shards,
         URL tables) is regenerated from the calibration; only the
-        generated randomness is decoded from ``arrays``.  Raises
-        ``ValueError`` on a format/seed/scale mismatch.
+        generated randomness comes from ``arrays``, attached as views.
+        Raises ``ValueError`` on a format/seed/scale mismatch or a
+        damaged column.
         """
         if meta.get("format") != corpus.CORPUS_FORMAT:
             raise ValueError(f"unsupported corpus format {meta.get('format')!r}")
@@ -150,7 +113,6 @@ class Ecosystem:
         return self
 
     @classmethod
-    @gc_paused()
     def from_parts(
         cls,
         calibration: Calibration,
@@ -165,8 +127,8 @@ class Ecosystem:
         this one path, so interrupted and uninterrupted builds converge
         on the same ecosystem (the parts are keyed on brand substreams,
         not on which run or shard produced them).  The parts are
-        concatenated in profile order and decoded exactly as
-        :meth:`from_corpus` decodes a store; only the Alexa ranks, which
+        concatenated in profile order and attached exactly as
+        :meth:`from_corpus` attaches a store; only the Alexa ranks, which
         worker-built parts leave as zeros, are assigned here.
         """
         self = cls.__new__(cls)
@@ -202,6 +164,8 @@ class Ecosystem:
         )
         self.brands: dict[str, BrandState] = {}
         self.intermediates: list[IntermediateRecord] = []
+        #: OCSP responder URL per intermediate id.
+        self.ocsp_urls: list[str] = []
         self.crls: list[EcosystemCrl] = []
         self._crl_by_url: dict[str, EcosystemCrl] = {}
         for profile, layout in zip(self.profiles, self._layouts):
@@ -210,6 +174,7 @@ class Ecosystem:
             )
             self.brands[profile.name] = state
             self.intermediates.extend(state.intermediate_records)
+            self.ocsp_urls.extend(state.ocsp_urls)
             self.crls.extend(state.crls)
             self._crl_by_url.update(state.crl_by_url)
         # One size model per distinct CRL header in this ecosystem.
@@ -217,48 +182,81 @@ class Ecosystem:
         for crl in self.crls:
             crl.size_models = size_models
 
-    def _build_in_process(self) -> None:
-        """Generate every brand here, in profile order (each brand only
-        reads its own substreams, so the order is bookkeeping)."""
-        calibration = self.calibration
-        self.leaves = []
-        for profile in self.profiles:
-            state = self.brands[profile.name]
-            # Scaffold already built; run the remaining brand chain.
-            brand_leaves = shardgen.build_brand_leaves(calibration, state)
-            shardgen.assign_brand_revocations(calibration, state, brand_leaves)
-            shardgen.populate_brand_synthetic(calibration, state)
-            self.leaves.extend(brand_leaves)
-
     def _decode(self, arrays: dict) -> None:
-        """Decode full corpus columns into this scaffold: the leaves
-        brand by brand, then every CRL's entries."""
-        self.leaves = []
-        for profile in self.profiles:
-            self.leaves.extend(
-                corpus.decode_brand_leaves(arrays, self.brands[profile.name], self.crls)
-            )
+        """Attach full corpus columns to this scaffold: the Leaf Set as
+        views of the leaf columns, then every CRL's run of entry rows.
+        Nothing is copied or decoded into records, and a damaged column
+        raises ``ValueError``."""
+        self.leaves: LeafColumns = corpus.decode_leaves(
+            arrays, list(self.brands.values())
+        )
         corpus.decode_crl_population(arrays, self.crls, self.calibration)
 
     def _finalize(self, assign_alexa: bool) -> None:
         """Merge-time global stages + derived counts."""
         if assign_alexa:
-            shardgen.assign_alexa_ranks(self.calibration, self.leaves)
+            self.leaves.alexa = shardgen.alexa_ranks(self.calibration, self.leaves)
         #: count of scan-visible but invalid certificates (self-signed
         #: router certs etc.); tracked as a count, per §3.1.
         targets = self.calibration.targets
         ratio = targets.unique_certs_seen / targets.leaf_set_size
         self.invalid_cert_count = int(len(self.leaves) * (ratio - 1.0))
-        self._leaf_index: LeafIndex | None = None
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
 
+    def leaf_records(self, rows=None) -> list[LeafRecord]:
+        """The :class:`LeafRecord` copies of the Leaf Set's ``rows`` (a
+        mask, an index array or list, or a slice; every row if None), in
+        row order: the one decoder of leaf columns.  Brands and URLs come
+        from the scaffold: intermediate ids index :attr:`intermediates`
+        and the OCSP URL table, CRL indexes :attr:`crls`."""
+        cert_ids = np.arange(len(self.leaves))
+        if rows is not None:
+            cert_ids = cert_ids[rows]
+        leaves = self.leaves[cert_ids]
+        days = DayInterner()
+
+        def dates(column: np.ndarray) -> list[datetime.date | None]:
+            return [days[ordinal] if ordinal else None for ordinal in column.tolist()]
+
+        intermediates = leaves.intermediate.tolist()
+        # Keys in LeafRecord field order: the records are built positionally.
+        fields = {
+            "cert_id": cert_ids.tolist(),
+            "brand": [self.intermediates[i].brand for i in intermediates],
+            "intermediate_id": intermediates,
+            "serial_number": leaves.serial_numbers(),
+            "not_before": dates(leaves.not_before),
+            "not_after": dates(leaves.not_after),
+            "birth": dates(leaves.birth),
+            "death": dates(leaves.death),
+            "is_ev": [bool(flag) for flag in leaves.is_ev.tolist()],
+            "crl_url": [
+                None if index < 0 else self.crls[index].url
+                for index in leaves.crl.tolist()
+            ],
+            "ocsp_url": [
+                self.ocsp_urls[intermediate] if has_ocsp else None
+                for intermediate, has_ocsp in zip(
+                    intermediates, leaves.has_ocsp.tolist()
+                )
+            ],
+            "revoked_at": dates(leaves.revoked),
+            "revocation_reason": [
+                None if code < 0 else ReasonCode(code)
+                for code in leaves.reason.tolist()
+            ],
+            "server_count": leaves.server_count.tolist(),
+            "stapling_servers": leaves.stapling.tolist(),
+            "alexa_rank": [rank or None for rank in leaves.alexa.tolist()],
+        }
+        return list(map(LeafRecord, *fields.values()))
+
     def leaf(self, cert_id: int) -> LeafRecord:
-        leaf = self.leaves[cert_id]
-        assert leaf.cert_id == cert_id
-        return leaf
+        """The record of one leaf."""
+        return self.leaf_records([cert_id])[0]
 
     def crl_for_url(self, url: str) -> EcosystemCrl:
         return self._crl_by_url[url]
@@ -267,34 +265,21 @@ class Ecosystem:
     def leaf_count(self) -> int:
         return len(self.leaves)
 
-    @property
-    def leaf_index(self) -> LeafIndex:
-        if self._leaf_index is None:
-            self._leaf_index = LeafIndex(self.leaves)
-        return self._leaf_index
-
-    def fresh_leaves(self, on: datetime.date) -> list[LeafRecord]:
-        leaves = self.leaves
-        return [leaves[i] for i in np.nonzero(self.leaf_index.fresh_mask(on))[0]]
-
-    def alive_leaves(self, on: datetime.date) -> list[LeafRecord]:
-        leaves = self.leaves
-        return [leaves[i] for i in np.nonzero(self.leaf_index.alive_mask(on))[0]]
-
     def total_crl_entries(self, on: datetime.date) -> int:
         return sum(crl.entry_count(on) for crl in self.crls)
 
     # -- materialisation -----------------------------------------------
 
+    def _issuer(self, leaf: LeafRecord):
+        """The intermediate CA that issued ``leaf``."""
+        state = self.brands[leaf.brand]
+        return state.intermediate_cas[
+            leaf.intermediate_id - state.layout.intermediate_base
+        ]
+
     def materialize(self, leaf: LeafRecord) -> Certificate:
         """Build the real, signed certificate for a leaf record."""
-        state = self.brands[leaf.brand]
-        index = next(
-            i
-            for i, rec in enumerate(state.intermediate_records)
-            if rec.intermediate_id == leaf.intermediate_id
-        )
-        issuer_ca = state.intermediate_cas[index]
+        issuer_ca = self._issuer(leaf)
         keys = KeyPair.generate(f"leaf/{leaf.cert_id}/{self.calibration.seed}")
         builder = (
             CertificateBuilder()
@@ -314,12 +299,8 @@ class Ecosystem:
 
     def chain_for(self, leaf: LeafRecord) -> list[Certificate]:
         """[leaf certificate, intermediate, root] for chain verification."""
-        state = self.brands[leaf.brand]
-        index = next(
-            i
-            for i, rec in enumerate(state.intermediate_records)
-            if rec.intermediate_id == leaf.intermediate_id
-        )
-        issuer_ca = state.intermediate_cas[index]
-        root_ca = self._root_cas[leaf.brand]
-        return [self.materialize(leaf), issuer_ca.certificate, root_ca.certificate]
+        return [
+            self.materialize(leaf),
+            self._issuer(leaf).certificate,
+            self._root_cas[leaf.brand].certificate,
+        ]

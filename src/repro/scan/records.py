@@ -2,9 +2,14 @@
 
 The paper's Leaf Set holds 5 M certificates; even scaled down, carrying a
 fully materialised :class:`~repro.pki.certificate.Certificate` per leaf
-would dominate memory for no analytical gain.  :class:`LeafRecord` is a
-``__slots__`` dataclass holding exactly the fields the analyses consume;
-real certificates are materialised on demand (see
+would dominate memory for no analytical gain.  The ecosystem keeps its
+Leaf Set in the corpus codec's leaf columns
+(:class:`~repro.scan.corpus.LeafColumns`), and the counts over it read
+those.  :class:`LeafRecord` is their decoded row type: a ``__slots__``
+dataclass holding the fields the per-leaf APIs consume (the revocation
+mechanisms, the serving catalog, the export), decoded by
+:meth:`repro.scan.ecosystem.Ecosystem.leaf_records` only for the rows
+handed to one.  Real certificates are materialised on demand (see
 :meth:`repro.scan.ecosystem.Ecosystem.materialize`).
 """
 

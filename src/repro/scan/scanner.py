@@ -63,9 +63,8 @@ class Rapid7Scanner:
         self.obs = obs if obs is not None else NULL_OBS
 
     def scan(self, date: datetime.date) -> ScanSnapshot:
-        # Vectorised via the ecosystem's LeafIndex: one mask comparison
-        # over precomputed date ordinals instead of a per-leaf Python loop.
-        alive = np.flatnonzero(self.ecosystem.leaf_index.alive_mask(date))
+        # One mask comparison over the leaf columns' date ordinals.
+        alive = np.flatnonzero(self.ecosystem.leaves.alive_mask(date))
         if self.obs.enabled:
             self.obs.tracer.event(
                 "scan.snapshot", date=date.isoformat(), alive=len(alive)

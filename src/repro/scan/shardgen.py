@@ -15,10 +15,15 @@ Only two steps are global and run at merge time: the Alexa rank shuffle
 (one ``"alexa"`` substream over the merged Leaf Set) and the invalid-
 certificate count (pure arithmetic).
 
+Generation draws straight into the corpus codec's columns: each brand's
+leaves into a :class:`~repro.scan.corpus.LeafColumns` (day ordinals and
+ints, no record), its CRL entries into
+:class:`~repro.scan.corpus.EntryColumns`.
+
 Deterministic ID geometry (:class:`BrandLayout`) replaces the old
 sequential allocators: ``cert_id`` ranges are the running sum of
-``scaled_certs`` in profile order (so ``leaves[i].cert_id == i`` after
-the merge), ``intermediate_id`` ranges the running sum of
+``scaled_certs`` in profile order (so row ``i`` of the merged leaf
+columns is cert_id ``i``), ``intermediate_id`` ranges the running sum of
 ``profile.intermediates``, sequential serials are ``1000 + index-within-
 brand``, and synthetic CRL entries draw serials from a per-CRL band
 above :data:`SYNTH_SERIAL_BASE` -- disjoint from every leaf serial.
@@ -40,17 +45,16 @@ from repro.ca.authority import CertificateAuthority
 from repro.ca.profiles import PAPER_CA_PROFILES, CaProfile
 from repro.revocation.reason import ReasonCode
 from repro.revocation.sizing import representative_entry_size
-from repro.scan.bulk import DayInterner, gc_paused
 from repro.scan.calibration import Calibration
 from repro.scan.corpus import (
-    CrlEntryRecord,
     EntryColumns,
+    LeafColumns,
     encode_brand_parts,
     serial_blob,
 )
 from repro.scan.crl_model import EcosystemCrl
 from repro.scan.hidden import HiddenPopulation
-from repro.scan.records import IntermediateRecord, LeafRecord
+from repro.scan.records import IntermediateRecord
 from repro.scan.streams import substream
 
 __all__ = [
@@ -60,7 +64,7 @@ __all__ = [
     "MATERIALIZE_THRESHOLD",
     "SYNTH_SERIAL_BASE",
     "SYNTH_SERIAL_STRIDE",
-    "assign_alexa_ranks",
+    "alexa_ranks",
     "build_brand",
     "build_brand_leaves",
     "build_brand_scaffold",
@@ -68,6 +72,7 @@ __all__ = [
     "build_roots",
     "layout_brands",
     "plan_shards",
+    "populate_brand",
 ]
 
 _UTC = datetime.timezone.utc
@@ -148,6 +153,11 @@ class BrandLayout:
     intermediate_base: int
     crl_base: int
     crl_count: int
+
+    @property
+    def cert_rows(self) -> slice:
+        """The brand's rows of the Leaf Set."""
+        return slice(self.cert_base, self.cert_base + self.cert_count)
 
 
 def layout_brands(
@@ -253,12 +263,10 @@ class BrandState:
         self.crls: list[EcosystemCrl] = []
         self.ocsp_urls: list[str] = []
         self.crl_by_url: dict[str, EcosystemCrl] = {}
-        #: CRL URL -> the observed leaf revocations listed on it, in
+        #: global CRL index -> the brand's leaf rows revoked on it, in
         #: revocation order, until :func:`populate_brand_synthetic`
-        #: encodes them into the CRLs' entries.
-        self.observed_entries: dict[str, list[CrlEntryRecord]] = {}
-        #: cert_ids of this brand's leaves (contiguous by construction).
-        self.leaf_ids: list[int] = []
+        #: lists them as the CRLs' observed entries.
+        self.revoked_rows: dict[int, list[int]] = {}
 
 
 def _serial_bytes(profile: CaProfile) -> int:
@@ -410,10 +418,10 @@ def _draw_stapling(rng, cal: Calibration, server_count: int, is_ev: bool) -> int
     return 0
 
 
-def build_brand_leaves(
-    calibration: Calibration, state: BrandState
-) -> list[LeafRecord]:
-    """The brand's Leaf Set slice, in cert_id order.
+def build_brand_leaves(calibration: Calibration, state: BrandState) -> LeafColumns:
+    """The brand's Leaf Set slice as leaf columns, in cert_id order: no
+    leaf revoked yet (``revoked`` 0, ``reason`` -1) and none ranked
+    (``alexa`` 0).
 
     Each :data:`LEAF_BLOCK`-sized block draws from its own substream, so
     any block -- hence any brand, hence any shard -- can be generated
@@ -424,16 +432,15 @@ def build_brand_leaves(
     is, by definition, what the scans observed), the first-advertised
     lag, the death, the issuing intermediate, the serial, the CRL
     pointer, the OCSP pointer, EV, the server count and the stapling
-    servers.
+    servers.  Days are ordinals and every value a plain int, appended to
+    one list per column; the arrays are built from the lists in one go.
     """
     cal = calibration
     profile = state.profile
     layout = state.layout
     months, cum_weights, total_weight = _issue_distribution(cal)
-    # Day arithmetic runs on ordinals; records get interned dates.  Day
-    # d of a month is its "day 0" ordinal plus d.
+    # Day d of a month is its "day 0" ordinal plus d.
     month_day0 = [month.toordinal() - 1 for month in months]
-    days = DayInterner()
     validity_mix = _Mix(cal.validity_mix)
     server_count_mix = _Mix((entry, entry[-1]) for entry in cal.server_count_mix)
     scan_start, scan_end = cal.scan_start.toordinal(), cal.scan_end.toordinal()
@@ -449,13 +456,14 @@ def build_brand_leaves(
     intermediate_ids = [
         record.intermediate_id for record in state.intermediate_records
     ]
-    crl_urls = [crl.url for crl in state.crls]
-    n_crls = len(crl_urls)
-    ocsp_urls = state.ocsp_urls
+    n_crls, crl_base = len(state.crls), layout.crl_base
     random_long = profile.serial_style == "random_long"
-    brand = profile.name
     crl_assigned = [0] * n_crls
-    leaves: list[LeafRecord] = []
+    # One list per column: appending ints allocates no container, so the
+    # cyclic collector never walks the rows.
+    issues, not_afters, births, deaths = [], [], [], []
+    is_evs, server_counts, stapling, serials = [], [], [], []
+    intermediates, crls, has_ocsps = [], [], []
     bisect_right = bisect.bisect_right
 
     for block_start in range(0, count, LEAF_BLOCK):
@@ -489,46 +497,53 @@ def build_brand_leaves(
             intermediate_index = randrange(n_intermediates)
             serial = rng.getrandbits(160) if random_long else 1000 + i
 
-            crl_url = None
+            crl = -1
             if n_crls and random() < crl_inclusion:
                 crl_index = randrange(n_crls)
                 crl_assigned[crl_index] += 1
-                crl_url = crl_urls[crl_index]
+                crl = crl_base + crl_index
 
-            ocsp_url = None
             adoption = ocsp_since
             if ocsp_ramp:
                 adoption += randint(0, ocsp_ramp)
-            if issue >= adoption and random() < ocsp_inclusion:
-                ocsp_url = ocsp_urls[intermediate_index]
+            has_ocsp = issue >= adoption and random() < ocsp_inclusion
 
             is_ev = random() < ev_fraction
             low, high, _ = server_count_mix.draw(rng)
             server_count = randint(low, high)
             stapling_servers = _draw_stapling(rng, cal, server_count, is_ev)
 
-            leaves.append(
-                LeafRecord(
-                    cert_id=layout.cert_base + i,
-                    brand=brand,
-                    intermediate_id=intermediate_ids[intermediate_index],
-                    serial_number=serial,
-                    not_before=days[issue],
-                    not_after=days[not_after],
-                    birth=days[birth],
-                    death=days[death],
-                    is_ev=is_ev,
-                    crl_url=crl_url,
-                    ocsp_url=ocsp_url,
-                    server_count=server_count,
-                    stapling_servers=stapling_servers,
-                )
-            )
-    state.leaf_ids.extend(range(layout.cert_base, layout.cert_base + count))
+            issues.append(issue)
+            not_afters.append(not_after)
+            births.append(birth)
+            deaths.append(death)
+            is_evs.append(is_ev)
+            server_counts.append(server_count)
+            stapling.append(stapling_servers)
+            serials.append(serial)
+            intermediates.append(intermediate_ids[intermediate_index])
+            crls.append(crl)
+            has_ocsps.append(has_ocsp)
 
-    for crl, assigned in zip(state.crls, crl_assigned):
-        crl.assigned_cert_count += assigned
-    return leaves
+    for crl_model, assigned in zip(state.crls, crl_assigned):
+        crl_model.assigned_cert_count += assigned
+    int32 = partial(np.array, dtype=np.int32)
+    return LeafColumns(
+        int32(issues),
+        int32(not_afters),
+        int32(births),
+        int32(deaths),
+        np.zeros(count, np.int32),
+        np.full(count, -1, np.int8),
+        np.array(is_evs, np.uint8),
+        int32(server_counts),
+        int32(stapling),
+        np.zeros(count, np.int32),
+        serial_blob(serials),
+        int32(intermediates),
+        int32(crls),
+        np.array(has_ocsps, np.uint8),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -546,112 +561,93 @@ def _weighted_sample(rng, items: list, weights: list, k: int) -> list:
     return [item for _, item in keyed[:k]]
 
 
-def _steady_revocation_date(rng, cal: Calibration, leaf: LeafRecord):
-    start = leaf.not_before + datetime.timedelta(days=7)
-    end = min(leaf.not_after, cal.measurement_end)
-    if end <= start:
-        return start
-    span = (end - start).days
-    return start + datetime.timedelta(days=rng.randint(0, span))
-
-
-def _revoke_leaf(
-    rng,
-    cal: Calibration,
-    state: BrandState,
-    leaf: LeafRecord,
-    when,
-    reasons: _Mix,
-) -> None:
-    leaf.revoked_at = when
-    code = reasons.draw(rng)
-    leaf.revocation_reason = None if code < 0 else ReasonCode(code)
-    if rng.random() >= cal.keep_advertising_after_revoke:
-        # Most administrators deploy the replacement certificate right
-        # around the revocation (often just before requesting it).
-        takedown = when + datetime.timedelta(days=rng.randint(-14, 3))
-        leaf.death = max(leaf.birth, min(leaf.death, takedown))
-    if leaf.crl_url is not None:
-        state.observed_entries.setdefault(leaf.crl_url, []).append(
-            CrlEntryRecord(
-                serial_number=leaf.serial_number,
-                revoked_at=when,
-                reason=leaf.revocation_reason,
-                cert_not_after=leaf.not_after,
-                cert_id=leaf.cert_id,
-            )
-        )
-
-
 def assign_brand_revocations(
-    calibration: Calibration, state: BrandState, leaves: list[LeafRecord]
+    calibration: Calibration, state: BrandState, leaves: LeafColumns
 ) -> None:
     """Steady-state churn + the Heartbleed burst, one substream per brand.
 
-    Mutates leaf records in place and appends observed entries to the
-    brand's ``observed_entries``; depends only on this brand's own leaves.
+    Fills in the brand's ``revoked``, ``reason`` and ``death`` columns
+    and records each CRL's revoked rows, in revocation order, in
+    ``state.revoked_rows``; depends only on this brand's own leaves.
+    The columns are read as Python ints, so all day arithmetic is on
+    plain ordinals and the Heartbleed weights are the same floats as
+    ``max(1.0, days) ** 0.75`` over ``timedelta.days``.
     """
     cal = calibration
     profile = state.profile
     target = profile.scaled_revoked(cal.scale)
-    if not leaves or target == 0:
+    count = len(leaves)
+    if not count or target == 0:
         return
     rng = substream(cal.seed, "revoke", profile.name)
     reasons = _reason_mix(cal)
+    not_before, not_after, birth, death, crl = (
+        getattr(leaves, name).tolist()
+        for name in ("not_before", "not_after", "birth", "death", "crl")
+    )
+    revoked_on, reason = [0] * count, [-1] * count
+    end = cal.measurement_end.toordinal()
+
+    def steady_date(index: int) -> int:
+        start = not_before[index] + 7
+        last = min(not_after[index], end)
+        if last <= start:
+            return start
+        return start + rng.randint(0, last - start)
+
+    def revoke(index: int, when: int) -> None:
+        revoked_on[index] = when
+        reason[index] = reasons.draw(rng)
+        if rng.random() >= cal.keep_advertising_after_revoke:
+            # Most administrators deploy the replacement certificate right
+            # around the revocation (often just before requesting it).
+            takedown = when + rng.randint(-14, 3)
+            death[index] = max(birth[index], min(death[index], takedown))
+        if crl[index] >= 0:
+            state.revoked_rows.setdefault(crl[index], []).append(index)
 
     steady_p = min(cal.steady_cap, profile.revoked_fraction * cal.steady_share)
-    steady_count = min(target, round(len(leaves) * steady_p))
-    chosen = rng.sample(range(len(leaves)), min(len(leaves), steady_count))
+    steady_count = min(target, round(count * steady_p))
+    chosen = rng.sample(range(count), min(count, steady_count))
     revoked: set[int] = set()
     for index in chosen:
-        leaf = leaves[index]
-        _revoke_leaf(
-            rng, cal, state, leaf, _steady_revocation_date(rng, cal, leaf), reasons
-        )
+        revoke(index, steady_date(index))
         revoked.add(index)
 
     remaining = target - len(revoked)
     if remaining > 0:
-        heartbleed = cal.heartbleed_date
+        heartbleed = cal.heartbleed_date.toordinal()
         eligible = [
             index
-            for index, leaf in enumerate(leaves)
+            for index in range(count)
             if index not in revoked
-            and leaf.is_fresh(heartbleed)
-            and leaf.is_alive(heartbleed)
+            and not_before[index] <= heartbleed <= not_after[index]
+            and birth[index] <= heartbleed <= death[index]
         ]
         # Bias toward certificates with more remaining validity: a
         # revocation is only worth requesting if the certificate would
         # otherwise stay valid for a while (cf. [52]).
         weights = [
-            max(1.0, (leaves[index].not_after - heartbleed).days) ** 0.75
-            for index in eligible
+            max(1.0, not_after[index] - heartbleed) ** 0.75 for index in eligible
         ]
         take = min(remaining, len(eligible))
         picked = _weighted_sample(rng, eligible, weights, take)
         for index in picked:
-            leaf = leaves[index]
             offset = min(
                 int(rng.expovariate(1.0 / cal.heartbleed_decay_days)),
                 cal.heartbleed_window_days,
             )
-            when = heartbleed + datetime.timedelta(days=offset)
-            when = min(when, leaf.not_after)
-            _revoke_leaf(rng, cal, state, leaf, when, reasons)
+            revoke(index, min(heartbleed + offset, not_after[index]))
             revoked.add(index)
 
         # Any shortfall (tiny corpora) becomes late steady churn.
-        leftovers = [i for i in range(len(leaves)) if i not in revoked]
+        leftovers = [i for i in range(count) if i not in revoked]
         for index in leftovers[: max(0, target - len(revoked))]:
-            leaf = leaves[index]
-            _revoke_leaf(
-                rng,
-                cal,
-                state,
-                leaf,
-                _steady_revocation_date(rng, cal, leaf),
-                reasons,
-            )
+            revoke(index, steady_date(index))
+
+    leaves.revoked[:] = revoked_on
+    leaves.reason[:] = reason
+    leaves.death[:] = death
 
 
 # ---------------------------------------------------------------------------
@@ -661,23 +657,36 @@ def assign_brand_revocations(
 _SYNTH_WINDOW_START = datetime.date(2013, 1, 1)
 
 
-def populate_brand_synthetic(calibration: Calibration, state: BrandState) -> None:
+def populate_brand_synthetic(
+    calibration: Calibration, state: BrandState, leaves: LeafColumns
+) -> None:
     """Fill each CRL up to its size target with never-observed entries:
     individually identified entries on small (CRLSet-eligible) CRLs, bulk
     :class:`HiddenPopulation` counts on big ones.  One substream per CRL,
     so even CRLs within a brand are order-independent.
 
     Every CRL is assigned its entries as columns: the observed leaf
-    revocations (encoded in one batch per brand, in CRL order, then
-    revocation order), then the synthetic entries, drawn straight into
-    columns."""
+    revocations (the brand's revoked rows of ``leaves``, indexed in one
+    batch per brand, in CRL order, then revocation order), then the
+    synthetic entries, drawn straight into columns."""
     cal = calibration
     profile = state.profile
     reasons = _reason_mix(cal)
     random_long = profile.serial_style == "random_long"
     end = cal.measurement_end.toordinal()
-    by_crl = [state.observed_entries.pop(crl.url, []) for crl in state.crls]
-    observed = EntryColumns.encode([entry for entries in by_crl for entry in entries])
+    layout = state.layout
+    by_crl = [
+        state.revoked_rows.pop(layout.crl_base + index, [])
+        for index in range(len(state.crls))
+    ]
+    rows = np.array([row for rows in by_crl for row in rows], np.intp)
+    observed = EntryColumns(
+        leaves.serial[rows],
+        leaves.revoked[rows],
+        leaves.reason[rows],
+        leaves.not_after[rows],
+        (layout.cert_base + rows).astype(np.int32),
+    )
     stop = 0
     for local_index, (crl, entries) in enumerate(zip(state.crls, by_crl)):
         start, stop = stop, stop + len(entries)
@@ -699,7 +708,7 @@ def populate_brand_synthetic(calibration: Calibration, state: BrandState) -> Non
             else:
                 rng = substream(cal.seed, "synth", profile.name, local_index)
                 serial_band = SYNTH_SERIAL_BASE + SYNTH_SERIAL_STRIDE * (
-                    state.layout.crl_base + local_index
+                    layout.crl_base + local_index
                 )
                 synthetic = _synthetic_entries(
                     rng, cal, schedule, reasons, None if random_long else serial_band
@@ -796,38 +805,49 @@ def _synthetic_entries(
 # ---------------------------------------------------------------------------
 
 
+def populate_brand(calibration: Calibration, state: BrandState) -> LeafColumns:
+    """A scaffolded brand's generated population: leaves -> revocations
+    -> synthetic CRL entries.  Returns the brand's leaf columns; the
+    CRLs hold their entries."""
+    leaves = build_brand_leaves(calibration, state)
+    assign_brand_revocations(calibration, state, leaves)
+    populate_brand_synthetic(calibration, state, leaves)
+    return leaves
+
+
 def build_brand(
     calibration: Calibration,
     profile: CaProfile,
     layout: BrandLayout,
     root_ca: CertificateAuthority | None = None,
-) -> tuple[BrandState, list[LeafRecord]]:
-    """The full per-brand chain: scaffold -> leaves -> revocations ->
-    synthetic population.  Pure in ``(calibration, profile, layout)``;
-    ``root_ca`` is itself seed-derived and rebuilt when not passed (the
-    worker path)."""
+) -> tuple[BrandState, LeafColumns]:
+    """The full per-brand chain: scaffold, then :func:`populate_brand`.
+    Pure in ``(calibration, profile, layout)``; ``root_ca`` is itself
+    seed-derived and rebuilt when not passed (the worker path)."""
     if root_ca is None:
         root_ca = build_root_ca(calibration, profile)
     state = build_brand_scaffold(calibration, profile, layout, root_ca)
-    leaves = build_brand_leaves(calibration, state)
-    assign_brand_revocations(calibration, state, leaves)
-    populate_brand_synthetic(calibration, state)
-    return state, leaves
+    return state, populate_brand(calibration, state)
 
 
-def assign_alexa_ranks(calibration: Calibration, leaves: list[LeafRecord]) -> None:
-    """Merge-time global stage: one ``"alexa"`` substream over the merged
-    Leaf Set (rank assignment must see every brand)."""
+def alexa_ranks(calibration: Calibration, leaves: LeafColumns) -> np.ndarray:
+    """Merge-time global stage: the merged Leaf Set's ``alexa`` column,
+    drawn from one ``"alexa"`` substream (rank assignment must see every
+    brand).  A new array, so the ranks never write into the columns."""
     cal = calibration
     rng = substream(cal.seed, "alexa")
     top_n = cal.scaled(1_000_000)
     # Popular sites are alive near the end of the study and skew toward
     # the big commercial CAs; sample among late-alive leaves.
     cutoff = cal.measurement_end - datetime.timedelta(days=270)
-    candidates = [leaf for leaf in leaves if leaf.death >= cutoff]
+    candidates = np.flatnonzero(leaves.death >= cutoff.toordinal()).tolist()
+    # Random.shuffle permutes by the list's length alone, so shuffling
+    # row indexes ranks the same rows as shuffling the leaves would.
     rng.shuffle(candidates)
-    for rank, leaf in enumerate(candidates[:top_n], start=1):
-        leaf.alexa_rank = rank
+    ranked = candidates[:top_n]
+    alexa = np.zeros(len(leaves), np.int32)
+    alexa[ranked] = np.arange(1, len(ranked) + 1)
+    return alexa
 
 
 def _shard_layouts(
@@ -840,15 +860,13 @@ def _shard_layouts(
     return [(by_name[name], layouts[name]) for name in brand_names]
 
 
-@gc_paused()
 def build_shard_parts(
     calibration: Calibration,
     brand_names: tuple[str, ...],
     profiles: tuple[CaProfile, ...] = PAPER_CA_PROFILES,
 ) -> dict[str, dict]:
     """Worker entry point: build every brand in ``brand_names`` and return
-    columnar parts (cheap to pickle back to the parent -- record objects
-    are 40x bigger on the wire)."""
+    its columnar parts (cheap to pickle back to the parent)."""
     parts: dict[str, dict] = {}
     for profile, layout in _shard_layouts(calibration, profiles, brand_names):
         state, leaves = build_brand(calibration, profile, layout)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from repro.obs import NULL_OBS, Observability
 from repro.scan.calibration import Calibration
 from repro.scan.ecosystem import Ecosystem
-from repro.scan.records import LeafRecord
 
 __all__ = ["StaplingProbeResult", "StaplingSummary", "TlsHandshakeScanner"]
 
@@ -95,37 +94,27 @@ class TlsHandshakeScanner:
         self._rng = random.Random(seed)
         self.obs = obs if obs is not None else NULL_OBS
 
-    def _fresh_advertised(self) -> list[LeafRecord]:
-        end = self.calibration.measurement_end
-        return [
-            leaf
-            for leaf in self.ecosystem.leaves
-            if leaf.is_fresh(end) and leaf.is_alive(end)
-        ]
-
     def summary(self) -> StaplingSummary:
-        """One-connection-per-server scan statistics (§4.3)."""
-        leaves = self._fresh_advertised()
+        """One-connection-per-server scan statistics (§4.3), over the
+        certificates fresh and advertised at the measurement end."""
+        end = self.calibration.measurement_end
+        leaves = self.ecosystem.leaves
+        scanned = leaves.fresh_mask(end) & leaves.alive_mask(end)
+        servers = leaves.server_count[scanned]
+        stapling = leaves.stapling[scanned]
+        ev = leaves.is_ev[scanned] != 0
+        some, every = stapling > 0, stapling == servers
         if self.obs.enabled:
-            self.obs.tracer.event("tls_scan.summary", certs=len(leaves))
-        servers_total = sum(leaf.server_count for leaf in leaves)
-        servers_stapling = sum(leaf.stapling_servers for leaf in leaves)
-        certs_any = sum(1 for leaf in leaves if leaf.stapling_servers > 0)
-        certs_all = sum(
-            1 for leaf in leaves if leaf.stapling_servers == leaf.server_count
-        )
-        ev = [leaf for leaf in leaves if leaf.is_ev]
-        ev_any = sum(1 for leaf in ev if leaf.stapling_servers > 0)
-        ev_all = sum(1 for leaf in ev if leaf.stapling_servers == leaf.server_count)
+            self.obs.tracer.event("tls_scan.summary", certs=len(servers))
         return StaplingSummary(
-            servers_total=servers_total,
-            servers_stapling=servers_stapling,
-            certs_total=len(leaves),
-            certs_any_stapling=certs_any,
-            certs_all_stapling=certs_all,
-            ev_certs_total=len(ev),
-            ev_certs_any_stapling=ev_any,
-            ev_certs_all_stapling=ev_all,
+            servers_total=int(servers.sum()),
+            servers_stapling=int(stapling.sum()),
+            certs_total=len(servers),
+            certs_any_stapling=int(some.sum()),
+            certs_all_stapling=int(every.sum()),
+            ev_certs_total=int(ev.sum()),
+            ev_certs_any_stapling=int((ev & some).sum()),
+            ev_certs_all_stapling=int((ev & every).sum()),
         )
 
     def probe_experiment(

@@ -25,6 +25,8 @@ import datetime
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.browsers.registry import all_browsers
 from repro.mechanisms.base import (
     MechanismHost,
@@ -185,19 +187,22 @@ class ClientFleet:
     # -- traffic shape -----------------------------------------------------
 
     def _catalog(self) -> tuple[list[LeafRecord], list[float]]:
-        """The popularity catalog and its cumulative sampling weights."""
+        """The popularity catalog and its cumulative sampling weights:
+        the alive ranked certificates by rank (ranks are unique), else
+        the alive ones in cert_id order.  Only the catalog is decoded."""
         end = self.host.calibration.measurement_end
-        alive = self.host.ecosystem.alive_leaves(end)
-        ranked = [leaf for leaf in alive if leaf.alexa_rank is not None]
-        ranked.sort(key=lambda leaf: (leaf.alexa_rank, leaf.cert_id))
-        catalog = ranked[: self.config.catalog_size]
-        if not catalog:
-            catalog = sorted(alive, key=lambda leaf: leaf.cert_id)
-            catalog = catalog[: self.config.catalog_size]
-            weights = [1.0] * len(catalog)
+        ecosystem = self.host.ecosystem
+        leaves = ecosystem.leaves
+        alive = leaves.alive_mask(end)
+        ranked = np.flatnonzero(alive & (leaves.alexa != 0))
+        rows = ranked[np.argsort(leaves.alexa[ranked], kind="stable")]
+        rows = rows[: self.config.catalog_size]
+        if len(rows):
+            weights = [1.0 / rank for rank in leaves.alexa[rows].tolist()]
         else:
-            weights = [1.0 / leaf.alexa_rank for leaf in catalog]
-        return catalog, list(itertools.accumulate(weights))
+            rows = np.flatnonzero(alive)[: self.config.catalog_size]
+            weights = [1.0] * len(rows)
+        return ecosystem.leaf_records(rows), list(itertools.accumulate(weights))
 
     def _tick_shares(self, cohort: Cohort, sessions: int) -> list[int]:
         """Sessions per tick: a seeded activity curve, exact total."""
@@ -344,7 +349,7 @@ class ClientFleet:
         """Short-lived certificates: no endpoint, pure signing load --
         every alive certificate re-issued once per lifetime."""
         end = self.host.calibration.measurement_end
-        alive = int(self.host.ecosystem.leaf_index.alive_mask(end).sum())
+        alive = int(np.count_nonzero(self.host.ecosystem.leaves.alive_mask(end)))
         lifetime = self.model.presign_interval_days
         signings = round(alive * self.config.sim_days / lifetime)
         self.storage.sign_offline(signings, ISSUED_CERT_BYTES)

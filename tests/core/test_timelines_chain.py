@@ -10,6 +10,7 @@ from repro.core.chain import build_chain_sets
 from repro.core.timelines import revocation_series
 from repro.pki.keys import KeyPair
 from repro.scan.records import LeafRecord
+from tests.scan.reference_leaves import encode_leaves
 
 D = datetime.date
 
@@ -40,7 +41,7 @@ class TestRevocationSeries:
                 revoked=D(2014, 6, 1),
             ),
         ]
-        series = revocation_series(leaves, D(2014, 5, 1), D(2014, 7, 1), step_days=31)
+        series = revocation_series(encode_leaves(leaves), D(2014, 5, 1), D(2014, 7, 1), step_days=31)
         # Before the revocation: 0/2; after: 1/2.
         assert series.fresh_revoked_all[0] == pytest.approx(0.0)
         assert series.fresh_revoked_all[-1] == pytest.approx(0.5)
@@ -54,7 +55,7 @@ class TestRevocationSeries:
             ),
             leaf(1, D(2014, 1, 1), D(2015, 1, 1), D(2014, 1, 1), D(2014, 12, 30)),
         ]
-        series = revocation_series(leaves, D(2014, 8, 1), D(2014, 8, 1))
+        series = revocation_series(encode_leaves(leaves), D(2014, 8, 1), D(2014, 8, 1))
         assert series.fresh_revoked_all[0] == pytest.approx(0.5)
         assert series.alive_revoked_all[0] == pytest.approx(0.0)
 
@@ -66,13 +67,13 @@ class TestRevocationSeries:
             ),
             leaf(1, D(2014, 1, 1), D(2015, 1, 1), D(2014, 1, 1), D(2014, 12, 1)),
         ]
-        series = revocation_series(leaves, D(2014, 6, 1), D(2014, 6, 1))
+        series = revocation_series(encode_leaves(leaves), D(2014, 6, 1), D(2014, 6, 1))
         assert series.fresh_revoked_ev[0] == pytest.approx(1.0)
         assert series.fresh_revoked_all[0] == pytest.approx(0.5)
 
     def test_empty_denominator_is_zero(self):
         leaves = [leaf(0, D(2014, 1, 1), D(2014, 2, 1), D(2014, 1, 1), D(2014, 2, 1))]
-        series = revocation_series(leaves, D(2015, 1, 1), D(2015, 1, 1))
+        series = revocation_series(encode_leaves(leaves), D(2015, 1, 1), D(2015, 1, 1))
         assert series.fresh_revoked_all[0] == pytest.approx(0.0)
 
     def test_peak_finder(self):
@@ -82,13 +83,13 @@ class TestRevocationSeries:
                 revoked=D(2014, 6, 1),
             ),
         ]
-        series = revocation_series(leaves, D(2014, 5, 1), D(2014, 7, 1), step_days=31)
+        series = revocation_series(encode_leaves(leaves), D(2014, 5, 1), D(2014, 7, 1), step_days=31)
         peak_day, peak_value = series.peak_fresh_revoked()
         assert peak_value == pytest.approx(1.0) and peak_day >= D(2014, 6, 1)
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):
-            revocation_series([], D(2015, 1, 1), D(2014, 1, 1))
+            revocation_series(encode_leaves([]), D(2015, 1, 1), D(2014, 1, 1))
 
 
 class TestChainSets:
@@ -155,7 +156,10 @@ class TestChainSets:
 
     def test_ecosystem_sample(self, ecosystem):
         """The §3.1 algorithm over materialised ecosystem certificates."""
-        sample = [ecosystem.materialize(l) for l in ecosystem.leaves[::2000]]
+        sample = [
+            ecosystem.materialize(l)
+            for l in ecosystem.leaf_records(slice(None, None, 2000))
+        ]
         intermediates = [
             ca.certificate
             for state in ecosystem.brands.values()

@@ -71,16 +71,15 @@ WINDOW_INTERVALS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 def sample_leaves(ecosystem, limit: int = 250):
     """A deterministic spread of leaves (every Nth, ``limit`` total)."""
-    leaves = ecosystem.leaves
-    step = max(1, len(leaves) // limit)
-    return leaves[::step][:limit]
+    step = max(1, len(ecosystem.leaves) // limit)
+    return ecosystem.leaf_records(slice(None, None, step))[:limit]
 
 
 def revoked_sample(ecosystem, end: datetime.date, limit: int = 250):
     """A deterministic spread of certificates revoked by ``end``."""
     revoked = [
         leaf
-        for leaf in ecosystem.leaves
+        for leaf in ecosystem.leaf_records()
         if leaf.revoked_at is not None and leaf.revoked_at <= end
     ]
     step = max(1, len(revoked) // limit)
@@ -232,7 +231,7 @@ def check_window_semantics(
             previous = window
     never_revoked = next(
         leaf
-        for leaf in mechanism.ecosystem.leaves
+        for leaf in mechanism.ecosystem.leaf_records()
         if leaf.revoked_at is None
     )
     try:

@@ -37,7 +37,7 @@ def suite(study):
 def revoked_leaves(ecosystem, measurement_end):
     return [
         leaf
-        for leaf in ecosystem.leaves
+        for leaf in ecosystem.leaf_records()
         if leaf.revoked_at is not None and leaf.revoked_at <= measurement_end
     ]
 
@@ -51,7 +51,7 @@ def clean_chain_leaves(ecosystem):
     }
     return [
         leaf
-        for leaf in ecosystem.leaves
+        for leaf in ecosystem.leaf_records()
         if leaf.revoked_at is None
         and leaf.intermediate_id not in revoked_intermediates
     ]

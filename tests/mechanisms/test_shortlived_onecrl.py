@@ -57,10 +57,8 @@ class TestShortLived:
         assert report.median(RevocationRegime.SOFT_FAIL) == pytest.approx(0.0)
 
     def test_empty_ecosystem_rejected(self, ecosystem):
-        import copy
-
         class Fake:
-            leaves = [l for l in ecosystem.leaves[:5] if False]
+            leaves = ecosystem.leaves[:0]
 
         with pytest.raises(ValueError):
             attack_window_study(Fake())

@@ -1,15 +1,18 @@
-"""The corpus stays in entry columns from generation to the figures.
+"""The corpus stays in its codec columns from generation to the figures.
 
-- Synthetic CRL entries are drawn straight into columns; the columns
-  equal the encoding of the record-building reference
-  (``reference_synthetic.py``), with the same draws in the same order.
+- Leaves are drawn straight into leaf columns and synthetic CRL entries
+  into entry columns; the columns equal the encoding of the
+  record-building references (``reference_leaves.py``,
+  ``reference_synthetic.py``), with the same draws in the same order.
 - A CRL's ``entries`` is one run of entry columns; records are only a
   decoded copy.  The codec refuses a serial outside 21 unsigned bytes.
 - A scan snapshot is a sorted id array that answers ``len``, ``in``,
   ``cert_ids`` and equality as the frozenset it replaced did.
-- The store decode builds no record but rejects damaged entry columns.
+- The store decode builds no record but rejects damaged leaf and entry
+  columns.
 - After a store load, the 12 corpus figures build no entry record and
-  no snapshot frozenset.
+  no snapshot frozenset, and a leaf record only for each leaf revoked by
+  the measurement end (Figure 10's per-mechanism windows).
 """
 
 from __future__ import annotations
@@ -28,12 +31,20 @@ from repro.pki.name import Name
 from repro.revocation.reason import ReasonCode
 from repro.scan import shardgen
 from repro.scan.calibration import Calibration
-from repro.scan.corpus import CrlEntryRecord, EntryColumns, encode_corpus
+from repro.scan import streams
+from repro.scan.corpus import (
+    CrlEntryRecord,
+    EntryColumns,
+    LeafColumns,
+    encode_corpus,
+)
 from repro.scan.crl_model import EcosystemCrl
 from repro.scan.ecosystem import Ecosystem
 from repro.scan.hidden import HiddenPopulation
+from repro.scan.records import LeafRecord
 from repro.scan.scanner import Rapid7Scanner, ScanSnapshot
 from repro.scan.streams import substream
+from tests.scan import reference_leaves
 from tests.scan.reference_synthetic import synthetic_records
 
 #: the experiments that read only the corpus.
@@ -52,15 +63,106 @@ CORPUS_EXPERIMENTS = (
     "table1",
 )
 
-_FIELDS = ("serial", "revoked", "reason", "expiry", "cert")
 
-
-def _assert_columns_equal(a: EntryColumns, b: EntryColumns) -> None:
-    for name in _FIELDS:
-        left, right = getattr(a, name), getattr(b, name)
+def _assert_columns_equal(a, b) -> None:
+    """Two entry or leaf column runs hold equal columns: dtype, shape
+    and values."""
+    expected = b.arrays()
+    for name, left in a.arrays().items():
+        right = expected[name]
         assert left.dtype == right.dtype, name
         assert left.shape == right.shape, name
         assert np.array_equal(left, right), name
+
+
+def _merged(runs: list[LeafColumns]) -> LeafColumns:
+    arrays = {
+        name: np.concatenate([run.arrays()[name] for run in runs])
+        for name in runs[0].arrays()
+    }
+    return LeafColumns.from_arrays(arrays, slice(0, sum(map(len, runs))))
+
+
+#: issuance ends decades before the scans, so every leaf takes the 40-try
+#: fallback, and Heartbleed precedes every leaf, so each brand's
+#: revocations past steady churn are shortfall leftovers.
+_FALLBACKS = dataclasses.replace(
+    Calibration(scale=0.0005, seed=5),
+    issuance_start=datetime.date(1990, 1, 1),
+    monthly_growth=0.5,
+    heartbleed_date=datetime.date(2012, 1, 1),
+)
+
+
+class TestLeafColumns:
+    """Leaf generation against the record-building reference, brand by
+    brand: more seeds than the corpus golden pins, so the rarer branches
+    (the 40-try issue-date fallback, a tiny brand's shortfall leftovers)
+    are compared too."""
+
+    @pytest.mark.parametrize(
+        "cal",
+        [
+            *(Calibration(scale=0.0005, seed=seed) for seed in (1, 7, 99)),
+            _FALLBACKS,
+        ],
+        ids=["seed1", "seed7", "seed99", "fallbacks"],
+    )
+    def test_columns_equal_the_reference_records(self, cal, monkeypatch):
+        root_cas, _ = shardgen.build_roots(cal, PAPER_CA_PROFILES)
+        made: dict[str, dict] = {"columns": {}, "reference": {}}
+
+        def recording(side: str):
+            def record(*key):
+                rng = made[side][key] = streams.substream(*key)
+                return rng
+
+            return record
+
+        columns_runs, reference = [], []
+        for profile, layout in zip(
+            PAPER_CA_PROFILES, shardgen.layout_brands(cal, PAPER_CA_PROFILES)
+        ):
+            state = shardgen.build_brand_scaffold(
+                cal, profile, layout, root_cas[profile.name]
+            )
+            monkeypatch.setattr(shardgen, "substream", recording("columns"))
+            monkeypatch.setattr(reference_leaves, "substream", recording("reference"))
+            columns = shardgen.build_brand_leaves(cal, state)
+            shardgen.assign_brand_revocations(cal, state, columns)
+            records = reference_leaves.leaf_records(cal, state)
+            observed = reference_leaves.revoke_records(cal, state, records)
+            monkeypatch.undo()
+            crl_index = {
+                crl.url: layout.crl_base + i for i, crl in enumerate(state.crls)
+            }
+            _assert_columns_equal(
+                columns, reference_leaves.encode_leaves(records, crl_index)
+            )
+            # Each CRL lists its revoked leaves first, in revocation order,
+            # then only synthetic entries.
+            shardgen.populate_brand_synthetic(cal, state, columns)
+            for crl in state.crls:
+                expected = EntryColumns.encode(observed.get(crl.url, []))
+                _assert_columns_equal(crl.entries[: len(expected)], expected)
+                assert (crl.entries.cert[len(expected) :] < 0).all(), crl.url
+            columns_runs.append(columns)
+            reference.extend(records)
+
+        monkeypatch.setattr(shardgen, "substream", recording("columns"))
+        monkeypatch.setattr(reference_leaves, "substream", recording("reference"))
+        alexa = shardgen.alexa_ranks(cal, _merged(columns_runs))
+        reference_leaves.alexa_records(cal, reference)
+        ranks = [leaf.alexa_rank or 0 for leaf in reference]
+        assert alexa.dtype == np.int32 and alexa.tolist() == ranks
+        states = {
+            side: {key: rng.getstate() for key, rng in rngs.items()}
+            for side, rngs in made.items()
+        }
+        assert states["columns"] == states["reference"]
+        assert {key[1] for key in states["columns"]} == {"leaves", "revoke", "alexa"}
+        fallback = _merged(columns_runs).not_before == cal.scan_start.toordinal()
+        assert fallback.all() == (cal is _FALLBACKS)
 
 
 def _schedule(cal: Calibration, target: int, **kwargs) -> HiddenPopulation:
@@ -276,9 +378,17 @@ class TestDecodeFailsClosed:
     @pytest.mark.parametrize(
         "column, value",
         [("entry_reason", 99), ("entry_reason", -2), ("entry_revoked", 0),
-         ("entry_expiry", -5)],
+         ("entry_expiry", -5), ("leaf_reason", 99), ("leaf_not_before", 0),
+         ("leaf_revoked", -1), ("leaf_crl", -2), ("leaf_crl", "crls"),
+         ("leaf_intermediate", -1), ("leaf_intermediate", "intermediates")],
     )
-    def test_damaged_entry_column_raises(self, ecosystem, column, value):
+    def test_damaged_column_raises(self, ecosystem, column, value):
+        """Row 7 damaged; ``"crls"`` and ``"intermediates"`` stand for
+        the CRL and intermediate counts, one past the last index."""
+        value = {
+            "crls": len(ecosystem.crls),
+            "intermediates": len(ecosystem.intermediates),
+        }.get(value, value)
         arrays, meta = encode_corpus(ecosystem)
         arrays[column] = arrays[column].copy()
         arrays[column][7] = value
@@ -318,38 +428,50 @@ class TestScanSnapshot:
         snapshot = Rapid7Scanner(ecosystem).scan(date)
         assert snapshot.ids.dtype == np.int64
         assert np.all(np.diff(snapshot.ids) > 0)
-        expected = {leaf.cert_id for leaf in ecosystem.leaves if leaf.is_alive(date)}
+        expected = {
+            leaf.cert_id for leaf in ecosystem.leaf_records() if leaf.is_alive(date)
+        }
         assert snapshot.cert_ids == expected
 
 
 class TestNoRecordsAfterLoad:
     """The counting probe: a study loaded from the corpus store runs the
-    12 corpus figures on columns alone."""
+    12 corpus figures on columns alone, decoding leaf records only for
+    the per-leaf mechanism API."""
 
     def test_figures_build_no_entry_record_or_snapshot_set(
         self, tmp_path, monkeypatch
     ):
         calibration = Calibration(scale=0.002)
         MeasurementStudy(calibration=calibration, cache_dir=tmp_path).ecosystem
-        built = []
-        init = CrlEntryRecord.__init__
+        built = {CrlEntryRecord: [], LeafRecord: []}
+        for record_type, counts in built.items():
 
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
+            def counting_init(self, *args, _init=record_type.__init__, _n=counts):
+                _n.append(1)
+                _init(self, *args)
 
-        monkeypatch.setattr(CrlEntryRecord, "__init__", counting_init)
+            monkeypatch.setattr(record_type, "__init__", counting_init)
+        entries, leaves = built[CrlEntryRecord], built[LeafRecord]
         study = MeasurementStudy(
             calibration=calibration, cache_dir=tmp_path, fault_profile="none"
         )
-        assert len(study.ecosystem.crls) and not built
+        assert len(study.ecosystem.crls) and len(study.ecosystem.leaves)
+        assert not entries and not leaves
         for experiment_id in CORPUS_EXPERIMENTS:
             result = api.study.run_one(experiment_id, study)
             assert result.ok, experiment_id
-            assert not built, experiment_id
+            assert not entries, experiment_id
+        # Figure 10 hands each leaf revoked by the measurement end to the
+        # mechanisms' window API, once.
+        end = calibration.measurement_end
+        revoked = int(np.count_nonzero(study.ecosystem.leaves.revoked_mask(end)))
+        assert 0 < len(leaves) == revoked < len(study.ecosystem.leaves)
         assert study.scans
         assert not [s for s in study.scans if "cert_ids" in vars(s)]
-        # The probe counts: decoding a CRL's entries builds its records.
+        # The probe counts: decoding rows builds their records.
         crl = next(crl for crl in study.ecosystem.crls if len(crl.entries))
         crl.entries.decode()
-        assert len(built) == len(crl.entries)
+        assert len(entries) == len(crl.entries)
+        study.ecosystem.leaf(0)
+        assert len(leaves) == revoked + 1

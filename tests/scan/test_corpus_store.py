@@ -73,16 +73,20 @@ class TestRoundTrip:
             assert restored == original, path
 
     def test_leaf_records_are_equal(self, generated, decoded):
+        expected = generated.leaf_records()
         for path, ecosystem in decoded.items():
             assert len(ecosystem.leaves) == len(generated.leaves), path
-            for a, b in zip(generated.leaves, ecosystem.leaves):
+            for a, b in zip(expected, ecosystem.leaf_records(), strict=True):
                 assert a == b, (path, a.cert_id)
 
-    def test_brand_leaf_ids_are_equal(self, generated, decoded):
+    def test_leaf_columns_are_equal(self, generated, decoded):
         for path, ecosystem in decoded.items():
             assert list(ecosystem.brands) == list(generated.brands), path
-            for name, state in generated.brands.items():
-                assert ecosystem.brands[name].leaf_ids == state.leaf_ids, (path, name)
+            expected = generated.leaves.arrays()
+            for name, column in ecosystem.leaves.arrays().items():
+                assert column.dtype == expected[name].dtype, (path, name)
+                assert column.shape == expected[name].shape, (path, name)
+                assert np.array_equal(column, expected[name]), (path, name)
 
     def test_crl_population_is_equal(self, generated, decoded):
         for path, ecosystem in decoded.items():

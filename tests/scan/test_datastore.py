@@ -63,7 +63,7 @@ class TestRoundTrip:
         assert loaded.leaf_count == len(study.ecosystem.leaves)
 
     def test_revoked_counts_match(self, loaded, study):
-        expected = sum(1 for l in study.ecosystem.leaves if l.is_revoked)
+        expected = sum(1 for l in study.ecosystem.leaf_records() if l.is_revoked)
         assert len(loaded.revoked_leaves()) == expected
 
     def test_scans_match(self, loaded, study):
@@ -74,7 +74,8 @@ class TestRoundTrip:
         """The headline fraction must be derivable from the release alone."""
         end = study.calibration.measurement_end
         from_export = loaded.fresh_revoked_fraction(end)
-        fresh = study.ecosystem.fresh_leaves(end)
+        eco = study.ecosystem
+        fresh = eco.leaf_records(eco.leaves.fresh_mask(end))
         ground = sum(1 for l in fresh if l.is_revoked_by(end)) / len(fresh)
         assert from_export == pytest.approx(ground, abs=1e-9)
 

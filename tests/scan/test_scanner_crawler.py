@@ -24,7 +24,7 @@ class TestScanner:
     def test_scan_matches_ground_truth(self, scanner, ecosystem):
         date = ecosystem.calibration.scan_dates[30]
         snapshot = scanner.scan(date)
-        expected = {l.cert_id for l in ecosystem.leaves if l.is_alive(date)}
+        expected = {l.cert_id for l in ecosystem.leaf_records() if l.is_alive(date)}
         assert snapshot.cert_ids == expected
         assert len(snapshot) == len(expected)
 
@@ -38,7 +38,7 @@ class TestScanner:
     def test_membership_operator(self, scanner, ecosystem):
         date = ecosystem.calibration.scan_dates[10]
         snapshot = scanner.scan(date)
-        alive = next(l for l in ecosystem.leaves if l.is_alive(date))
+        alive = next(l for l in ecosystem.leaf_records() if l.is_alive(date))
         assert alive.cert_id in snapshot
 
     def test_birth_death_table(self, scanner, ecosystem):

@@ -100,7 +100,7 @@ class TestShardPlan:
 class TestLayoutInvariants:
     def test_cert_ids_are_positional(self):
         eco = _from_shards(Calibration(scale=SCALE), 4)
-        for i, leaf in enumerate(eco.leaves):
+        for i, leaf in enumerate(eco.leaf_records()):
             assert leaf.cert_id == i
 
     def test_layouts_cover_the_id_space(self):

@@ -31,7 +31,7 @@ class TestSummary:
         assert summary.servers_total > 3 * summary.certs_total
 
     def test_stapling_servers_bounded(self, ecosystem):
-        for leaf in ecosystem.leaves:
+        for leaf in ecosystem.leaf_records():
             assert 0 <= leaf.stapling_servers <= leaf.server_count
 
 

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "examples"
 
 
 def _load(name: str):
@@ -32,6 +33,31 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "single CRL" in out
         assert "OCSP staple" in out
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("crlset_vs_bloom", "what would have shipped to every Chrome user"),
+            ("heartbleed_retrospective", "advertised certificates"),
+            ("lifecycle_explorer", "Figure 1 shapes across"),
+        ],
+    )
+    def test_leaf_set_examples_run(self, name, expected, capsys, monkeypatch):
+        """The examples that read the Leaf Set, at their own scale."""
+        monkeypatch.setattr(sys, "argv", [f"{name}.py"])
+        _load(name).main()
+        assert expected in capsys.readouterr().out
+
+    def test_readme_quickstart_runs(self, capsys):
+        """README's Quickstart code block, executed as written."""
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## Quickstart", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md", "exec"), {})
+        out = capsys.readouterr().out
+        fraction = float(out.splitlines()[0])
+        assert 0.05 <= fraction <= 0.13
+        assert "fig2" in out and "table2" in out
 
     def test_all_examples_have_mains(self):
         scripts = sorted(EXAMPLES.glob("*.py"))

@@ -110,7 +110,7 @@ class TestScanToCrlSet:
         protected = 0
         unprotected = 0
         end = ecosystem.calibration.measurement_end
-        for leaf in ecosystem.leaves:
+        for leaf in ecosystem.leaf_records():
             if not leaf.is_revoked_by(end) or not leaf.is_fresh(end):
                 continue
             parent = parent_by_int[leaf.intermediate_id]
@@ -133,7 +133,7 @@ class TestScanToCrlSet:
         end = ecosystem.calibration.measurement_end
         revoked = [
             leaf
-            for leaf in ecosystem.leaves
+            for leaf in ecosystem.leaf_records()
             if leaf.is_revoked_by(end) and leaf.is_fresh(end)
         ]
         bloom = BloomFilter.for_items(len(revoked), 256 * 1024 * 8)

@@ -29,22 +29,22 @@ def eco(seed):
 class TestSeedRobustness:
     def test_revocation_bands_hold(self, eco, seed):
         end = eco.calibration.measurement_end
-        fresh = eco.fresh_leaves(end)
+        fresh = eco.leaf_records(eco.leaves.fresh_mask(end))
         fraction = sum(1 for l in fresh if l.is_revoked_by(end)) / len(fresh)
         assert 0.04 <= fraction <= 0.14, seed
 
     def test_heartbleed_spike_holds(self, eco, seed):
         before = datetime.date(2014, 3, 1)
         after = datetime.date(2014, 5, 15)
-        fb = eco.fresh_leaves(before)
-        fa = eco.fresh_leaves(after)
+        fb = eco.leaf_records(eco.leaves.fresh_mask(before))
+        fa = eco.leaf_records(eco.leaves.fresh_mask(after))
         rb = sum(1 for l in fb if l.is_revoked_by(before)) / len(fb)
         ra = sum(1 for l in fa if l.is_revoked_by(after)) / len(fa)
         assert ra > 3 * rb, seed
 
     def test_pointer_bands_hold(self, eco, seed):
-        ocsp = sum(1 for l in eco.leaves if l.has_ocsp) / len(eco.leaves)
-        crl = sum(1 for l in eco.leaves if l.has_crl) / len(eco.leaves)
+        ocsp = sum(1 for l in eco.leaf_records() if l.has_ocsp) / len(eco.leaves)
+        crl = sum(1 for l in eco.leaf_records() if l.has_crl) / len(eco.leaves)
         assert crl > 0.98 and 0.88 <= ocsp <= 0.99, seed
 
 
