@@ -28,14 +28,14 @@ def weekday_factor(day: datetime.date) -> float:
 
 
 class _Window:
-    """The target-independent half of a schedule: the window's dates,
+    """The target-independent half of a schedule: the window's length,
     one weight per date (weekday pattern times the Heartbleed burst),
     their sum, and the dates' offsets in busiest-first order.  Every CRL
     of a study shares the same window, so :func:`_window` builds this
     once and each :class:`HiddenPopulation` only scales it to its own
     target."""
 
-    __slots__ = ("busiest", "dates", "days", "total_weight", "weights")
+    __slots__ = ("busiest", "days", "total_weight", "weights")
 
     def __init__(
         self,
@@ -46,9 +46,9 @@ class _Window:
         heartbleed_decay_days: float,
     ) -> None:
         days = (window_end - window_start).days + 1
-        self.dates = [window_start + datetime.timedelta(days=i) for i in range(days)]
         weights = []
-        for day in self.dates:
+        for i in range(days):
+            day = window_start + datetime.timedelta(days=i)
             weight = weekday_factor(day)
             if heartbleed_date is not None and day >= heartbleed_date:
                 age = (day - heartbleed_date).days
@@ -127,7 +127,8 @@ class HiddenPopulation:
         self._initial = target_end - (int(additions.sum()) - removals_total)
         self._start = window_start.toordinal()
         self._days = days
-        self._dates = window.dates
+        #: additions and removals per window day, for the vector reads.
+        self._changes = np.stack((additions, removals))
         self._additions: list[int] = additions.tolist()
         self._removals: list[int] = removals.tolist()
         cumulative = self._initial + np.cumsum(additions - removals)
@@ -157,16 +158,13 @@ class HiddenPopulation:
         offsets = np.clip(np.asarray(ordinals) - self._start, -1, self._days - 1)
         return self._counts[offsets + 1]
 
-    def active_days(self) -> list[tuple[datetime.date, int, int]]:
-        """``(day, additions, removals)`` for each window day on which
-        the schedule adds or removes entries, in day order."""
-        return [
-            (day, added, removed)
-            for day, added, removed in zip(
-                self._dates, self._additions, self._removals
-            )
-            if added or removed
-        ]
+    def active_days(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The window days on which the schedule adds or removes
+        entries, in day order, as int64 arrays: their ordinals, then the
+        additions and the removals on each."""
+        active = np.flatnonzero(self._changes.any(axis=0))
+        additions, removals = self._changes[:, active]
+        return self._start + active, additions, removals
 
     @property
     def initial_count(self) -> int:

@@ -18,7 +18,11 @@ certificate count (pure arithmetic).
 Generation draws straight into the corpus codec's columns: each brand's
 leaves into a :class:`~repro.scan.corpus.LeafColumns` (day ordinals and
 ints, no record), its CRL entries into
-:class:`~repro.scan.corpus.EntryColumns`.
+:class:`~repro.scan.corpus.EntryColumns`.  Leaves draw one call at a
+time, since each leaf's draws branch on the ones before; a materialised
+CRL's synthetic entries make a fixed pattern of draws, so they are
+drawn in blocks of their substream's 32-bit words and decoded with
+numpy, the same draws in the same order (:mod:`repro.scan.streams`).
 
 Deterministic ID geometry (:class:`BrandLayout`) replaces the old
 sequential allocators: ``cert_id`` ranges are the running sum of
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import bisect
 import datetime
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -55,7 +58,13 @@ from repro.scan.corpus import (
 from repro.scan.crl_model import EcosystemCrl
 from repro.scan.hidden import HiddenPopulation
 from repro.scan.records import IntermediateRecord
-from repro.scan.streams import substream
+from repro.scan.streams import (
+    led_records,
+    random_pairs,
+    randrange_run,
+    substream,
+    words,
+)
 
 __all__ = [
     "BrandLayout",
@@ -733,48 +742,36 @@ def _synthetic_entries(
     end).  Serials are random 160-bit draws, or consecutive from
     ``serial_band`` when it is given; ``reasons`` draws column codes.
 
-    Draw order: per initial entry its revocation offset, reason roll and
-    serial; per added entry (in day order) its reason roll and serial;
-    per survivor (in FIFO order) its expiry offset.  Removals draw
-    nothing, so the entries are drawn first and their expiries fixed
-    afterwards.  Only the draws run entry by entry; the rest are vector
-    operations on day ordinals.
+    Draw order: per initial entry its revocation offset
+    (``randint(1, 500)``), reason roll (``random()``) and serial
+    (``getrandbits(160)``); per added entry (in day order) its reason
+    roll and serial; per survivor (in FIFO order) its expiry offset
+    (``randint(30, 700)``).  Removals draw nothing, so the entries are
+    drawn first and their expiries fixed afterwards.  Each of the three
+    runs is drawn as blocks of the stream's 32-bit words and decoded
+    with numpy, word for word as those calls would draw
+    (:mod:`repro.scan.streams`); the rest are vector operations on day
+    ordinals.
     """
-    randint, random = rng.randint, rng.random
-    next_serial = (
-        partial(rng.getrandbits, 160)
-        if serial_band is None
-        else itertools.count(serial_band).__next__
-    )
+    # Words per entry after its offset: the roll's pair, then the serial's five.
+    width = 7 if serial_band is None else 2
     start = _SYNTH_WINDOW_START.toordinal()
-    initial = [
-        (randint(1, 500), random(), next_serial())
-        for _ in range(schedule.initial_count)
-    ]
-    # (day ordinal, additions, removals) per active schedule day.
-    active = schedule.active_days()
-    days, additions, removals = np.array(
-        [(day.toordinal(), added, removed) for day, added, removed in active],
-        np.int64,
-    ).reshape(-1, 3).T
-    added = [(random(), next_serial()) for _ in range(int(additions.sum()))]
+    offsets, initial = led_records(rng, 500, schedule.initial_count, width)
+    days, additions, removals = schedule.active_days()
+    added = words(rng, int(additions.sum()) * width).reshape(-1, width)
+    drawn = np.concatenate([initial, added])
 
     # Rows in draw order, then in FIFO order: the initial entries oldest
     # first (those revoked on the same day keep draw order), then the
     # additions in day order.
-    revoked = np.concatenate(
-        [
-            start - np.array([offset for offset, _, _ in initial], np.int64),
-            np.repeat(days, additions),
-        ]
-    )
-    count = len(initial)
+    revoked = np.concatenate([start - 1 - offsets, np.repeat(days, additions)])
+    count = len(offsets)
     fifo = np.concatenate(
         [np.argsort(revoked[:count], kind="stable"), np.arange(count, len(revoked))]
     )
     revoked = revoked[fifo]
-    rolls = np.array([roll for _, roll, _ in initial] + [roll for roll, _ in added])
-    serials = [serial for _, _, serial in initial] + [serial for _, serial in added]
+    rolls = random_pairs(drawn[:, 0], drawn[:, 1])
+    serials = _synthetic_serials(drawn, serial_band)
 
     # Removals take the oldest listed entries, which stop being listed
     # the day before (never before their own revocation day).  Day k ends
@@ -790,14 +787,30 @@ def _synthetic_entries(
     expiry[:gone] = np.maximum(revoked[:gone], removal_day - 1)
     # Survivors expire after the study window.
     end = cal.measurement_end.toordinal()
-    expiry[gone:] = [end + randint(30, 700) for _ in range(len(revoked) - gone)]
+    expiry[gone:] = end + 30 + randrange_run(rng, 671, len(revoked) - gone)
     return EntryColumns(
-        serial_blob(serials)[fifo],
+        serials[fifo],
         revoked.astype(np.int32),
         reasons.pick(rolls)[fifo].astype(np.int8),
         expiry.astype(np.int32),
         np.full(len(revoked), -1, np.int32),
     )
+
+
+def _synthetic_serials(drawn: np.ndarray, serial_band: int | None) -> np.ndarray:
+    """:func:`serial_blob` of the entries' serials, in draw order: the
+    ``getrandbits(160)`` of each row's words after its roll (five words,
+    the first drawn least significant), or consecutive ints from
+    ``serial_band``."""
+    if serial_band is None:
+        serial_bytes = drawn[:, 2:][:, ::-1].astype(">u4")
+    else:
+        band = np.arange(serial_band, serial_band + len(drawn), dtype=">u8")
+        serial_bytes = band[:, None]
+    serial_bytes = serial_bytes.view(np.uint8)
+    blob = np.zeros((len(drawn), 21), np.uint8)
+    blob[:, 21 - serial_bytes.shape[1] :] = serial_bytes
+    return blob
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,13 @@ def synthetic_records(
         for _ in range(schedule.initial_count)
     ]
     fifo.sort(key=itemgetter(0))
-    active = schedule.active_days()
+    # (day, additions, removals) per active schedule day.
+    active = [
+        (days[ordinal], added, removed)
+        for ordinal, added, removed in zip(
+            *(column.tolist() for column in schedule.active_days())
+        )
+    ]
     for day, added, _ in active:
         fifo.extend([(day, draw_reason(rng), next_serial()) for _ in range(added)])
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,9 +136,11 @@ class TestMatchesReference:
         while day <= end:
             added, removed = population.additions_on(day), population.removals_on(day)
             if added or removed:
-                expected.append((day, added, removed))
+                expected.append((day.toordinal(), added, removed))
             day += DAY
-        assert population.active_days() == expected
+        columns = population.active_days()
+        assert [column.dtype for column in columns] == [np.dtype(np.int64)] * 3
+        assert list(zip(*(column.tolist() for column in columns))) == expected
 
     def test_shape_parameters_match_the_reference(self):
         kwargs = dict(
