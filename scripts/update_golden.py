@@ -23,6 +23,7 @@ the golden files is that report-byte changes are always a reviewed diff
 
 from __future__ import annotations
 
+import datetime
 import hashlib
 import json
 import sys
@@ -66,19 +67,6 @@ CORPUS_EXPERIMENTS = (
     "fig10",
     "table1",
 )
-CRLSET_ENTRY_FIELDS = (
-    "parent",
-    "serial",
-    "crl_url",
-    "revoked_at",
-    "cert_not_after",
-    "eligible",
-    "in_partial_subset",
-    "first_appeared",
-    "removed_at",
-)
-
-
 def traffic_rows() -> list[list]:
     """The §6.2 traffic report, every browser x every case, as rows."""
     report = api.traffic_report(api.all_browsers(), api.generate_test_suite())
@@ -109,6 +97,33 @@ def _plain(value) -> str:
     return value.isoformat()
 
 
+def crlset_lifecycles(entries) -> list[tuple]:
+    """Every entry's lifecycle in a history's lifecycle columns, in entry
+    order: (parent, serial, crl_url, revoked_at, cert_not_after,
+    eligible, in_partial_subset, first_appeared, removed_at), with day
+    ordinals as dates and 0 as None."""
+
+    def dates(column) -> list[datetime.date | None]:
+        return [
+            datetime.date.fromordinal(day) if day else None for day in column.tolist()
+        ]
+
+    crls = entries.crl.tolist()
+    return list(
+        zip(
+            [entries.parents[crl] for crl in crls],
+            entries.columns.serial_numbers(),
+            [entries.urls[crl] for crl in crls],
+            dates(entries.columns.revoked),
+            dates(entries.columns.expiry),
+            entries.eligible.tolist(),
+            entries.in_partial_subset.tolist(),
+            dates(entries.first_appeared),
+            dates(entries.removed_at),
+        )
+    )
+
+
 def crlset_history_digest(history) -> str:
     """sha256 over a CRLSet history: every day's count, additions and
     removals, every entry's lifecycle, and the covered CRLs, dropped
@@ -118,10 +133,7 @@ def crlset_history_digest(history) -> str:
             [day, count, history.daily_additions[day], history.daily_removals[day]]
             for day, count in history.daily_entry_counts.items()
         ],
-        "entries": [
-            [getattr(entry, name) for name in CRLSET_ENTRY_FIELDS]
-            for entry in history.entry_histories
-        ],
+        "entries": crlset_lifecycles(history.entries),
         "covered_urls": sorted(history.covered_urls),
         "dropped_urls": sorted(history.dropped_urls),
         "parents_ever": sorted(history.parents_ever),

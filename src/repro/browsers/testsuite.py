@@ -286,8 +286,8 @@ class BrowserTestHarness:
             staple_used=result.staple_used,
             performed_any_check=result.performed_any_check,
             checked_unknown=checked_unknown,
-            bytes_downloaded=fetcher.bytes_downloaded,
-            revocation_fetches=fetcher.fetches,
+            bytes_downloaded=fetcher.stats.bytes_downloaded,
+            revocation_fetches=fetcher.stats.fetches,
         )
 
     def run_suite(

@@ -8,7 +8,7 @@ Langley's Golomb-Compressed-Set refinement.
 from repro.crlset.bloom import BloomFilter, optimal_k, false_positive_rate
 from repro.crlset.gcs import GolombCompressedSet
 from repro.crlset.format import CrlSetSnapshot
-from repro.crlset.builder import CrlSetBuilder, CrlSetHistory, EntryHistory
+from repro.crlset.builder import CrlSetBuilder, CrlSetHistory
 from repro.crlset.coverage import CoverageReport, analyze_coverage
 from repro.crlset.dynamics import DynamicsReport, analyze_dynamics
 
@@ -19,7 +19,6 @@ __all__ = [
     "CrlSetHistory",
     "CrlSetSnapshot",
     "DynamicsReport",
-    "EntryHistory",
     "GolombCompressedSet",
     "analyze_coverage",
     "analyze_dynamics",

@@ -41,18 +41,16 @@ from __future__ import annotations
 import datetime
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from repro.crlset.format import CrlSetSnapshot
 from repro.revocation.reason import ReasonCode, is_crlset_eligible
-from repro.scan.bulk import DayInterner, gc_paused
 from repro.scan.calibration import Calibration
 from repro.scan.corpus import EntryColumns
 from repro.scan.ecosystem import Ecosystem
 
-__all__ = ["CrlSetBuilder", "CrlSetHistory", "EntryHistory", "EntryLifecycles"]
+__all__ = ["CrlSetBuilder", "CrlSetHistory", "EntryLifecycles"]
 
 #: CRLSet bytes charged once per CRL: the parent hash and the count.
 _CRL_BYTES = 36
@@ -65,34 +63,6 @@ _ELIGIBLE_REASON = np.array(
         for code in range(max(ReasonCode) + 1)
     ]
 )
-
-
-@dataclass(slots=True)
-class EntryHistory:
-    """CRLSet lifecycle of one revocation entry."""
-
-    parent: bytes
-    serial: int
-    crl_url: str
-    revoked_at: datetime.date
-    cert_not_after: datetime.date
-    eligible: bool
-    in_partial_subset: bool
-    first_appeared: datetime.date | None = None
-    removed_at: datetime.date | None = None
-
-    @property
-    def days_to_appear(self) -> int | None:
-        if self.first_appeared is None:
-            return None
-        return (self.first_appeared - self.revoked_at).days
-
-    @property
-    def removed_before_expiry_days(self) -> int | None:
-        """Days between CRLSet removal and certificate expiry (Fig 10)."""
-        if self.removed_at is None or self.removed_at >= self.cert_not_after:
-            return None
-        return (self.cert_not_after - self.removed_at).days
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,30 +97,6 @@ class EntryLifecycles:
             )
         ]
 
-    @gc_paused()
-    def histories(self) -> list[EntryHistory]:
-        """One :class:`EntryHistory` per entry, in entry order."""
-        days = DayInterner()
-
-        def dates(column: np.ndarray) -> list[datetime.date | None]:
-            return [days[ordinal] if ordinal else None for ordinal in column.tolist()]
-
-        crls = self.crl.tolist()
-        return list(
-            map(
-                EntryHistory,
-                [self.parents[crl] for crl in crls],
-                self.columns.serial_numbers(),
-                [self.urls[crl] for crl in crls],
-                dates(self.columns.revoked),
-                dates(self.columns.expiry),
-                self.eligible.tolist(),
-                self.in_partial_subset.tolist(),
-                dates(self.first_appeared),
-                dates(self.removed_at),
-            )
-        )
-
 
 @dataclass
 class CrlSetHistory:
@@ -165,12 +111,6 @@ class CrlSetHistory:
     #: CRLs dropped for exceeding the entry threshold (rule 3).
     dropped_urls: frozenset[str]
     parents_ever: frozenset[bytes]
-
-    @cached_property
-    def entry_histories(self) -> list[EntryHistory]:
-        """Per-entry lifecycles as records, built on first use from
-        :attr:`entries`."""
-        return self.entries.histories()
 
 
 class CrlSetBuilder:

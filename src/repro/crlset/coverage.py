@@ -115,9 +115,6 @@ def analyze_coverage(
     alexa_1k_revoked = 0
     alexa_1k_in = 0
     ever_appeared = set(entries.keys(np.flatnonzero(appeared)))
-    parent_by_int = {
-        rec.intermediate_id: rec.spki_hash for rec in ecosystem.intermediates
-    }
     leaves = ecosystem.leaves
     rows = np.flatnonzero((leaves.alexa != 0) & leaves.revoked_mask())
     for intermediate, serial, rank in zip(
@@ -125,7 +122,8 @@ def analyze_coverage(
         leaves.serial_numbers(rows),
         leaves.alexa[rows].tolist(),
     ):
-        covered = (parent_by_int[intermediate], serial) in ever_appeared
+        parent = ecosystem.intermediates[intermediate].spki_hash
+        covered = (parent, serial) in ever_appeared
         if rank <= alexa_1m_cut:
             alexa_1m_revoked += 1
             alexa_1m_in += covered

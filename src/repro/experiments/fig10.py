@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.pipeline import MeasurementStudy
 from repro.core.report import format_table, render_cdf
 from repro.core.stats import Cdf
@@ -19,15 +21,12 @@ def mechanism_window_table(study: MeasurementStudy) -> str:
     mechanisms show up here without touching this module.
     """
     end = study.calibration.measurement_end
-    eco = study.ecosystem
-    revoked = eco.leaf_records(eco.leaves.revoked_mask(end))
+    revoked = np.flatnonzero(study.ecosystem.leaves.revoked_mask(end))
     rows = []
     for mechanism in study.mechanism_suite:
-        windows = sorted(
-            mechanism.vulnerability_window_days(leaf) for leaf in revoked
-        )
-        mean = sum(windows) / len(windows) if windows else 0.0
-        median = windows[len(windows) // 2] if windows else 0.0
+        windows = np.sort(mechanism.vulnerability_windows(revoked))
+        mean = windows.mean() if len(windows) else 0.0
+        median = windows[len(windows) // 2] if len(windows) else 0.0
         rows.append(
             (
                 mechanism.name,

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.cost import SessionCost, SessionCostModel
 from repro.core.pipeline import MeasurementStudy
 from repro.core.report import format_bytes
@@ -64,8 +66,8 @@ def sweep(study: MeasurementStudy) -> list[MechanismStats]:
     digests stay stable as the registry grows.
     """
     end = study.calibration.measurement_end
-    eco = study.ecosystem
-    revoked = eco.leaf_records(eco.leaves.revoked_mask(end))
+    revoked_rows = np.flatnonzero(study.ecosystem.leaves.revoked_mask(end))
+    revoked = study.ecosystem.leaf_records(revoked_rows)
     model = SessionCostModel(study.ecosystem)
     sites = model.sample_sites(SESSION_SITES)
     rows = []
@@ -76,9 +78,7 @@ def sweep(study: MeasurementStudy) -> list[MechanismStats]:
             for leaf in revoked
             if mechanism.lookup(leaf, end) is CheckOutcome.REVOKED
         )
-        windows = [
-            mechanism.vulnerability_window_days(leaf) for leaf in revoked
-        ]
+        windows = mechanism.vulnerability_windows(revoked_rows)
         rows.append(
             MechanismStats(
                 mechanism=mechanism,
@@ -86,9 +86,7 @@ def sweep(study: MeasurementStudy) -> list[MechanismStats]:
                 revoked_total=len(revoked),
                 revoked_covered=len(covered),
                 revoked_flagged_at_end=flagged,
-                mean_window_days=(
-                    sum(windows) / len(windows) if windows else 0.0
-                ),
+                mean_window_days=float(windows.mean()) if len(windows) else 0.0,
                 session=model.session_for(sites, mechanism),
             )
         )

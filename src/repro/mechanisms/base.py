@@ -32,6 +32,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
+import numpy as np
+
 from repro.revocation.checker import CheckOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,26 +95,26 @@ def staleness_window_days(
     return update_interval_days + propagation_lag_days
 
 
-def residual_life_days(
-    not_after: datetime.date, since: datetime.date
-) -> float:
+def residual_life_days(not_after, since):
     """Days a certificate stays valid after ``since`` (compromise or
-    revocation date); zero once it has already expired.  The residual
-    half of every attack-window computation, the short-lived study's
-    and the OneCRL scope override's included.
+    revocation day), elementwise over day ordinals; zero once it has
+    already expired.  The residual half of every attack-window
+    computation, the short-lived study's and the OneCRL scope rule's
+    included.
     """
-    return max(0.0, float((not_after - since).days))
+    return np.maximum(0.0, np.subtract(not_after, since, dtype=np.float64))
 
 
-def attack_window_days(residual_days: float, exposure_days: float) -> float:
-    """Clamp an attacker's exposure window to the certificate's life.
+def attack_window_days(residual_days, exposure_days):
+    """Clamp an attacker's exposure window to the certificate's life,
+    elementwise.
 
     ``residual_days`` is how long the certificate stays valid after the
     compromise; ``exposure_days`` is how long the mechanism leaves
     clients unprotected (reaction + staleness).  The window can never be
     negative, and can never outlive the certificate itself.
     """
-    return max(0.0, min(residual_days, exposure_days))
+    return np.maximum(0.0, np.minimum(residual_days, exposure_days))
 
 
 @dataclass(frozen=True)
@@ -312,18 +314,22 @@ class RevocationMechanism(abc.ABC):
             )
         return ServeModel(endpoint="issuance", presign_interval_days=interval)
 
-    def vulnerability_window_days(
-        self,
-        leaf: LeafRecord,
-        update_interval_days: float | None = None,
-    ) -> float:
-        """Days a revoked certificate stays accepted by a checking
-        client: the staleness window, clamped to the certificate's
-        remaining life.  Raises for a certificate that was never
-        revoked.  Monotone non-decreasing in ``update_interval_days``.
+    def vulnerability_windows(
+        self, rows, update_interval_days: float | None = None
+    ) -> np.ndarray:
+        """Days each revoked certificate at ``rows`` of the Leaf Set (a
+        mask, index array or slice of ``ecosystem.leaves``) stays
+        accepted by a checking client: the staleness window, clamped to
+        the certificate's remaining life.  Raises ``ValueError`` for a
+        row that was never revoked.  Monotone non-decreasing in
+        ``update_interval_days``.
         """
-        if leaf.revoked_at is None:
-            raise ValueError(f"certificate {leaf.cert_id} was never revoked")
+        leaves = self.ecosystem.leaves
+        revoked = leaves.revoked[rows]
+        never = np.flatnonzero(revoked == 0)
+        if len(never):
+            cert_id = np.arange(len(leaves))[rows][never[0]]
+            raise ValueError(f"certificate {cert_id} was never revoked")
         model = self.update_model()
         interval = (
             model.update_interval_days
@@ -331,7 +337,7 @@ class RevocationMechanism(abc.ABC):
             else update_interval_days
         )
         exposure = staleness_window_days(interval, model.propagation_lag_days)
-        residual = residual_life_days(leaf.not_after, leaf.revoked_at)
+        residual = residual_life_days(leaves.not_after[rows], revoked)
         return attack_window_days(residual, exposure)
 
     def active_check(

@@ -119,15 +119,9 @@ class CrliteMechanism(RevocationMechanism):
     def __init__(self, host) -> None:
         super().__init__(host)
         self._cascade: FilterCascade | None = None
-        self._spki_by_intermediate: dict[int, bytes] | None = None
 
     def _key(self, intermediate_id: int, serial_number: int) -> bytes:
-        if self._spki_by_intermediate is None:
-            self._spki_by_intermediate = {
-                record.intermediate_id: record.spki_hash
-                for record in self.ecosystem.intermediates
-            }
-        parent = self._spki_by_intermediate[intermediate_id]
+        parent = self.ecosystem.intermediates[intermediate_id].spki_hash
         return parent + serial_to_bytes(serial_number)
 
     @property

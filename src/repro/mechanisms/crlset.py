@@ -31,27 +31,15 @@ class CrlSetMechanism(RevocationMechanism):
     title = "CRLSet (vendor push, 250 KB cap)"
     delivery = Delivery.PUSHED
 
-    def __init__(self, host) -> None:
-        super().__init__(host)
-        self._spki_by_intermediate: dict[int, bytes] | None = None
-
     @property
     def _snapshot(self):
         """The final published CRLSet (host builds the daily history
         once; the mechanism reads its last snapshot)."""
         return self.host.crlset_history.final_snapshot
 
-    def _parent_spki(self, leaf: LeafRecord) -> bytes:
-        if self._spki_by_intermediate is None:
-            self._spki_by_intermediate = {
-                record.intermediate_id: record.spki_hash
-                for record in self.ecosystem.intermediates
-            }
-        return self._spki_by_intermediate[leaf.intermediate_id]
-
     def covers(self, leaf: LeafRecord) -> bool:
         snapshot = self._snapshot
-        spki = self._parent_spki(leaf)
+        spki = self.ecosystem.intermediates[leaf.intermediate_id].spki_hash
         if leaf.revoked_at is not None:
             # A revocation the set omitted is simply not covered.
             return snapshot.is_revoked(spki, leaf.serial_number)

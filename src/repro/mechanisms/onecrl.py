@@ -37,7 +37,7 @@ from repro.mechanisms.base import (
 from repro.mechanisms.registry import register
 from repro.revocation.checker import CheckOutcome
 from repro.scan.ecosystem import Ecosystem
-from repro.scan.records import IntermediateRecord, LeafRecord
+from repro.scan.records import LeafRecord
 
 __all__ = ["OneCrl", "OneCrlMechanism", "blast_radius", "build_onecrl"]
 
@@ -88,27 +88,16 @@ class OneCrlMechanism(RevocationMechanism):
     title = "OneCRL (pushed list of revoked intermediates)"
     delivery = Delivery.PUSHED
 
-    def __init__(self, host) -> None:
-        super().__init__(host)
-        self._by_id: dict[int, IntermediateRecord] | None = None
-
-    def _intermediate(self, leaf: LeafRecord) -> IntermediateRecord:
-        if self._by_id is None:
-            self._by_id = {
-                record.intermediate_id: record
-                for record in self.ecosystem.intermediates
-            }
-        return self._by_id[leaf.intermediate_id]
-
     def covers(self, leaf: LeafRecord) -> bool:
         """Only chains under a (to-be-)listed intermediate are in scope;
         the revoked *leaf* population is deliberately not."""
         if leaf.revoked_at is not None:
-            return self._intermediate(leaf).revoked_at is not None
+            intermediate = self.ecosystem.intermediates[leaf.intermediate_id]
+            return intermediate.revoked_at is not None
         return True  # a clean chain is vouched for by list absence
 
     def lookup(self, leaf: LeafRecord, at: datetime.date) -> CheckOutcome:
-        intermediate = self._intermediate(leaf)
+        intermediate = self.ecosystem.intermediates[leaf.intermediate_id]
         if intermediate.revoked_at is not None and intermediate.revoked_at <= at:
             return CheckOutcome.REVOKED  # the whole subtree is blocked
         if leaf.revoked_at is not None:
@@ -131,18 +120,18 @@ class OneCrlMechanism(RevocationMechanism):
             pull_interval_days=1.0,
         )
 
-    def vulnerability_window_days(
-        self,
-        leaf: LeafRecord,
-        update_interval_days: float | None = None,
-    ) -> float:
+    def vulnerability_windows(
+        self, rows, update_interval_days: float | None = None
+    ) -> np.ndarray:
         """Honest about scope: a revoked leaf under a healthy
         intermediate stays accepted until it expires."""
-        if leaf.revoked_at is None:
-            raise ValueError(f"certificate {leaf.cert_id} was never revoked")
-        if self._intermediate(leaf).revoked_at is None:
-            return residual_life_days(leaf.not_after, leaf.revoked_at)
-        return super().vulnerability_window_days(leaf, update_interval_days)
+        windows = super().vulnerability_windows(rows, update_interval_days)
+        leaves = self.ecosystem.leaves
+        healthy = np.array(
+            [record.revoked_at is None for record in self.ecosystem.intermediates]
+        )[leaves.intermediate[rows]]
+        residual = residual_life_days(leaves.not_after[rows], leaves.revoked[rows])
+        return np.where(healthy, residual, windows)
 
     def check_cost(self, leaf: LeafRecord, session: SessionState) -> CheckCost:
         return CheckCost()  # pushed out of band

@@ -152,36 +152,31 @@ def attack_window_study(
         raise ValueError("ecosystem contains no revocations")
     if sample < len(rows):
         rows = rng.sample(rows, sample)
-    revoked = ecosystem.leaf_records(rows)
-
-    windows: dict[RevocationRegime, list[float]] = {
-        regime: [] for regime in RevocationRegime
-    }
-    # Hard-fail exposure is reaction + staleness, and every window is
-    # clamped to the certificate's residual life.
-    hard_exposure = staleness_window_days(
-        admin_reaction_days, revocation_propagation_days
+    leaves = ecosystem.leaves
+    # The compromise moves by whole days, as ``date - timedelta`` moves a date.
+    compromise = (
+        leaves.revoked[rows] - datetime.timedelta(days=admin_reaction_days).days
     )
-    for leaf in revoked:
-        compromise = leaf.revoked_at - datetime.timedelta(days=admin_reaction_days)
 
-        # Soft-fail: nothing stops the attacker before expiry.
-        soft = residual_life_days(leaf.not_after, compromise)
-        windows[RevocationRegime.SOFT_FAIL].append(soft)
+    # Soft-fail: nothing stops the attacker before expiry.
+    soft = residual_life_days(leaves.not_after[rows], compromise)
 
-        # Hard-fail: reaction + propagation, but never past expiry.
-        windows[RevocationRegime.HARD_FAIL].append(
-            attack_window_days(soft, hard_exposure)
-        )
+    # Hard-fail: reaction + propagation, but never past expiry.
+    hard = attack_window_days(
+        soft, staleness_window_days(admin_reaction_days, revocation_propagation_days)
+    )
 
-        # Short-lived: the certificate in force at compromise time expires
-        # within `short_lived_days`; the administrator stops renewing once
-        # they notice, so the window is the remaining slice of the current
-        # short certificate plus the reaction time, capped at reaction +
-        # one full lifetime.
-        residual = rng.uniform(0.0, short_lived_days)
-        windows[RevocationRegime.SHORT_LIVED].append(
-            attack_window_days(soft, admin_reaction_days + residual)
-        )
+    # Short-lived: the certificate in force at compromise time expires
+    # within `short_lived_days`; the administrator stops renewing once
+    # they notice, so the window is the remaining slice of the current
+    # short certificate plus the reaction time, capped at reaction +
+    # one full lifetime.
+    residual = np.array([rng.uniform(0.0, short_lived_days) for _ in rows])
+    short = attack_window_days(soft, admin_reaction_days + residual)
 
+    windows = {
+        RevocationRegime.SOFT_FAIL: soft.tolist(),
+        RevocationRegime.HARD_FAIL: hard.tolist(),
+        RevocationRegime.SHORT_LIVED: short.tolist(),
+    }
     return AttackWindowReport(windows=windows, short_lived_days=short_lived_days)

@@ -300,19 +300,6 @@ class NetworkFetcher:
         #: servers (internal; see :meth:`_parser`).
         self._decoded = decoded
 
-    # Legacy counter names, kept for existing callers.
-    @property
-    def bytes_downloaded(self) -> int:
-        return self.stats.bytes_downloaded
-
-    @property
-    def latency_total(self) -> datetime.timedelta:
-        return self.stats.latency_total
-
-    @property
-    def fetches(self) -> int:
-        return self.stats.fetches
-
     # -- public API --------------------------------------------------------
 
     def fetch_crl(self, url: str) -> CertificateRevocationList | None:

@@ -38,7 +38,13 @@ import json
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import flat_key
-from repro.obs.report import counters_inline, owned_counters, span_children
+from repro.obs.report import (
+    _spans,
+    _steps,
+    counters_inline,
+    owned_counters,
+    span_children,
+)
 
 __all__ = [
     "TraceDiff",
@@ -100,10 +106,6 @@ class TraceDiff:
 # -- record plumbing -------------------------------------------------------
 
 
-def _spans(records: list[dict]) -> list[dict]:
-    return [record for record in records if record.get("type") == "span"]
-
-
 def _metric_records(records: list[dict]) -> list[dict]:
     return [record for record in records if record.get("type") == "metric"]
 
@@ -113,12 +115,6 @@ def _meta(records: list[dict]) -> dict:
         if record.get("type") == "meta":
             return {k: v for k, v in record.items() if k != "type"}
     return {}
-
-
-def _steps(span: dict) -> int:
-    if span["end"] is None:
-        return 0
-    return span["end"] - span["start"]
 
 
 def _identity(span: dict) -> tuple:

@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.revocation.reason import ReasonCode
-from repro.scan.bulk import DayInterner
 from repro.scan.hidden import HiddenPopulation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -56,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 __all__ = [
     "CORPUS_FORMAT",
     "CrlEntryRecord",
+    "DayInterner",
     "EntryColumns",
     "LeafColumns",
     "brand_digests",
@@ -144,6 +144,17 @@ def _column(arrays: dict[str, np.ndarray], name: str, rows: slice) -> np.ndarray
     if len(column) != rows.stop - rows.start:
         raise ValueError(f"corpus column {name} is truncated")
     return column
+
+
+class DayInterner(dict):
+    """``interner[ordinal]`` is the date with that proleptic ordinal,
+    built once and shared by every later lookup.  A corpus spans a few
+    thousand distinct days, so the records a decoder builds share date
+    objects instead of holding a copy per field per record."""
+
+    def __missing__(self, ordinal: int) -> datetime.date:
+        day = self[ordinal] = datetime.date.fromordinal(ordinal)
+        return day
 
 
 @dataclass(slots=True)

@@ -31,9 +31,8 @@ from repro.pki.keys import KeyPair
 from repro.pki.name import Name
 from repro.revocation.reason import ReasonCode
 from repro.scan import corpus, shardgen
-from repro.scan.bulk import DayInterner
 from repro.scan.calibration import Calibration
-from repro.scan.corpus import LeafColumns
+from repro.scan.corpus import DayInterner, LeafColumns
 from repro.scan.crl_model import EcosystemCrl
 from repro.scan.records import IntermediateRecord, LeafRecord
 from repro.scan.shardgen import BrandState

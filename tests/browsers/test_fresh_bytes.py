@@ -158,4 +158,4 @@ def test_runs_share_parses_but_not_client_state():
     assert second_fetcher.cache is not first_fetcher.cache
     assert second_fetcher.breaker is not first_fetcher.breaker
     assert second_fetcher.stats is not first_fetcher.stats
-    assert second_fetcher.fetches == first_fetcher.fetches > 0
+    assert second_fetcher.stats.fetches == first_fetcher.stats.fetches > 0

@@ -5,8 +5,10 @@ from __future__ import annotations
 import copy
 import dataclasses
 import datetime
-from operator import attrgetter
+import importlib.util
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.crlset.builder import CrlSetBuilder
@@ -16,18 +18,13 @@ from repro.revocation.reason import is_crlset_eligible
 from repro.scan.corpus import CrlEntryRecord, EntryColumns
 from tests.crlset.reference_sweep import reference_sweep
 
-#: EntryHistory fields in the reference sweep's lifecycle tuple order.
-_LIFECYCLE = attrgetter(
-    "parent",
-    "serial",
-    "crl_url",
-    "revoked_at",
-    "cert_not_after",
-    "eligible",
-    "in_partial_subset",
-    "first_appeared",
-    "removed_at",
+# The lifecycle tuples the corpus golden digests, in the reference
+# sweep's tuple order.
+_SPEC = importlib.util.spec_from_file_location(
+    "update_golden", Path(__file__).parents[2] / "scripts" / "update_golden.py"
 )
+update_golden = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(update_golden)
 
 #: builder arguments for the default rules and each ablation, with a
 #: check that the ablation bites on the scale-0.002 ecosystem.
@@ -81,22 +78,25 @@ class TestBuilderRules:
         covered_brands = {
             profile.name for profile in ecosystem.profiles if profile.crlset_covered
         }
-        for h in history.entry_histories:
-            crl = ecosystem.crl_for_url(h.crl_url)
+        entries = history.entries
+        assert len(entries.crl)
+        for index in np.unique(entries.crl).tolist():
+            crl = ecosystem.crl_for_url(entries.urls[index])
             assert crl.brand in covered_brands
 
     def test_oversized_crls_dropped(self, history, ecosystem):
         # GoDaddy's huge shards are crawled but never admitted (rule 3).
         godaddy_urls = {c.url for c in ecosystem.crls if c.brand == "GoDaddy"}
+        entries = history.entries
         appeared_urls = {
-            h.crl_url for h in history.entry_histories if h.first_appeared
+            entries.urls[index]
+            for index in entries.crl[entries.first_appeared != 0].tolist()
         }
         assert not godaddy_urls & appeared_urls
 
     def test_ineligible_reasons_never_appear(self, history):
-        for h in history.entry_histories:
-            if not h.eligible:
-                assert h.first_appeared is None
+        entries = history.entries
+        assert not entries.first_appeared[~entries.eligible].any()
 
     def test_gap_freezes_membership(self, history, ecosystem):
         cal = ecosystem.calibration
@@ -139,7 +139,9 @@ class TestBuilderRules:
             assert list(getattr(history, name).items()) == list(
                 getattr(reference, name).items()
             ), name
-        assert [_LIFECYCLE(h) for h in history.entry_histories] == reference.lifecycles
+        assert (
+            update_golden.crlset_lifecycles(history.entries) == reference.lifecycles
+        )
         assert history.covered_urls == reference.covered_urls
         assert history.dropped_urls == reference.dropped_urls
         assert history.parents_ever == reference.parents_ever

@@ -35,6 +35,8 @@ from __future__ import annotations
 import datetime
 import math
 
+import numpy as np
+
 from repro.ca.authority import CertificateAuthority
 from repro.experiments.mechanisms import mechanism_blocks
 from repro.mechanisms import (
@@ -134,6 +136,7 @@ def check_determinism(
 
     dates = (end, end - datetime.timedelta(days=30))
     session_a, session_b = SessionState(), SessionState()
+    revoked = []
     for leaf_a, leaf_b in zip(
         sample_leaves(mechanism.ecosystem), sample_leaves(twin.ecosystem)
     ):
@@ -142,12 +145,14 @@ def check_determinism(
         for at in dates:
             assert mechanism.lookup(leaf_a, at) is twin.lookup(leaf_b, at)
         if leaf_a.revoked_at is not None:
-            assert mechanism.vulnerability_window_days(
-                leaf_a
-            ) == twin.vulnerability_window_days(leaf_b)
+            revoked.append(leaf_a.cert_id)
         cost_a = mechanism.check_cost(leaf_a, session_a)
         cost_b = twin.check_cost(leaf_b, session_b)
         assert cost_a == cost_b
+    assert (
+        mechanism.vulnerability_windows(revoked).tolist()
+        == twin.vulnerability_windows(revoked).tolist()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +214,15 @@ def check_window_semantics(
 ) -> None:
     """Windows are non-negative, monotone non-decreasing in the update
     interval, and never outlive the certificate."""
-    for leaf in revoked_sample(mechanism.ecosystem, end):
-        residual = max(0.0, float((leaf.not_after - leaf.revoked_at).days))
-        previous = None
-        for interval in WINDOW_INTERVALS:
-            window = mechanism.vulnerability_window_days(
-                leaf, update_interval_days=interval
-            )
+    sample = revoked_sample(mechanism.ecosystem, end)
+    rows = [leaf.cert_id for leaf in sample]
+    previous = None
+    for interval in WINDOW_INTERVALS:
+        windows = mechanism.vulnerability_windows(
+            rows, update_interval_days=interval
+        ).tolist()
+        for index, (leaf, window) in enumerate(zip(sample, windows, strict=True)):
+            residual = max(0.0, float((leaf.not_after - leaf.revoked_at).days))
             assert window >= 0.0, (
                 f"{mechanism.name} window {window} < 0 for {leaf.cert_id}"
             )
@@ -224,24 +231,22 @@ def check_window_semantics(
                 f"{leaf.cert_id} (residual life {residual})"
             )
             if previous is not None:
-                assert window >= previous, (
-                    f"{mechanism.name} window shrank ({previous} -> "
+                assert window >= previous[index], (
+                    f"{mechanism.name} window shrank ({previous[index]} -> "
                     f"{window}) as the update interval grew to {interval}"
                 )
-            previous = window
-    never_revoked = next(
-        leaf
-        for leaf in mechanism.ecosystem.leaf_records()
-        if leaf.revoked_at is None
-    )
-    try:
-        mechanism.vulnerability_window_days(never_revoked)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError(
-            f"{mechanism.name} computed a window for a never-revoked cert"
-        )
+        previous = windows
+    leaves = mechanism.ecosystem.leaves
+    never_revoked = np.flatnonzero(leaves.revoked == 0)[:1]
+    for batch in (never_revoked, np.concatenate([rows[:1], never_revoked])):
+        try:
+            mechanism.vulnerability_windows(batch)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError(
+                f"{mechanism.name} computed a window for a never-revoked cert"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import datetime
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.mechanisms.base import (
@@ -83,19 +84,30 @@ def test_shared_helpers_reproduce_the_inlined_formulas():
     with pytest.raises(ValueError):
         staleness_window_days(1.0, -2.0)
 
-    not_after = datetime.date(2015, 6, 1)
+    # Day ordinals, one at a time and as arrays.
+    not_after = datetime.date(2015, 6, 1).toordinal()
     may, june, july = (
-        datetime.date(2015, 5, 1),
-        datetime.date(2015, 6, 1),
-        datetime.date(2015, 7, 1),
+        datetime.date(2015, 5, 1).toordinal(),
+        datetime.date(2015, 6, 1).toordinal(),
+        datetime.date(2015, 7, 1).toordinal(),
     )
     assert residual_life_days(not_after, may) == pytest.approx(31.0)
     assert residual_life_days(not_after, june) == pytest.approx(0.0)
     # Already expired at the compromise date: clamped, never negative.
     assert residual_life_days(not_after, july) == pytest.approx(0.0)
     assert isinstance(residual_life_days(not_after, may), float)
+    residual = residual_life_days(
+        np.full(3, not_after, np.int32), np.array([may, june, july], np.int32)
+    )
+    assert residual.dtype == np.float64
+    assert residual.tolist() == [31.0, 0.0, 0.0]
 
     assert attack_window_days(10.0, 7.0) == pytest.approx(7.0)  # exposure-bound
     assert attack_window_days(3.0, 7.0) == pytest.approx(3.0)  # life-bound
     assert attack_window_days(-5.0, 7.0) == pytest.approx(0.0)  # never negative
     assert attack_window_days(5.0, -1.0) == pytest.approx(0.0)
+    assert attack_window_days(np.array([10.0, 3.0, -5.0]), 7.0).tolist() == [
+        7.0,
+        3.0,
+        0.0,
+    ]

@@ -102,11 +102,11 @@ def test_window_nonnegative_and_monotone_in_update_interval(
     mechanism = suite[name]
     leaf = revoked_leaves[index % len(revoked_leaves)]
     longer = shorter + stretch
-    narrow = mechanism.vulnerability_window_days(
-        leaf, update_interval_days=shorter
+    (narrow,) = mechanism.vulnerability_windows(
+        [leaf.cert_id], update_interval_days=shorter
     )
-    wide = mechanism.vulnerability_window_days(
-        leaf, update_interval_days=longer
+    (wide,) = mechanism.vulnerability_windows(
+        [leaf.cert_id], update_interval_days=longer
     )
     residual = max(0.0, float((leaf.not_after - leaf.revoked_at).days))
     assert 0.0 <= narrow <= wide <= residual

@@ -81,9 +81,9 @@ class TestCrlEndpoint:
     def test_crl_caching(self, ca, wired):
         network, fetcher, url = wired
         fetcher.fetch_crl(url)
-        first_fetches = fetcher.fetches
+        first_fetches = fetcher.stats.fetches
         fetcher.fetch_crl(url)
-        assert fetcher.fetches == first_fetches  # served from cache
+        assert fetcher.stats.fetches == first_fetches  # served from cache
 
 
 class TestOcspEndpoint:
@@ -145,8 +145,8 @@ class TestOcspEndpoint:
     def test_fetcher_accounts_cost(self, ca, wired):
         _, fetcher, url = wired
         fetcher.fetch_crl(url)
-        assert fetcher.bytes_downloaded > 0
-        assert fetcher.latency_total > datetime.timedelta(0)
+        assert fetcher.stats.bytes_downloaded > 0
+        assert fetcher.stats.latency_total > datetime.timedelta(0)
 
 
 class TestSharedParseMemo:
@@ -170,7 +170,7 @@ class TestSharedParseMemo:
         ocsp = first.fetch_ocsp(ocsp_url, ca.issuer_key_hash, leaf.serial_number)
         assert second.fetch_ocsp(ocsp_url, ca.issuer_key_hash, leaf.serial_number) is ocsp
         # Both clients went to the wire: only the parse is shared.
-        assert first.fetches == second.fetches == 2
+        assert first.stats.fetches == second.stats.fetches == 2
         assert len(decoded) == 2
 
     def test_without_a_memo_every_fetch_parses(self, ca, wired):

@@ -110,16 +110,16 @@ class TestFailureAccounting:
         network, fetcher, url = wire(ca, retry_policy=RetryPolicy.no_retry())
         network.set_failure(url, FailureMode.NO_RESPONSE)
         assert fetcher.fetch_crl(url) is None
-        assert fetcher.fetches == 1
-        assert fetcher.latency_total >= network.timeout
+        assert fetcher.stats.fetches == 1
+        assert fetcher.stats.latency_total >= network.timeout
         assert fetcher.stats.timeouts == 1
 
     def test_dns_failure_charges_rtt(self, ca):
         network, fetcher, url = wire(ca, retry_policy=RetryPolicy.no_retry())
         network.set_failure(url, FailureMode.NXDOMAIN)
         assert fetcher.fetch_crl(url) is None
-        assert fetcher.fetches == 1
-        assert fetcher.latency_total >= network.profile.rtt
+        assert fetcher.stats.fetches == 1
+        assert fetcher.stats.latency_total >= network.profile.rtt
         assert fetcher.stats.dns_failures == 1
 
     def test_retries_accumulate_backoff(self, ca):
@@ -131,7 +131,7 @@ class TestFailureAccounting:
         assert fetcher.stats.retries == 2
         assert fetcher.stats.backoff_total > ZERO
         # Total cost: 3 timeout budgets plus the backoff pauses.
-        assert fetcher.latency_total >= 3 * network.timeout
+        assert fetcher.stats.latency_total >= 3 * network.timeout
 
     def test_backoff_is_seeded_and_deterministic(self, ca):
         def total(seed):

@@ -20,9 +20,8 @@ import datetime
 import numpy as np
 
 from repro.revocation.reason import ReasonCode
-from repro.scan.bulk import DayInterner
 from repro.scan.calibration import Calibration
-from repro.scan.corpus import CrlEntryRecord, LeafColumns, serial_blob
+from repro.scan.corpus import CrlEntryRecord, DayInterner, LeafColumns, serial_blob
 from repro.scan.records import LeafRecord
 from repro.scan.shardgen import (
     LEAF_BLOCK,

@@ -18,9 +18,8 @@ from functools import partial
 from operator import itemgetter
 
 from repro.revocation.reason import ReasonCode
-from repro.scan.bulk import DayInterner
 from repro.scan.calibration import Calibration
-from repro.scan.corpus import CrlEntryRecord
+from repro.scan.corpus import CrlEntryRecord, DayInterner
 from repro.scan.hidden import HiddenPopulation
 from repro.scan.shardgen import _SYNTH_WINDOW_START, _Mix
 

@@ -436,8 +436,8 @@ class TestScanSnapshot:
 
 class TestNoRecordsAfterLoad:
     """The counting probe: a study loaded from the corpus store runs the
-    12 corpus figures on columns alone, decoding leaf records only for
-    the per-leaf mechanism API."""
+    12 corpus figures on columns alone, decoding no leaf or entry
+    record."""
 
     def test_figures_build_no_entry_record_or_snapshot_set(
         self, tmp_path, monkeypatch
@@ -461,12 +461,7 @@ class TestNoRecordsAfterLoad:
         for experiment_id in CORPUS_EXPERIMENTS:
             result = api.study.run_one(experiment_id, study)
             assert result.ok, experiment_id
-            assert not entries, experiment_id
-        # Figure 10 hands each leaf revoked by the measurement end to the
-        # mechanisms' window API, once.
-        end = calibration.measurement_end
-        revoked = int(np.count_nonzero(study.ecosystem.leaves.revoked_mask(end)))
-        assert 0 < len(leaves) == revoked < len(study.ecosystem.leaves)
+            assert not entries and not leaves, experiment_id
         assert study.scans
         assert not [s for s in study.scans if "cert_ids" in vars(s)]
         # The probe counts: decoding rows builds their records.
@@ -474,4 +469,4 @@ class TestNoRecordsAfterLoad:
         crl.entries.decode()
         assert len(entries) == len(crl.entries)
         study.ecosystem.leaf(0)
-        assert len(leaves) == revoked + 1
+        assert len(leaves) == 1

@@ -79,6 +79,11 @@ class TestRoundTrip:
             for a, b in zip(expected, ecosystem.leaf_records(), strict=True):
                 assert a == b, (path, a.cert_id)
 
+    def test_intermediate_ids_are_positional(self, generated, decoded):
+        for path, ecosystem in {"generated": generated, **decoded}.items():
+            ids = [record.intermediate_id for record in ecosystem.intermediates]
+            assert ids and ids == list(range(len(ids))), path
+
     def test_leaf_columns_are_equal(self, generated, decoded):
         for path, ecosystem in decoded.items():
             assert list(ecosystem.brands) == list(generated.brands), path

@@ -103,6 +103,14 @@ class TestLayoutInvariants:
         for i, leaf in enumerate(eco.leaf_records()):
             assert leaf.cert_id == i
 
+    def test_intermediate_ids_are_positional(self):
+        """The mechanisms and the coverage analysis look an intermediate
+        up as ``intermediates[intermediate_id]``."""
+        calibration = Calibration(scale=SCALE)
+        for eco in (Ecosystem(calibration), _from_shards(calibration, 4)):
+            ids = [record.intermediate_id for record in eco.intermediates]
+            assert ids and ids == list(range(len(ids)))
+
     def test_layouts_cover_the_id_space(self):
         cal = Calibration(scale=SCALE)
         layouts = shardgen.layout_brands(cal, PAPER_CA_PROFILES)
