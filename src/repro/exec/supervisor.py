@@ -155,6 +155,12 @@ def _worker_main(
         if faults is not None:
             kind = faults.decide_task(task_id, attempt)
             if kind is not None and kind.value == "kill":
+                # Flush this worker's earlier results first: an exit that
+                # strands the feeder thread while it holds the shared
+                # result queue's write lock blocks every other worker's
+                # results until the task deadline.
+                result_q.close()
+                result_q.join_thread()
                 os._exit(_KILL_EXIT)
             if kind is not None and kind.value == "hang":
                 # A wedged worker: sleep past any sane deadline and let

@@ -11,18 +11,19 @@ Because no stage reads a shared RNG, brands can be built in any order,
 grouped into any number of shards, and farmed out to worker processes --
 the merged corpus is byte-identical in every case (the shard-determinism
 property tests in ``tests/scan/test_shardgen.py`` assert exactly this).
-Only two steps are global and run at merge time: the Alexa rank shuffle
+Only two steps are global and run at merge time: the Alexa ranking
 (one ``"alexa"`` substream over the merged Leaf Set) and the invalid-
 certificate count (pure arithmetic).
 
 Generation draws straight into the corpus codec's columns: each brand's
 leaves into a :class:`~repro.scan.corpus.LeafColumns` (day ordinals and
 ints, no record), its CRL entries into
-:class:`~repro.scan.corpus.EntryColumns`.  Leaves draw one call at a
-time, since each leaf's draws branch on the ones before; a materialised
-CRL's synthetic entries make a fixed pattern of draws, so they are
-drawn in blocks of their substream's 32-bit words and decoded with
-numpy, the same draws in the same order (:mod:`repro.scan.streams`).
+:class:`~repro.scan.corpus.EntryColumns`.  Every unit draws whole
+columns, each from one block of its substream's 32-bit words
+(:mod:`repro.scan.streams`), in an order each unit's docstring lists:
+a value is drawn for every row, and a branch is a mask that picks
+among the drawn values.  A rejection step redraws only its pending
+rows, and a sample or shuffle is a stable sort of drawn keys.
 
 Deterministic ID geometry (:class:`BrandLayout`) replaces the old
 sequential allocators: ``cert_id`` ranges are the running sum of
@@ -39,7 +40,6 @@ import bisect
 import datetime
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -53,22 +53,16 @@ from repro.scan.corpus import (
     EntryColumns,
     LeafColumns,
     encode_brand_parts,
-    serial_blob,
 )
 from repro.scan.crl_model import EcosystemCrl
 from repro.scan.hidden import HiddenPopulation
 from repro.scan.records import IntermediateRecord
-from repro.scan.streams import (
-    led_records,
-    random_pairs,
-    randrange_run,
-    substream,
-    words,
-)
+from repro.scan.streams import below, random_pairs, substream, words
 
 __all__ = [
     "BrandLayout",
     "BrandState",
+    "ISSUE_TRIES",
     "LEAF_BLOCK",
     "MATERIALIZE_THRESHOLD",
     "SYNTH_SERIAL_BASE",
@@ -272,10 +266,10 @@ class BrandState:
         self.crls: list[EcosystemCrl] = []
         self.ocsp_urls: list[str] = []
         self.crl_by_url: dict[str, EcosystemCrl] = {}
-        #: global CRL index -> the brand's leaf rows revoked on it, in
-        #: revocation order, until :func:`populate_brand_synthetic`
-        #: lists them as the CRLs' observed entries.
-        self.revoked_rows: dict[int, list[int]] = {}
+        #: the brand's revoked leaf rows that point at a CRL, in
+        #: revocation order, which :func:`populate_brand_synthetic`
+        #: lists as the CRLs' observed entries.
+        self.revoked_rows = np.empty(0, np.intp)
 
 
 def _serial_bytes(profile: CaProfile) -> int:
@@ -412,19 +406,8 @@ def _issue_distribution(cal: Calibration):
     return months, cum_weights, cum_weights[-1]
 
 
-def _draw_stapling(rng, cal: Calibration, server_count: int, is_ev: bool) -> int:
-    all_p = cal.ev_stapling_all_fraction if is_ev else cal.stapling_all_fraction
-    partial_p = (
-        cal.ev_stapling_partial_fraction if is_ev else cal.stapling_partial_fraction
-    )
-    roll = rng.random()
-    if roll < all_p:
-        return server_count
-    if roll < all_p + partial_p:
-        if server_count <= 1:
-            return 0
-        return rng.randint(1, server_count - 1)
-    return 0
+#: issue-date tries before a leaf falls back to the first scan day.
+ISSUE_TRIES = 40
 
 
 def build_brand_leaves(calibration: Calibration, state: BrandState) -> LeafColumns:
@@ -432,127 +415,157 @@ def build_brand_leaves(calibration: Calibration, state: BrandState) -> LeafColum
     leaf revoked yet (``revoked`` 0, ``reason`` -1) and none ranked
     (``alexa`` 0).
 
-    Each :data:`LEAF_BLOCK`-sized block draws from its own substream, so
-    any block -- hence any brand, hence any shard -- can be generated
-    independently and still merge byte-identically.
-
-    Per leaf, in draw order: the issue date and validity (rejection-
-    sampled until the certificate overlaps the scan window: the Leaf Set
-    is, by definition, what the scans observed), the first-advertised
-    lag, the death, the issuing intermediate, the serial, the CRL
-    pointer, the OCSP pointer, EV, the server count and the stapling
-    servers.  Days are ordinals and every value a plain int, appended to
-    one list per column; the arrays are built from the lists in one go.
+    Each :data:`LEAF_BLOCK`-sized block draws from its own substream
+    (:func:`_leaf_block`), so any block -- hence any brand, hence any
+    shard -- can be generated independently and still merge
+    byte-identically.
     """
-    cal = calibration
+    count = state.layout.cert_count
+    blocks = [
+        _leaf_block(calibration, state, start, min(start + LEAF_BLOCK, count))
+        for start in range(0, count, LEAF_BLOCK)
+    ]
+    leaves = LeafColumns(*map(np.concatenate, zip(*blocks)))
+    listed = leaves.crl[leaves.crl >= 0] - state.layout.crl_base
+    assigned = np.bincount(listed, minlength=len(state.crls)).tolist()
+    for crl_model, pointing in zip(state.crls, assigned):
+        crl_model.assigned_cert_count += pointing
+    return leaves
+
+
+def _leaf_block(
+    cal: Calibration, state: BrandState, start: int, stop: int
+) -> tuple[np.ndarray, ...]:
+    """Rows ``start:stop`` of the brand's leaf columns, drawn as whole
+    columns from the block's ``("leaves", brand, block)`` substream.
+
+    Column draws, in order (a ``u`` column is :func:`random_pairs`, a
+    ``below`` column :func:`below`, one row per leaf unless named):
+
+    1. up to :data:`ISSUE_TRIES` rounds over the rows still pending, each
+       a ``u`` month, a ``below(28)`` day and a ``u`` validity; a row
+       stops pending once the certificate overlaps the scan window (the
+       Leaf Set is, by definition, what the scans observed), and the
+       rows left after the last round take the first scan day and 365
+       days;
+    2. the first-advertised lag, ``below(birth_lag_max + 1)``;
+    3. the death: a ``u`` early-death roll, a ``u`` past-expiry roll,
+       then ``below`` the mid-life span, the overrun and the 22-day
+       early takedown -- every row draws all three, and the rolls pick;
+    4. the issuing intermediate, ``below(intermediates)``;
+    5. on random-long brands, a 160-bit serial of five words, the first
+       least significant;
+    6. on brands with CRLs, a ``u`` CRL-pointer roll and ``below(CRLs)``;
+    7. on brands with an OCSP ramp, the adoption day ``below(ramp + 1)``;
+       then a ``u`` OCSP roll;
+    8. a ``u`` EV roll;
+    9. a ``u`` server-count mixture roll, then ``below`` the drawn range;
+    10. a ``u`` stapling roll, then ``below(servers - 1)`` stapling
+        servers for a partial deployment (bound 1 where a leaf has one
+        server).
+    """
     profile = state.profile
     layout = state.layout
+    rng = substream(cal.seed, "leaves", profile.name, start // LEAF_BLOCK)
+    n = stop - start
     months, cum_weights, total_weight = _issue_distribution(cal)
     # Day d of a month is its "day 0" ordinal plus d.
-    month_day0 = [month.toordinal() - 1 for month in months]
+    month_day0 = np.array([month.toordinal() - 1 for month in months])
     validity_mix = _Mix(cal.validity_mix)
-    server_count_mix = _Mix((entry, entry[-1]) for entry in cal.server_count_mix)
     scan_start, scan_end = cal.scan_start.toordinal(), cal.scan_end.toordinal()
-    birth_lag_max = cal.birth_lag_max_days
-    early_death = cal.early_death_fraction
-    past_expiry = cal.advertise_past_expiry
-    overrun_max = cal.expiry_overrun_max_days
-    ocsp_inclusion = cal.ocsp_inclusion_after_adoption
-    ocsp_since, ocsp_ramp = profile.ocsp_since.toordinal(), profile.ocsp_ramp_days
-    crl_inclusion, ev_fraction = profile.crl_inclusion, profile.ev_fraction
-    count = layout.cert_count
-    n_intermediates = len(state.intermediate_cas)
-    intermediate_ids = [
-        record.intermediate_id for record in state.intermediate_records
-    ]
-    n_crls, crl_base = len(state.crls), layout.crl_base
-    random_long = profile.serial_style == "random_long"
-    crl_assigned = [0] * n_crls
-    # One list per column: appending ints allocates no container, so the
-    # cyclic collector never walks the rows.
-    issues, not_afters, births, deaths = [], [], [], []
-    is_evs, server_counts, stapling, serials = [], [], [], []
-    intermediates, crls, has_ocsps = [], [], []
-    bisect_right = bisect.bisect_right
-
-    for block_start in range(0, count, LEAF_BLOCK):
-        rng = substream(
-            cal.seed, "leaves", profile.name, block_start // LEAF_BLOCK
-        )
-        random, randint, randrange = rng.random, rng.randint, rng.randrange
-        for i in range(block_start, min(block_start + LEAF_BLOCK, count)):
-            for _ in range(40):
-                month = month_day0[
-                    bisect_right(cum_weights, random() * total_weight)
-                ]
-                issue = month + randint(1, 28)
-                validity = validity_mix.draw(rng)
-                not_after = issue + validity
-                if not_after >= scan_start and issue <= scan_end:
-                    break
-            else:
-                issue, validity = scan_start, 365
-                not_after = issue + validity
-            birth = issue + randint(0, birth_lag_max)
-            if random() < early_death:
-                # Replaced mid-life (rekeyed, reissued, site retired).
-                death = birth + randint(30, max(31, validity))
-            elif random() < past_expiry:
-                death = not_after + randint(1, overrun_max)
-            else:
-                death = not_after - randint(0, 21)
-            death = max(death, birth)
-
-            intermediate_index = randrange(n_intermediates)
-            serial = rng.getrandbits(160) if random_long else 1000 + i
-
-            crl = -1
-            if n_crls and random() < crl_inclusion:
-                crl_index = randrange(n_crls)
-                crl_assigned[crl_index] += 1
-                crl = crl_base + crl_index
-
-            adoption = ocsp_since
-            if ocsp_ramp:
-                adoption += randint(0, ocsp_ramp)
-            has_ocsp = issue >= adoption and random() < ocsp_inclusion
-
-            is_ev = random() < ev_fraction
-            low, high, _ = server_count_mix.draw(rng)
-            server_count = randint(low, high)
-            stapling_servers = _draw_stapling(rng, cal, server_count, is_ev)
-
-            issues.append(issue)
-            not_afters.append(not_after)
-            births.append(birth)
-            deaths.append(death)
-            is_evs.append(is_ev)
-            server_counts.append(server_count)
-            stapling.append(stapling_servers)
-            serials.append(serial)
-            intermediates.append(intermediate_ids[intermediate_index])
-            crls.append(crl)
-            has_ocsps.append(has_ocsp)
-
-    for crl_model, assigned in zip(state.crls, crl_assigned):
-        crl_model.assigned_cert_count += assigned
-    int32 = partial(np.array, dtype=np.int32)
-    return LeafColumns(
-        int32(issues),
-        int32(not_afters),
-        int32(births),
-        int32(deaths),
-        np.zeros(count, np.int32),
-        np.full(count, -1, np.int8),
-        np.array(is_evs, np.uint8),
-        int32(server_counts),
-        int32(stapling),
-        np.zeros(count, np.int32),
-        serial_blob(serials),
-        int32(intermediates),
-        int32(crls),
-        np.array(has_ocsps, np.uint8),
+    intermediate_ids = np.array(
+        [record.intermediate_id for record in state.intermediate_records], np.int32
     )
+
+    issue = np.full(n, scan_start)
+    validity = np.full(n, 365)
+    pending = np.arange(n)
+    for _ in range(ISSUE_TRIES):
+        if not len(pending):
+            break
+        tries = len(pending)
+        rolls = random_pairs(rng, tries) * total_weight
+        day = month_day0[np.searchsorted(cum_weights, rolls, side="right")]
+        day += 1 + below(rng, 28, tries)
+        days = validity_mix.pick(random_pairs(rng, tries))
+        overlaps = (day + days >= scan_start) & (day <= scan_end)
+        issue[pending[overlaps]] = day[overlaps]
+        validity[pending[overlaps]] = days[overlaps]
+        pending = pending[~overlaps]
+    not_after = issue + validity
+
+    birth = issue + below(rng, cal.birth_lag_max_days + 1, n)
+    early = random_pairs(rng, n) < cal.early_death_fraction
+    past = random_pairs(rng, n) < cal.advertise_past_expiry
+    # Replaced mid-life (rekeyed, reissued, site retired).
+    replaced = birth + 30 + below(rng, np.maximum(31, validity) - 29, n)
+    overrun = not_after + 1 + below(rng, cal.expiry_overrun_max_days, n)
+    taken_down = not_after - below(rng, 22, n)
+    death = np.where(early, replaced, np.where(past, overrun, taken_down))
+    death = np.maximum(death, birth)
+
+    intermediate = below(rng, len(state.intermediate_cas), n)
+    serial = _serial_column(
+        rng, n, None if profile.serial_style == "random_long" else 1000 + start
+    )
+    crl = np.full(n, -1)
+    if state.crls:
+        listed = random_pairs(rng, n) < profile.crl_inclusion
+        pointed = layout.crl_base + below(rng, len(state.crls), n)
+        crl[listed] = pointed[listed]
+    adoption = profile.ocsp_since.toordinal()
+    if profile.ocsp_ramp_days:
+        adoption = adoption + below(rng, profile.ocsp_ramp_days + 1, n)
+    has_ocsp = (issue >= adoption) & (
+        random_pairs(rng, n) < cal.ocsp_inclusion_after_adoption
+    )
+    is_ev = random_pairs(rng, n) < profile.ev_fraction
+    server_count_mix = _Mix(((low, high), p) for low, high, p in cal.server_count_mix)
+    low, high = server_count_mix.pick(random_pairs(rng, n)).T
+    server_count = low + below(rng, high - low + 1, n)
+
+    roll = random_pairs(rng, n)
+    staple_all = np.where(
+        is_ev, cal.ev_stapling_all_fraction, cal.stapling_all_fraction
+    )
+    staple_some = np.where(
+        is_ev,
+        cal.ev_stapling_all_fraction + cal.ev_stapling_partial_fraction,
+        cal.stapling_all_fraction + cal.stapling_partial_fraction,
+    )
+    some = 1 + below(rng, np.maximum(1, server_count - 1), n)
+    stapling = np.where(
+        roll < staple_all,
+        server_count,
+        np.where((roll < staple_some) & (server_count > 1), some, 0),
+    )
+    return (
+        *(day.astype(np.int32) for day in (issue, not_after, birth, death)),
+        np.zeros(n, np.int32),
+        np.full(n, -1, np.int8),
+        is_ev.astype(np.uint8),
+        server_count.astype(np.int32),
+        stapling.astype(np.int32),
+        np.zeros(n, np.int32),
+        serial,
+        intermediate_ids[intermediate],
+        crl.astype(np.int32),
+        has_ocsp.astype(np.uint8),
+    )
+
+
+def _serial_column(rng, count: int, first: int | None) -> np.ndarray:
+    """``count`` serials as the codec's ``(count, 21)`` blob: with
+    ``first`` None, each row's 160-bit draw of five words, the first
+    least significant; else consecutive ints from ``first``."""
+    if first is None:
+        serial_bytes = words(rng, 5 * count).reshape(count, 5)[:, ::-1].astype(">u4")
+    else:
+        serial_bytes = np.arange(first, first + count, dtype=">u8")[:, None]
+    serial_bytes = serial_bytes.view(np.uint8)
+    blob = np.zeros((count, 21), np.uint8)
+    blob[:, 21 - serial_bytes.shape[1] :] = serial_bytes
+    return blob
 
 
 # ---------------------------------------------------------------------------
@@ -560,27 +573,32 @@ def build_brand_leaves(calibration: Calibration, state: BrandState) -> LeafColum
 # ---------------------------------------------------------------------------
 
 
-def _weighted_sample(rng, items: list, weights: list, k: int) -> list:
-    """Weighted sampling without replacement (Efraimidis-Spirakis)."""
-    keyed = [
-        (rng.random() ** (1.0 / weight), item)
-        for item, weight in zip(items, weights)
-    ]
-    keyed.sort(reverse=True)
-    return [item for _, item in keyed[:k]]
-
-
 def assign_brand_revocations(
     calibration: Calibration, state: BrandState, leaves: LeafColumns
 ) -> None:
-    """Steady-state churn + the Heartbleed burst, one substream per brand.
+    """Steady-state churn + the Heartbleed burst, one ``("revoke",
+    brand)`` substream per brand.
 
     Fills in the brand's ``revoked``, ``reason`` and ``death`` columns
-    and records each CRL's revoked rows, in revocation order, in
-    ``state.revoked_rows``; depends only on this brand's own leaves.
-    The columns are read as Python ints, so all day arithmetic is on
-    plain ordinals and the Heartbleed weights are the same floats as
-    ``max(1.0, days) ** 0.75`` over ``timedelta.days``.
+    and keeps the revoked rows that point at a CRL, in revocation order,
+    in ``state.revoked_rows``; depends only on this brand's own leaves.
+
+    The revoked rows are chosen first: the steady sample, the Heartbleed
+    picks and any shortfall, in that order.  Column draws, in order:
+
+    1. a sort key per leaf, one word each; the steady sample is the
+       first keys' rows in a stable sort;
+    2. past the steady sample, a ``u`` per row still eligible at
+       Heartbleed (fresh, alive, not revoked): Efraimidis-Spirakis keys
+       ``-log1p(-u) / weight``, the lowest picked, weights favouring
+       certificates with more validity left;
+    3. a ``u`` per pick: its offset from Heartbleed, an exponential
+       ``floor(-log1p(-u) * decay)`` capped at the window;
+    4. per revoked row, in revocation order: ``below`` its steady-churn
+       span (used by steady and shortfall rows), a ``u`` reason roll, a
+       ``u`` keep-advertising roll and a ``below(18)`` takedown.
+    Any shortfall (tiny corpora) is the first rows never revoked, as
+    late steady churn.
     """
     cal = calibration
     profile = state.profile
@@ -589,74 +607,56 @@ def assign_brand_revocations(
     if not count or target == 0:
         return
     rng = substream(cal.seed, "revoke", profile.name)
-    reasons = _reason_mix(cal)
-    not_before, not_after, birth, death, crl = (
-        getattr(leaves, name).tolist()
-        for name in ("not_before", "not_after", "birth", "death", "crl")
-    )
-    revoked_on, reason = [0] * count, [-1] * count
-    end = cal.measurement_end.toordinal()
-
-    def steady_date(index: int) -> int:
-        start = not_before[index] + 7
-        last = min(not_after[index], end)
-        if last <= start:
-            return start
-        return start + rng.randint(0, last - start)
-
-    def revoke(index: int, when: int) -> None:
-        revoked_on[index] = when
-        reason[index] = reasons.draw(rng)
-        if rng.random() >= cal.keep_advertising_after_revoke:
-            # Most administrators deploy the replacement certificate right
-            # around the revocation (often just before requesting it).
-            takedown = when + rng.randint(-14, 3)
-            death[index] = max(birth[index], min(death[index], takedown))
-        if crl[index] >= 0:
-            state.revoked_rows.setdefault(crl[index], []).append(index)
-
+    not_before, not_after = leaves.not_before, leaves.not_after
     steady_p = min(cal.steady_cap, profile.revoked_fraction * cal.steady_share)
     steady_count = min(target, round(count * steady_p))
-    chosen = rng.sample(range(count), min(count, steady_count))
-    revoked: set[int] = set()
-    for index in chosen:
-        revoke(index, steady_date(index))
-        revoked.add(index)
-
-    remaining = target - len(revoked)
-    if remaining > 0:
-        heartbleed = cal.heartbleed_date.toordinal()
-        eligible = [
-            index
-            for index in range(count)
-            if index not in revoked
-            and not_before[index] <= heartbleed <= not_after[index]
-            and birth[index] <= heartbleed <= death[index]
-        ]
+    steady = np.argsort(words(rng, count), kind="stable")[:steady_count]
+    heartbleed = cal.heartbleed_date.toordinal()
+    picked = shortfall = np.empty(0, np.intp)
+    offsets = np.empty(0, np.int64)
+    remaining = target - steady_count
+    if remaining:
+        free = np.ones(count, bool)
+        free[steady] = False
+        eligible = np.flatnonzero(
+            free
+            & (not_before <= heartbleed)
+            & (heartbleed <= not_after)
+            & (leaves.birth <= heartbleed)
+            & (heartbleed <= leaves.death)
+        )
         # Bias toward certificates with more remaining validity: a
         # revocation is only worth requesting if the certificate would
         # otherwise stay valid for a while (cf. [52]).
-        weights = [
-            max(1.0, not_after[index] - heartbleed) ** 0.75 for index in eligible
-        ]
-        take = min(remaining, len(eligible))
-        picked = _weighted_sample(rng, eligible, weights, take)
-        for index in picked:
-            offset = min(
-                int(rng.expovariate(1.0 / cal.heartbleed_decay_days)),
-                cal.heartbleed_window_days,
-            )
-            revoke(index, min(heartbleed + offset, not_after[index]))
-            revoked.add(index)
+        weights = np.maximum(1.0, not_after[eligible] - heartbleed) ** 0.75
+        keys = -np.log1p(-random_pairs(rng, len(eligible))) / weights
+        picked = eligible[np.argsort(keys, kind="stable")[:remaining]]
+        offsets = np.floor(
+            -np.log1p(-random_pairs(rng, len(picked))) * cal.heartbleed_decay_days
+        )
+        offsets = np.minimum(offsets, cal.heartbleed_window_days).astype(np.int64)
+        free[picked] = False
+        shortfall = np.flatnonzero(free)[: remaining - len(picked)]
+    rows = np.concatenate([steady, picked, shortfall])
 
-        # Any shortfall (tiny corpora) becomes late steady churn.
-        leftovers = [i for i in range(count) if i not in revoked]
-        for index in leftovers[: max(0, target - len(revoked))]:
-            revoke(index, steady_date(index))
-
-    leaves.revoked[:] = revoked_on
-    leaves.reason[:] = reason
-    leaves.death[:] = death
+    start = not_before[rows] + 7
+    last = np.minimum(not_after[rows], cal.measurement_end.toordinal())
+    revoked_on = start + below(rng, np.maximum(1, last - start + 1), len(rows))
+    revoked_on[steady_count : steady_count + len(picked)] = np.minimum(
+        heartbleed + offsets, not_after[picked]
+    )
+    reasons = _reason_mix(cal).pick(random_pairs(rng, len(rows)))
+    # Most administrators deploy the replacement certificate right around
+    # the revocation (often just before requesting it).
+    replaced = random_pairs(rng, len(rows)) >= cal.keep_advertising_after_revoke
+    takedown = revoked_on - 14 + below(rng, 18, len(rows))
+    death = leaves.death[rows]
+    leaves.death[rows] = np.where(
+        replaced, np.maximum(leaves.birth[rows], np.minimum(death, takedown)), death
+    )
+    leaves.revoked[rows] = revoked_on
+    leaves.reason[rows] = reasons
+    state.revoked_rows = rows[leaves.crl[rows] >= 0]
 
 
 # ---------------------------------------------------------------------------
@@ -684,11 +684,9 @@ def populate_brand_synthetic(
     random_long = profile.serial_style == "random_long"
     end = cal.measurement_end.toordinal()
     layout = state.layout
-    by_crl = [
-        state.revoked_rows.pop(layout.crl_base + index, [])
-        for index in range(len(state.crls))
-    ]
-    rows = np.array([row for rows in by_crl for row in rows], np.intp)
+    crl_of = leaves.crl[state.revoked_rows] - layout.crl_base
+    rows = state.revoked_rows[np.argsort(crl_of, kind="stable")]
+    stops = np.cumsum(np.bincount(crl_of, minlength=len(state.crls))).tolist()
     observed = EntryColumns(
         leaves.serial[rows],
         leaves.revoked[rows],
@@ -696,10 +694,9 @@ def populate_brand_synthetic(
         leaves.not_after[rows],
         (layout.cert_base + rows).astype(np.int32),
     )
-    stop = 0
-    for local_index, (crl, entries) in enumerate(zip(state.crls, by_crl)):
-        start, stop = stop, stop + len(entries)
-        columns = observed[start:stop]
+    start = 0
+    for local_index, (crl, stop) in enumerate(zip(state.crls, stops)):
+        columns, start = observed[start:stop], stop
         target = getattr(crl, "_target_entries", 0)
         observed_end = int(
             np.count_nonzero((columns.revoked <= end) & (end <= columns.expiry))
@@ -739,39 +736,30 @@ def _synthetic_entries(
     bulk-modelled big CRLs: entries expire in FIFO order on the
     schedule's removal days, so the visible count on any day matches the
     schedule exactly (and equals the size target at the measurement
-    end).  Serials are random 160-bit draws, or consecutive from
-    ``serial_band`` when it is given; ``reasons`` draws column codes.
+    end).  Serials are 160-bit draws, or consecutive from
+    ``serial_band`` when it is given; ``reasons`` picks column codes.
 
-    Draw order: per initial entry its revocation offset
-    (``randint(1, 500)``), reason roll (``random()``) and serial
-    (``getrandbits(160)``); per added entry (in day order) its reason
-    roll and serial; per survivor (in FIFO order) its expiry offset
-    (``randint(30, 700)``).  Removals draw nothing, so the entries are
-    drawn first and their expiries fixed afterwards.  Each of the three
-    runs is drawn as blocks of the stream's 32-bit words and decoded
-    with numpy, word for word as those calls would draw
-    (:mod:`repro.scan.streams`); the rest are vector operations on day
-    ordinals.
+    Column draws, in order: the initial entries' revocation offsets
+    (``below(500)``), every entry's ``u`` reason roll (initial entries,
+    then the additions in day order), on random-long brands every
+    entry's five serial words, and the survivors' expiry offsets
+    (``below(671)``, in FIFO order).  Removals draw nothing.
     """
-    # Words per entry after its offset: the roll's pair, then the serial's five.
-    width = 7 if serial_band is None else 2
     start = _SYNTH_WINDOW_START.toordinal()
-    offsets, initial = led_records(rng, 500, schedule.initial_count, width)
+    count = schedule.initial_count
     days, additions, removals = schedule.active_days()
-    added = words(rng, int(additions.sum()) * width).reshape(-1, width)
-    drawn = np.concatenate([initial, added])
-
+    revoked = np.concatenate(
+        [start - 1 - below(rng, 500, count), np.repeat(days, additions)]
+    )
     # Rows in draw order, then in FIFO order: the initial entries oldest
     # first (those revoked on the same day keep draw order), then the
     # additions in day order.
-    revoked = np.concatenate([start - 1 - offsets, np.repeat(days, additions)])
-    count = len(offsets)
     fifo = np.concatenate(
         [np.argsort(revoked[:count], kind="stable"), np.arange(count, len(revoked))]
     )
     revoked = revoked[fifo]
-    rolls = random_pairs(drawn[:, 0], drawn[:, 1])
-    serials = _synthetic_serials(drawn, serial_band)
+    codes = reasons.pick(random_pairs(rng, len(revoked)))[fifo]
+    serials = _serial_column(rng, len(revoked), serial_band)[fifo]
 
     # Removals take the oldest listed entries, which stop being listed
     # the day before (never before their own revocation day).  Day k ends
@@ -787,30 +775,14 @@ def _synthetic_entries(
     expiry[:gone] = np.maximum(revoked[:gone], removal_day - 1)
     # Survivors expire after the study window.
     end = cal.measurement_end.toordinal()
-    expiry[gone:] = end + 30 + randrange_run(rng, 671, len(revoked) - gone)
+    expiry[gone:] = end + 30 + below(rng, 671, len(revoked) - gone)
     return EntryColumns(
-        serials[fifo],
+        serials,
         revoked.astype(np.int32),
-        reasons.pick(rolls)[fifo].astype(np.int8),
+        codes.astype(np.int8),
         expiry.astype(np.int32),
         np.full(len(revoked), -1, np.int32),
     )
-
-
-def _synthetic_serials(drawn: np.ndarray, serial_band: int | None) -> np.ndarray:
-    """:func:`serial_blob` of the entries' serials, in draw order: the
-    ``getrandbits(160)`` of each row's words after its roll (five words,
-    the first drawn least significant), or consecutive ints from
-    ``serial_band``."""
-    if serial_band is None:
-        serial_bytes = drawn[:, 2:][:, ::-1].astype(">u4")
-    else:
-        band = np.arange(serial_band, serial_band + len(drawn), dtype=">u8")
-        serial_bytes = band[:, None]
-    serial_bytes = serial_bytes.view(np.uint8)
-    blob = np.zeros((len(drawn), 21), np.uint8)
-    blob[:, 21 - serial_bytes.shape[1] :] = serial_bytes
-    return blob
 
 
 # ---------------------------------------------------------------------------
@@ -846,18 +818,19 @@ def build_brand(
 def alexa_ranks(calibration: Calibration, leaves: LeafColumns) -> np.ndarray:
     """Merge-time global stage: the merged Leaf Set's ``alexa`` column,
     drawn from one ``"alexa"`` substream (rank assignment must see every
-    brand).  A new array, so the ranks never write into the columns."""
+    brand).  A new array, so the ranks never write into the columns.
+
+    One word per candidate is its sort key: ranks go to the candidates
+    in a stable sort of the keys, ties in row order."""
     cal = calibration
     rng = substream(cal.seed, "alexa")
     top_n = cal.scaled(1_000_000)
     # Popular sites are alive near the end of the study and skew toward
     # the big commercial CAs; sample among late-alive leaves.
     cutoff = cal.measurement_end - datetime.timedelta(days=270)
-    candidates = np.flatnonzero(leaves.death >= cutoff.toordinal()).tolist()
-    # Random.shuffle permutes by the list's length alone, so shuffling
-    # row indexes ranks the same rows as shuffling the leaves would.
-    rng.shuffle(candidates)
-    ranked = candidates[:top_n]
+    candidates = np.flatnonzero(leaves.death >= cutoff.toordinal())
+    order = np.argsort(words(rng, len(candidates)), kind="stable")
+    ranked = candidates[order[:top_n]]
     alexa = np.zeros(len(leaves), np.int32)
     alexa[ranked] = np.arange(1, len(ranked) + 1)
     return alexa

@@ -33,9 +33,10 @@ from repro.mechanisms.shortlived import RevocationRegime, attack_window_study
 
 #: sha256 over {regime.name: [float(window), ...]} (sort_keys json) of
 #: attack_window_study's defaults at scale 0.002 / seed 20151028 --
-#: pinned from the pre-hoist implementation.
+#: pinned from the pre-hoist implementation, and re-pinned with the
+#: corpus when generation moved to column draws.
 PRE_HOIST_DIGEST = (
-    "3120588bcbb5ecdf07afdf2e0fc74eb29ceaffcc82d71f5474ecb2ed9d35d312"
+    "1304711c728ec7aca4863ba59e36837676666d71c2e9f902e97a099386d92c36"
 )
 
 #: attack_window_study defaults the digest was pinned against.

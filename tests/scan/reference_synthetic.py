@@ -1,27 +1,25 @@
-"""Reference synthetic CRL entries: the record-building generator that
-predates the columnar one.
+"""Per-row oracle for a materialised CRL's synthetic entries.
 
-:func:`synthetic_records` draws one materialised CRL's synthetic entries
-as :class:`~repro.scan.corpus.CrlEntryRecord` objects, entry by
-entry, the way :func:`repro.scan.shardgen._synthetic_entries` did before
-it drew straight into entry columns.  ``test_columnar_corpus.py`` checks
-that the columns equal the encoding of these records and that both leave
-the RNG in the same state.  Not a test module: pytest does not collect
-it.
+:func:`synthetic_records` reads the CRL's substream in the word blocks
+:func:`repro.scan.shardgen._synthetic_entries` documents -- the initial
+entries' offsets, every entry's reason roll, every entry's serial words,
+then the survivors' expiry offsets -- and builds the entries one at a
+time in plain Python ints, with the FIFO removals walked day by day.
+``test_columnar_corpus.py`` checks that the columns equal the encoding
+of these records and that both leave the RNG in the same state.  Not a
+test module: pytest does not collect it.
 """
 
 from __future__ import annotations
 
-import datetime
-import itertools
-from functools import partial
 from operator import itemgetter
 
 from repro.revocation.reason import ReasonCode
 from repro.scan.calibration import Calibration
 from repro.scan.corpus import CrlEntryRecord, DayInterner
 from repro.scan.hidden import HiddenPopulation
-from repro.scan.shardgen import _SYNTH_WINDOW_START, _Mix
+from repro.scan.shardgen import _SYNTH_WINDOW_START
+from tests.scan.reference_leaves import WordReader, pick, reason_pairs
 
 
 def synthetic_records(
@@ -30,55 +28,51 @@ def synthetic_records(
     schedule: HiddenPopulation,
     serial_band: int | None,
 ) -> list[CrlEntryRecord]:
-    """The entries in FIFO order, drawing reasons from the calibration's
-    mixture as :class:`~repro.revocation.reason.ReasonCode` values."""
+    """The entries in FIFO order; serials are 160-bit draws, or
+    consecutive from ``serial_band`` when it is given."""
+    reader = WordReader(rng)
     days = DayInterner()
-    reasons = _Mix(
-        (None if name is None else ReasonCode[name], probability)
-        for name, probability in cal.reason_mix
-    )
-    randint, draw_reason = rng.randint, reasons.draw
-    next_serial = (
-        partial(rng.getrandbits, 160)
-        if serial_band is None
-        else itertools.count(serial_band).__next__
-    )
     start = _SYNTH_WINDOW_START.toordinal()
-    # (revoked_at, reason, serial) per entry.  The initial entries are
-    # listed oldest first; those revoked on the same day keep draw order.
-    fifo = [
-        (days[start - randint(1, 500)], draw_reason(rng), next_serial())
-        for _ in range(schedule.initial_count)
-    ]
-    fifo.sort(key=itemgetter(0))
-    # (day, additions, removals) per active schedule day.
-    active = [
-        (days[ordinal], added, removed)
-        for ordinal, added, removed in zip(
-            *(column.tolist() for column in schedule.active_days())
-        )
-    ]
-    for day, added, _ in active:
-        fifo.extend([(day, draw_reason(rng), next_serial()) for _ in range(added)])
+    active = list(zip(*(column.tolist() for column in schedule.active_days())))
+    count = schedule.initial_count
+    total = count + sum(added for _, added, _ in active)
+
+    # (revoked_at, reason, serial) per entry, in draw order: the initial
+    # entries, then the additions in day order.
+    revoked = [start - 1 - offset for offset in reader.below([500] * count)]
+    revoked += [day for day, added, _ in active for _ in range(added)]
+    codes = [pick(reason_pairs(cal), roll) for roll in reader.uniforms(total)]
+    if serial_band is None:
+        serials = reader.serials(total)
+    else:
+        serials = list(range(serial_band, serial_band + total))
+    drawn = list(zip(revoked, codes, serials))
+    # The initial entries are listed oldest first; those revoked on the
+    # same day keep draw order.
+    fifo = sorted(drawn[:count], key=itemgetter(0)) + drawn[count:]
 
     # Removals take the oldest listed entries, which stop being listed
     # the day before (never before their own revocation day).
-    expiry: list[datetime.date | None] = [None] * len(fifo)
+    expiry: list[int | None] = [None] * total
     cursor = 0
-    listed = schedule.initial_count
+    listed = count
     for day, added, removed in active:
         listed += added
         stop = min(cursor + removed, listed)
-        if stop > cursor:
-            last_listed = days[day.toordinal() - 1]
-            for i in range(cursor, stop):
-                expiry[i] = max(fifo[i][0], last_listed)
-            cursor = stop
+        for i in range(cursor, stop):
+            expiry[i] = max(fifo[i][0], day - 1)
+        cursor = max(cursor, stop)
     # Survivors expire after the study window.
     end = cal.measurement_end.toordinal()
-    for i in range(cursor, len(fifo)):
-        expiry[i] = days[end + randint(30, 700)]
+    for i, offset in zip(range(cursor, total), reader.below([671] * (total - cursor))):
+        expiry[i] = end + 30 + offset
     return [
-        CrlEntryRecord(serial, revoked_at, reason, expires)
-        for (revoked_at, reason, serial), expires in zip(fifo, expiry)
+        CrlEntryRecord(
+            serial,
+            days[revoked_at],
+            None if code < 0 else ReasonCode(code),
+            days[expires],
+        )
+        for (revoked_at, code, serial), expires in zip(fifo, expiry)
     ]
+

@@ -1,9 +1,11 @@
 """The corpus stays in its codec columns from generation to the figures.
 
 - Leaves are drawn straight into leaf columns and synthetic CRL entries
-  into entry columns; the columns equal the encoding of the
-  record-building references (``reference_leaves.py``,
-  ``reference_synthetic.py``), with the same draws in the same order.
+  into entry columns, as whole columns of word blocks; the columns equal
+  the per-row oracles (``reference_leaves.py``,
+  ``reference_synthetic.py``), which read the same word blocks and
+  build the rows one at a time, and leave every substream where the
+  generator leaves it.
 - A CRL's ``entries`` is one run of entry columns; records are only a
   decoded copy.  The codec refuses a serial outside 21 unsigned bytes.
 - A scan snapshot is a sorted id array that answers ``len``, ``in``,
@@ -85,7 +87,7 @@ def _merged(runs: list[LeafColumns]) -> LeafColumns:
 
 #: issuance ends decades before the scans, so every leaf takes the 40-try
 #: fallback, and Heartbleed precedes every leaf, so each brand's
-#: revocations past steady churn are shortfall leftovers.
+#: revocations past steady churn are the shortfall rows.
 _FALLBACKS = dataclasses.replace(
     Calibration(scale=0.0005, seed=5),
     issuance_start=datetime.date(1990, 1, 1),
@@ -95,10 +97,10 @@ _FALLBACKS = dataclasses.replace(
 
 
 class TestLeafColumns:
-    """Leaf generation against the record-building reference, brand by
-    brand: more seeds than the corpus golden pins, so the rarer branches
-    (the 40-try issue-date fallback, a tiny brand's shortfall leftovers)
-    are compared too."""
+    """Leaf blocks, revocation passes and the Alexa ranking against the
+    per-row oracles, brand by brand: more seeds than the corpus golden
+    pins, both serial styles, and a calibration that forces the rarer
+    branches (the 40-try issue-date fallback, the shortfall rows)."""
 
     @pytest.mark.parametrize(
         "cal",
@@ -110,7 +112,7 @@ class TestLeafColumns:
     )
     def test_columns_equal_the_reference_records(self, cal, monkeypatch):
         root_cas, _ = shardgen.build_roots(cal, PAPER_CA_PROFILES)
-        made: dict[str, dict] = {"columns": {}, "reference": {}}
+        made: dict[str, dict] = {"columns": {}, "oracle": {}}
 
         def recording(side: str):
             def record(*key):
@@ -119,48 +121,48 @@ class TestLeafColumns:
 
             return record
 
-        columns_runs, reference = [], []
+        def record_streams() -> None:
+            monkeypatch.setattr(shardgen, "substream", recording("columns"))
+            monkeypatch.setattr(reference_leaves, "substream", recording("oracle"))
+
+        columns_runs, oracle_runs = [], []
         for profile, layout in zip(
             PAPER_CA_PROFILES, shardgen.layout_brands(cal, PAPER_CA_PROFILES)
         ):
             state = shardgen.build_brand_scaffold(
                 cal, profile, layout, root_cas[profile.name]
             )
-            monkeypatch.setattr(shardgen, "substream", recording("columns"))
-            monkeypatch.setattr(reference_leaves, "substream", recording("reference"))
+            record_streams()
             columns = shardgen.build_brand_leaves(cal, state)
             shardgen.assign_brand_revocations(cal, state, columns)
-            records = reference_leaves.leaf_records(cal, state)
-            observed = reference_leaves.revoke_records(cal, state, records)
+            expected = reference_leaves.leaf_rows(cal, state)
+            observed = reference_leaves.revoke_rows(cal, state, expected)
             monkeypatch.undo()
-            crl_index = {
-                crl.url: layout.crl_base + i for i, crl in enumerate(state.crls)
-            }
-            _assert_columns_equal(
-                columns, reference_leaves.encode_leaves(records, crl_index)
-            )
+            _assert_columns_equal(columns, expected)
             # Each CRL lists its revoked leaves first, in revocation order,
             # then only synthetic entries.
             shardgen.populate_brand_synthetic(cal, state, columns)
-            for crl in state.crls:
-                expected = EntryColumns.encode(observed.get(crl.url, []))
-                _assert_columns_equal(crl.entries[: len(expected)], expected)
-                assert (crl.entries.cert[len(expected) :] < 0).all(), crl.url
+            for index, crl in enumerate(state.crls):
+                entries = EntryColumns.encode(observed.get(layout.crl_base + index, []))
+                _assert_columns_equal(crl.entries[: len(entries)], entries)
+                assert (crl.entries.cert[len(entries) :] < 0).all(), crl.url
             columns_runs.append(columns)
-            reference.extend(records)
+            oracle_runs.append(expected)
 
-        monkeypatch.setattr(shardgen, "substream", recording("columns"))
-        monkeypatch.setattr(reference_leaves, "substream", recording("reference"))
+        record_streams()
         alexa = shardgen.alexa_ranks(cal, _merged(columns_runs))
-        reference_leaves.alexa_records(cal, reference)
-        ranks = [leaf.alexa_rank or 0 for leaf in reference]
+        ranks = reference_leaves.alexa_rows(cal, _merged(oracle_runs).death.tolist())
         assert alexa.dtype == np.int32 and alexa.tolist() == ranks
         states = {
             side: {key: rng.getstate() for key, rng in rngs.items()}
             for side, rngs in made.items()
         }
-        assert states["columns"] == states["reference"]
+        assert states["columns"] == states["oracle"]
         assert {key[1] for key in states["columns"]} == {"leaves", "revoke", "alexa"}
+        assert {p.serial_style for p in PAPER_CA_PROFILES} == {
+            "sequential",
+            "random_long",
+        }
         fallback = _merged(columns_runs).not_before == cal.scan_start.toordinal()
         assert fallback.all() == (cal is _FALLBACKS)
 
@@ -176,7 +178,7 @@ def _schedule(cal: Calibration, target: int, **kwargs) -> HiddenPopulation:
 
 
 class TestSyntheticColumns:
-    """``_synthetic_entries`` against the record-building reference."""
+    """``_synthetic_entries`` against the per-row oracle."""
 
     @pytest.mark.parametrize("seed", [20151028, 7, 3])
     @pytest.mark.parametrize("target", [0, 1, 2, 9, 140, 2_500, 14_000])

@@ -1,11 +1,13 @@
-"""The word-block helpers against the scalar ``random.Random`` draws.
+"""The word-block draws against plain-Python per-row readers.
 
-Each helper equals the draws it replaces and leaves the stream where
-they leave it, for any seed: ``getrandbits(32)`` words, ``random()``
-pairs, 160-bit serial blobs (against ``serial_blob``), ``randrange(n)``
-runs for ``n`` up to ``2**32 - 1``, a count of 0, the refusal of ``n``
-outside one word, and the records led by a ``randrange`` draw, including
-a walk whose first block has to grow.
+Each column draw equals the per-row oracle's reading of the same words
+(``tests/scan/reference_leaves.WordReader``) and leaves the stream where
+the oracle leaves it, for any seed: ``getrandbits(32)`` words (the one
+CPython identity the corpus rests on), float pairs, 160-bit serial blobs
+(against ``getrandbits(160)`` and ``serial_blob``), and the exact
+bounded step -- per-row bounds from 1 to ``2**32 - 1``, a bound whose
+rejection path runs about half the time, a count of 0 and the refusal
+of bounds outside ``(0, 2**32)``.
 """
 
 from __future__ import annotations
@@ -19,12 +21,24 @@ from hypothesis import strategies as st
 
 from repro.scan import shardgen, streams
 from repro.scan.corpus import serial_blob
+from tests.scan.reference_leaves import WordReader
 
 seeds = st.integers(min_value=0, max_value=2**128 - 1)
+#: bounds that exercise every shift: no bits, one, two, a few, the
+#: synthetic expiry span, the worst rejection rate and the widest word.
+BOUNDS = (1, 2, 3, 28, 671, 2**31 + 1, 2**32 - 1)
 
 
-def _scalar_words(rng: random.Random, count: int) -> list[int]:
-    return [rng.getrandbits(32) for _ in range(count)]
+class _Counting(random.Random):
+    """A ``random.Random`` that lists the widths it was asked for."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed)
+        self.widths: list[int] = []
+
+    def getrandbits(self, k: int) -> int:
+        self.widths.append(k)
+        return super().getrandbits(k)
 
 
 class TestWordBlocks:
@@ -34,120 +48,100 @@ class TestWordBlocks:
         rng, reference = random.Random(seed), random.Random(seed)
         block = streams.words(rng, count)
         assert block.dtype == np.uint32 and block.shape == (count,)
-        assert block.tolist() == _scalar_words(reference, count)
+        assert block.tolist() == [reference.getrandbits(32) for _ in range(count)]
         assert rng.getstate() == reference.getstate()
 
     @given(seed=seeds, count=st.integers(min_value=0, max_value=300))
     @settings(derandomize=True, max_examples=40, deadline=None)
     def test_random_pairs_are_the_random_draws(self, seed, count):
+        """The word-pair floats, bit for bit -- equal floats, not close
+        ones; they happen to be CPython's ``random()`` values too."""
         rng, reference = random.Random(seed), random.Random(seed)
-        block = streams.words(rng, 2 * count)
-        rolls = streams.random_pairs(block[0::2], block[1::2])
-        expected = [reference.random() for _ in range(count)]
-        assert rolls.dtype == np.float64
-        # Bit for bit: equal floats, not close ones.
-        assert rolls.tolist() == expected
+        floats = streams.random_pairs(rng, count)
+        assert floats.dtype == np.float64 and floats.shape == (count,)
+        assert floats.tolist() == WordReader(reference).uniforms(count)
         assert rng.getstate() == reference.getstate()
+        scalar = random.Random(seed)
+        assert floats.tolist() == [scalar.random() for _ in range(count)]
 
     @given(seed=seeds, count=st.integers(min_value=0, max_value=200))
     @settings(derandomize=True, max_examples=40, deadline=None)
     def test_serial_blobs_are_the_getrandbits_160_draws(self, seed, count):
-        """A synthetic entry's roll and 160-bit serial, as the generator
-        lays them out: seven words per entry."""
         rng, reference = random.Random(seed), random.Random(seed)
-        drawn = streams.words(rng, 7 * count).reshape(-1, 7)
-        rolls, serials = [], []
-        for _ in range(count):
-            rolls.append(reference.random())
-            serials.append(reference.getrandbits(160))
-        blob = shardgen._synthetic_serials(drawn, None)
+        blob = shardgen._serial_column(rng, count, None)
+        serials = [reference.getrandbits(160) for _ in range(count)]
         assert blob.dtype == np.uint8 and blob.shape == (count, 21)
         assert np.array_equal(blob, serial_blob(serials))
-        assert streams.random_pairs(drawn[:, 0], drawn[:, 1]).tolist() == rolls
+        assert serials == WordReader(random.Random(seed)).serials(count)
         assert rng.getstate() == reference.getstate()
 
     @pytest.mark.parametrize("count", [0, 1, 5, 300])
     def test_band_serials_are_consecutive(self, count):
         band = shardgen.SYNTH_SERIAL_BASE + shardgen.SYNTH_SERIAL_STRIDE * 2_799
-        drawn = np.zeros((count, 2), np.uint32)
-        blob = shardgen._synthetic_serials(drawn, band)
+        rng = random.Random(4)
+        state = rng.getstate()
+        blob = shardgen._serial_column(rng, count, band)
         assert np.array_equal(blob, serial_blob(range(band, band + count)))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 500, 671, 2**31, 2**32 - 1])
-    @given(seed=seeds, count=st.integers(min_value=0, max_value=400))
-    @settings(derandomize=True, max_examples=15, deadline=None)
-    def test_randrange_runs_are_the_randrange_draws(self, n, seed, count):
-        rng, reference = random.Random(seed), random.Random(seed)
-        run = streams.randrange_run(rng, n, count)
-        assert run.dtype == np.int64
-        assert run.tolist() == [reference.randrange(n) for _ in range(count)]
-        assert rng.getstate() == reference.getstate()
+        assert rng.getstate() == state
 
     @pytest.mark.parametrize("n", [0, -3, 2**32, 2**32 + 1, 2**64])
     def test_ranges_beyond_one_word_are_refused(self, n):
+        """A bound outside ``(0, 2**32)``, for every row or for one row
+        of several, is refused before any word is drawn."""
         rng = random.Random(5)
         state = rng.getstate()
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            streams.randrange_run(rng, n, 3)
+            streams.below(rng, n, 3)
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            streams.led_records(rng, n, 3, 2)
+            streams.below(rng, np.array([7, n, 7]), 3)
         assert rng.getstate() == state
 
     def test_count_zero_draws_nothing(self):
         rng = random.Random(9)
         state = rng.getstate()
         assert streams.words(rng, 0).shape == (0,)
-        assert streams.randrange_run(rng, 671, 0).shape == (0,)
-        draws, rows = streams.led_records(rng, 500, 0, 7)
-        assert draws.shape == (0,) and rows.shape == (0, 7)
+        assert streams.random_pairs(rng, 0).shape == (0,)
+        assert streams.below(rng, 671, 0).shape == (0,)
+        assert streams.below(rng, np.zeros(0, np.int64), 0).shape == (0,)
         assert rng.getstate() == state
 
-    @staticmethod
-    def _led_reference(rng: random.Random, n: int, count: int, width: int):
-        draws, rows = [], []
-        for _ in range(count):
-            draws.append(rng.randrange(n))
-            rows.append(_scalar_words(rng, width))
-        return draws, rows
 
-    @pytest.mark.parametrize("n", [1, 3, 500, 2**31 + 1])
-    @pytest.mark.parametrize("width", [0, 2, 7])
-    @given(seed=seeds, count=st.integers(min_value=0, max_value=250))
+class TestBelow:
+    @pytest.mark.parametrize("bound", BOUNDS)
+    @given(seed=seeds, count=st.integers(min_value=0, max_value=400))
     @settings(derandomize=True, max_examples=15, deadline=None)
-    def test_led_records_are_the_scalar_draws(self, n, width, seed, count):
+    def test_one_bound_for_every_row(self, bound, seed, count):
         rng, reference = random.Random(seed), random.Random(seed)
-        draws, rows = streams.led_records(rng, n, count, width)
-        expected_draws, expected_rows = self._led_reference(
-            reference, n, count, width
-        )
-        assert draws.dtype == np.int64 and rows.dtype == np.uint32
-        assert rows.shape == (count, width)
-        assert draws.tolist() == expected_draws
-        assert rows.tolist() == expected_rows
+        values = streams.below(rng, bound, count)
+        assert values.dtype == np.int64 and values.shape == (count,)
+        assert values.tolist() == WordReader(reference).below([bound] * count)
+        assert ((0 <= values) & (values < bound)).all()
         assert rng.getstate() == reference.getstate()
 
-    def test_a_rejected_try_at_the_end_of_the_first_block_grows_it(self):
-        """Seed 14 rejects the leading tries at words 60, 97 and 149 of 50
-        three-word records: the last word of the first 150-word block is
-        a rejected try, so the block grows by the three words it and the
-        two before it displaced."""
-        seed, count, width = 14, 50, 2
-        stride = 1 + width
-        scalar = random.Random(seed)
-        rejected, position = [], 0
-        for _ in range(count):
-            while scalar.getrandbits(32) >> 23 >= 500:
-                rejected.append(position)
-                position += 1
-            position += stride
-            _scalar_words(scalar, width)
-        assert rejected == [60, 97, count * stride - 1]
-
+    @given(
+        seed=seeds,
+        bounds=st.lists(st.sampled_from(BOUNDS), min_size=0, max_size=300),
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_per_row_bounds(self, seed, bounds):
         rng, reference = random.Random(seed), random.Random(seed)
-        draws, rows = streams.led_records(rng, 500, count, width)
-        expected_draws, expected_rows = self._led_reference(
-            reference, 500, count, width
-        )
-        assert draws.tolist() == expected_draws
-        assert rows.tolist() == expected_rows
-        assert rng.getstate() == reference.getstate() == scalar.getstate()
+        values = streams.below(rng, np.array(bounds, np.int64), len(bounds))
+        assert values.tolist() == WordReader(reference).below(bounds)
+        assert (values < np.array(bounds, np.int64)).all()
+        assert rng.getstate() == reference.getstate()
+
+    def test_a_bound_of_2_31_plus_1_redraws_about_half_the_rows(self):
+        """Its top 32 bits are the whole word, and a word is below the
+        bound with probability about 1/2: each row takes two tries on
+        average, so 4,000 rows take about 8,000 words over many redraw
+        blocks, and every redrawn value is still exact."""
+        bound, count = 2**31 + 1, 4_000
+        rng, reference = _Counting(21), random.Random(21)
+        values = streams.below(rng, bound, count)
+        assert values.tolist() == WordReader(reference).below([bound] * count)
+        assert rng.getstate() == reference.getstate()
+        drawn = sum(rng.widths) // 32
+        assert rng.widths[0] == 32 * count and len(rng.widths) > 5
+        assert 0.9 * 2 * count < drawn < 1.1 * 2 * count
+        assert values.max() >= 2**31 - 2**28
+
