@@ -9,8 +9,8 @@ cache key cannot be the content hash alone.
 
 Entries are written atomically (temp file + ``os.replace``) so parallel
 or interrupted runs can never leave a truncated entry behind; unreadable
-entries are treated as misses, mirroring
-:class:`repro.scan.datastore.ArtifactCache`.
+entries are treated as misses and rewritten (a damaged corpus store is
+likewise rebuilt, after :mod:`repro.exec.corpusbuild` quarantines it).
 """
 
 from __future__ import annotations

@@ -351,10 +351,10 @@ def _build_corpus(
     Returns the store's :func:`corpus.info`, the build's shard tallies
     (``resumed_shards``, ``built_shards``, ``failures``) and a
     ``rebuilt`` flag.  An existing store for the same calibration is
-    reused unless ``force``, but only when :func:`corpus.verify` finds
-    no problem in it; a store that fails is quarantined (moved aside as
-    ``<name>.quarantined``) and rebuilt.  Every written store is
-    verified, and quarantined and rewritten if it fails.
+    reused unless ``force``, but only when it passes the check behind
+    :func:`corpus.verify`; a store that fails is quarantined (moved
+    aside as ``<name>.quarantined``) and rebuilt.  Every written store
+    is verified, and quarantined and rewritten if it fails.
 
     ``workers=N`` (N >= 2) generates ``shards`` brand groups (at least
     N) across supervised worker processes (docs/ROBUSTNESS.md);
@@ -399,11 +399,12 @@ def _corpus_info(path: str | Path) -> dict:
 def _verify_corpus(path: str | Path) -> list[str]:
     """Integrity-check a corpus store; returns problems (empty == sound).
 
-    Self-contained: validates sqlite readability, the whole-corpus
-    content digest, and the per-brand slice digests recorded at write
-    time, localising any corruption to the brand it landed in.  Never
-    raises on a damaged file.  Quarantine + rebuild is ``python -m repro
-    corpus verify --quarantine`` or a forced :func:`corpus.build`.
+    The check every reuse of a store passes, run on the file: sqlite
+    readability, the meta table's shape and row counts, the whole-corpus
+    content digest, and the per-brand slice digests, localising any
+    corruption to the brand it landed in.  Never raises on a damaged
+    file.  Quarantine + rebuild is ``python -m repro corpus verify
+    --quarantine`` or a forced :func:`corpus.build`.
     """
     from repro.scan import corpus_store
 
@@ -412,8 +413,10 @@ def _verify_corpus(path: str | Path) -> list[str]:
 
 def _list_corpora(directory: str | Path) -> list[dict]:
     """Info for every corpus store under ``directory``."""
+    from repro.scan import corpus_store
+
     entries: list[dict] = []
-    for path in sorted(Path(directory).glob("corpus-*.sqlite")):
+    for path in sorted(Path(directory).glob(corpus_store.STORE_GLOB)):
         try:
             entries.append(_corpus_info(path))
         except Exception:

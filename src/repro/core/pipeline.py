@@ -43,8 +43,9 @@ __all__ = ["MeasurementStudy"]
 class MeasurementStudy:
     """Reproduces the paper's measurements over a synthetic ecosystem.
 
-    ``cache_dir`` opts into the on-disk corpus store: the generated
-    ecosystem is persisted keyed on the calibration digest, so repeated
+    ``cache_dir`` opts into the on-disk corpus store: the ecosystem is
+    decoded from the sound store for its calibration, or generated and
+    written (:func:`repro.exec.corpusbuild.reuse_or_build`), so repeated
     runs with the same scale/seed/calibration load out-of-core instead of
     regenerating.
     """
@@ -106,20 +107,20 @@ class MeasurementStudy:
     @cached_property
     def ecosystem(self) -> Ecosystem:
         with self.obs.tracer.span("substrate.ecosystem") as span:
-            if self.cache_dir is not None:
-                from repro.scan.datastore import ArtifactCache
+            if self.cache_dir is None:
+                ecosystem, reused = Ecosystem(self.calibration), False
+            else:
+                from repro.exec.corpusbuild import reuse_or_build
 
-                cache = ArtifactCache(self.cache_dir, obs=self.obs)
-                cached = cache.load_ecosystem(self.calibration)
-                if cached is not None:
-                    span.set("source", "store")
-                    return cached
-                ecosystem = Ecosystem(self.calibration)
-                cache.store_ecosystem(self.calibration, ecosystem)
-                span.set("source", "generated")
-                return ecosystem
-            span.set("source", "generated")
-            return Ecosystem(self.calibration)
+                ecosystem, _, reused = reuse_or_build(
+                    self.cache_dir,
+                    self.calibration,
+                    lambda: Ecosystem(self.calibration),
+                    decode=True,
+                    obs=self.obs,
+                )
+            span.set("source", "store" if reused else "generated")
+            return ecosystem
 
     @cached_property
     def crawl_index(self) -> CrawlIndex:

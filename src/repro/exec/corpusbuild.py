@@ -1,12 +1,11 @@
-"""The corpus builder: one body for every corpus build.
+"""The corpus builder: one reuse-or-build body for every corpus store.
 
-:func:`build_corpus` reuses an existing store only when it verifies
-(:func:`repro.scan.corpus_store.reuse_or_quarantine`); otherwise it
-generates the corpus and writes it through
-:meth:`repro.scan.datastore.ArtifactCache.store_ecosystem`, which
-verifies what it wrote and quarantines and rewrites a corrupt store
-(storage faults from :meth:`ExecFaultPlan.decide_write` close that
-loop).
+:func:`reuse_or_build` serves :func:`build_corpus` (``corpus build``,
+``run_all``'s prewarm) and a study's ``cache_dir``: it reuses a sound
+store, or quarantines any other (so no path reuses a store one path
+refused), generates the corpus, and writes it with
+:func:`repro.scan.corpus_store.write_verified`, which checks what landed
+(storage faults from :meth:`ExecFaultPlan.decide_write` close that loop).
 
 Generation runs in-process (``Ecosystem(calibration)``) for one worker
 and no checkpoint directory.  Otherwise each
@@ -26,8 +25,10 @@ CI invariant asserts this on the ``corpus_digest``).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +38,11 @@ from repro.exec.checkpoint import CheckpointJournal
 from repro.exec.faults import ExecFaultPlan
 from repro.exec.supervisor import RunInterrupted, Supervisor, SupervisorConfig
 from repro.obs import NULL_OBS, Observability
-from repro.scan import corpus_store, shardgen
-from repro.scan.calibration import Calibration
-from repro.scan.datastore import ArtifactCache, calibration_digest
+from repro.scan import corpus, corpus_store, shardgen
+from repro.scan.calibration import Calibration, calibration_digest
 from repro.scan.ecosystem import Ecosystem
 
-__all__ = ["build_corpus"]
+__all__ = ["build_corpus", "reuse_or_build"]
 
 
 def _file_digest(path: Path) -> str:
@@ -178,6 +178,59 @@ def _build_sharded(
     }
 
 
+def reuse_or_build(
+    directory: str | Path,
+    calibration: Calibration,
+    generate: Callable[[], Ecosystem],
+    *,
+    decode: bool = False,
+    force: bool = False,
+    faults: ExecFaultPlan | None = None,
+    obs: Observability | None = None,
+) -> tuple[Ecosystem | None, dict, bool]:
+    """The one reuse-or-build body: ``(ecosystem, meta, reused)``.
+
+    Unless ``force``, the store for ``calibration`` under ``directory``
+    is read once and reused when :func:`corpus_store.read_store` finds
+    no problem and, with ``decode``, :meth:`Ecosystem.from_corpus`
+    accepts the arrays it read (else the ecosystem is None).  Any other
+    store is quarantined, and ``generate``'s ecosystem is written.
+    """
+    obs = obs if obs is not None else NULL_OBS
+    path = corpus_store.store_path(directory, calibration)
+    digest = calibration_digest(calibration)
+    reused = False
+    if not force and path.exists():
+        arrays, meta, problems = corpus_store.read_store(path, calibration)
+        ecosystem = None
+        if not problems and decode:
+            try:
+                ecosystem = Ecosystem.from_corpus(calibration, arrays, meta)
+            except Exception:
+                # The decoder raises arbitrary types on columns it refuses.
+                problems = ["refused by the decoder"]
+        reused = not problems
+        if problems:
+            # Another reader of the directory may have moved it first.
+            with contextlib.suppress(FileNotFoundError):
+                corpus_store.quarantine_store(path)
+    if not force and obs.enabled:
+        outcome = "hit" if reused else "miss"
+        obs.tracer.event(f"artifact_cache.{outcome}", calibration=digest)
+        obs.metrics.counter(
+            "artifact_cache." + ("hits" if reused else "misses")
+        ).inc()
+    if reused:
+        return ecosystem, meta, True
+    ecosystem = generate()
+    if obs.enabled:
+        obs.tracer.event("artifact_cache.store", calibration=digest)
+        obs.metrics.counter("artifact_cache.stores").inc()
+    arrays, meta = corpus.encode_corpus(ecosystem)
+    corpus_store.write_verified(path, arrays, meta, faults=faults, obs=obs)
+    return ecosystem, meta, False
+
+
 def build_corpus(
     directory: str | Path,
     *,
@@ -210,31 +263,32 @@ def build_corpus(
         raise ValueError("resume=True needs the checkpoint_dir to resume from")
     obs = obs if obs is not None else NULL_OBS
     calibration = calibration or Calibration(scale=scale, seed=seed)
-    cache = ArtifactCache(directory, obs=obs)
-    store_path = cache.ecosystem_path(calibration)
+    path = corpus_store.store_path(directory, calibration)
     workers = workers or 1
-
-    reused = not force and corpus_store.reuse_or_quarantine(store_path)
     tallies = {"resumed_shards": 0, "built_shards": 0, "failures": []}
-    if not reused:
+
+    def generate() -> Ecosystem:
         if workers <= 1 and checkpoint_dir is None:
-            ecosystem = Ecosystem(calibration, profiles)
             tallies["built_shards"] = 1
-        else:
-            ecosystem, tallies = _build_sharded(
-                calibration,
-                profiles,
-                max(shards, workers),
-                workers,
-                None if checkpoint_dir is None else Path(checkpoint_dir),
-                resume,
-                faults,
-                obs,
-            )
-        cache.store_ecosystem(calibration, ecosystem, faults=faults)
-    meta = corpus_store.read_meta(store_path)
+            return Ecosystem(calibration, profiles)
+        ecosystem, built = _build_sharded(
+            calibration,
+            profiles,
+            max(shards, workers),
+            workers,
+            None if checkpoint_dir is None else Path(checkpoint_dir),
+            resume,
+            faults,
+            obs,
+        )
+        tallies.update(built)
+        return ecosystem
+
+    _, meta, reused = reuse_or_build(
+        directory, calibration, generate, force=force, faults=faults, obs=obs
+    )
     return {
-        "path": str(store_path),
+        "path": str(path),
         "corpus_digest": meta.get("corpus_digest"),
         "reused": reused,
         **tallies,

@@ -51,7 +51,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentResult, failure_result
 from repro.obs import NULL_OBS, Observability
-from repro.scan.calibration import Calibration
+from repro.scan.calibration import Calibration, calibration_digest
 
 __all__ = ["ALL_EXPERIMENTS", "run_all", "run_experiment"]
 
@@ -187,19 +187,17 @@ def _prewarm_store(study: MeasurementStudy) -> str | None:
     """Warm the corpus store before spawning workers (or None without a
     cache_dir).
 
-    The parent pays for generation once and each worker then loads the
-    corpus out-of-core instead of rebuilding it.
-    When the store is already warm the parent deliberately does NOT
-    materialise the ecosystem: workers read the file themselves, and a
-    small parent heap keeps forking the workers cheap.
+    The parent runs :func:`repro.exec.corpusbuild.build_corpus` once: it
+    reuses a sound store, or quarantines an unsound one and writes a
+    fresh store, so each worker loads one verified store instead of
+    rebuilding it.  The parent does not decode the store: workers read
+    the file themselves, and a small parent heap keeps forking cheap.
     """
     if study.cache_dir is None:
         return None
-    from repro.scan.datastore import ArtifactCache
+    from repro.exec.corpusbuild import build_corpus
 
-    cache = ArtifactCache(study.cache_dir, obs=study.obs)
-    if not cache.has_ecosystem(study.calibration):
-        study.ecosystem
+    build_corpus(study.cache_dir, calibration=study.calibration, obs=study.obs)
     return str(study.cache_dir)
 
 
@@ -212,8 +210,6 @@ def _run_key(study: MeasurementStudy) -> str:
     -- so a run interrupted under an exec fault profile can resume under
     a different one (or none).
     """
-    from repro.scan.datastore import calibration_digest
-
     return (
         f"{calibration_digest(study.calibration)}"
         f"/net={study.fault_profile}/{study.fault_seed}"
@@ -230,8 +226,9 @@ def run_all(
     """Run every experiment, in declaration order, on the supervisor.
 
     ``parallel=N`` (N >= 2) runs the legs across N watched worker
-    processes; when the study has a ``cache_dir`` the workers share its
-    artifact cache, so the ecosystem is generated at most once.  With a
+    processes; when the study has a ``cache_dir`` the parent warms its
+    corpus store once and the workers load it, so the ecosystem is
+    generated at most once.  With a
     ``checkpoint_dir`` every completed leg is journaled (atomic JSONL
     keyed on the calibration + network-fault digest) and ``resume=True``
     replays validated checkpoints, running only the missing legs;

@@ -5,14 +5,18 @@ with defaults chosen so the generated corpus reproduces the paper's
 aggregate statistics at any scale.  :class:`PaperTargets` records what the
 paper measured, so experiments can print paper-vs-measured tables
 (EXPERIMENTS.md) and tests can assert shape bands.
+:func:`calibration_digest` names a calibration's corpus store and keys a
+run's checkpoint journal.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
+import hashlib
 from dataclasses import dataclass
 
-__all__ = ["Calibration", "PaperTargets"]
+__all__ = ["Calibration", "PaperTargets", "calibration_digest"]
 
 
 @dataclass(frozen=True)
@@ -238,3 +242,15 @@ class Calibration:
 
     def scaled(self, full_scale_count: int) -> int:
         return max(1, round(full_scale_count * self.scale))
+
+
+def calibration_digest(calibration: Calibration) -> str:
+    """Stable hex digest over every calibration field.
+
+    Any calibration change -- not just scale/seed -- must reach another
+    corpus store and another run journal, so the digest covers the full
+    field dict (scalars and dates only, so ``repr`` is deterministic
+    across processes).
+    """
+    payload = repr(sorted(dataclasses.asdict(calibration).items()))
+    return hashlib.sha256(payload.encode()).hexdigest()[:20]

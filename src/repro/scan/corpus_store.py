@@ -1,16 +1,17 @@
-"""On-disk corpus artifact store (SQLite, columnar).
+"""On-disk corpus store (SQLite, columnar): the one owner of the file.
 
-One ``corpus-<calibration_digest>.sqlite`` file per calibration holds
-the generated corpus as numpy column blobs plus a small key/value meta
-table.  The write path is crash-safe (temp file + ``os.replace``, the
-same discipline as the old pickle cache); readers open the file through
-a read-only URI, so any number of ``run_all`` workers can share one
-store without locking against each other.
+One ``corpus-<calibration_digest>.sqlite`` file per calibration
+(:func:`store_path`) holds the generated corpus as numpy column blobs
+plus a small key/value meta table; only generated randomness is stored
+(:mod:`repro.scan.corpus`).  This module owns the file's name, the one
+soundness check (:func:`check_corpus`, run by :func:`read_store` on
+what one read returns) and the verified write (:func:`write_verified`).
+Whether to reuse a store or rebuild it is
+:func:`repro.exec.corpusbuild.reuse_or_build`'s decision.
 
-Compared to pickling the ecosystem (the pre-sharding cache), the store
-is ~20x smaller and ~50x faster to load: only generated randomness is
-persisted (see :mod:`repro.scan.corpus`); the deterministic scaffold is
-rebuilt from the calibration on load.
+Writes are crash-safe (temp file + ``os.replace``); readers open the
+file through a read-only URI, so any number of ``run_all`` workers can
+share one store without locking against each other.
 """
 
 from __future__ import annotations
@@ -19,17 +20,37 @@ import json
 import os
 import sqlite3
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.obs import NULL_OBS, Observability
+from repro.scan import corpus
+from repro.scan.calibration import Calibration, calibration_digest
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.faults import ExecFaultPlan
+
 __all__ = [
+    "STORE_GLOB",
+    "check_corpus",
     "quarantine_store",
     "read_corpus",
     "read_meta",
-    "reuse_or_quarantine",
+    "read_store",
+    "store_path",
     "verify_store",
     "write_corpus",
+    "write_verified",
 ]
+
+#: every store file under a directory, whatever its calibration.
+STORE_GLOB = "corpus-*.sqlite"
+
+#: total tries for a verified write (first + rewrites after quarantine);
+#: injected write faults default to attempt 0 only, so one rewrite
+#: normally suffices.
+_WRITE_ATTEMPTS = 3
 
 _SCHEMA = """
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
@@ -40,6 +61,11 @@ CREATE TABLE arrays (
     data  BLOB NOT NULL
 );
 """
+
+
+def store_path(directory: str | Path, calibration: Calibration) -> Path:
+    """Where the store for ``calibration`` lives under ``directory``."""
+    return Path(directory) / f"corpus-{calibration_digest(calibration)}.sqlite"
 
 
 def write_corpus(
@@ -55,7 +81,7 @@ def write_corpus(
     :meth:`repro.exec.faults.ExecFaultPlan.decide_write`: a callable
     applied to the final path *after* the rename, modelling corruption
     that survives the atomic-write discipline (torn sectors, bit rot).
-    Callers that inject it must re-validate with :func:`verify_store`.
+    :func:`write_verified` is the write that checks what landed.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -90,6 +116,39 @@ def write_corpus(
     if fault is not None:
         fault(path)
     return path
+
+
+def write_verified(
+    path: str | Path,
+    arrays: dict[str, np.ndarray],
+    meta: dict,
+    *,
+    faults: ExecFaultPlan | None = None,
+    obs: Observability = NULL_OBS,
+) -> Path:
+    """Write the store, then check what landed with :func:`verify_store`.
+
+    A store that fails is quarantined and rewritten, at most
+    :data:`_WRITE_ATTEMPTS` times in all; ``faults`` injects corrupt
+    writes (:meth:`ExecFaultPlan.decide_write`).  Raises
+    ``RuntimeError`` when no attempt verifies.
+    """
+    for attempt in range(_WRITE_ATTEMPTS):
+        fault = faults.decide_write("corpus", attempt) if faults else None
+        write_corpus(path, arrays, meta, fault=fault)
+        problems = verify_store(path)
+        if not problems:
+            return Path(path)
+        quarantine_store(path)
+        if obs.enabled:
+            obs.tracer.event(
+                "exec.store_corrupt", attempt=attempt, problems=len(problems)
+            )
+            obs.metrics.counter("exec.store_rewrites").inc()
+    raise RuntimeError(
+        f"corpus store failed verification after {_WRITE_ATTEMPTS} "
+        f"write attempts: {problems[0]}"
+    )
 
 
 def _connect_readonly(path: Path) -> sqlite3.Connection:
@@ -129,32 +188,37 @@ def read_corpus(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
-def verify_store(path: str | Path) -> list[str]:
-    """Integrity-check a store file; returns problems (empty == sound).
+def check_corpus(
+    arrays: dict[str, np.ndarray],
+    meta: dict,
+    calibration: Calibration | None = None,
+) -> list[str]:
+    """The one soundness check over a store's columns and meta table;
+    returns problems (empty == sound).
 
-    Self-contained -- no calibration needed: the meta table carries the
-    whole-corpus content digest plus per-brand layouts and digests
+    It needs no calibration: the meta table carries the row counts, the
+    whole-corpus content digest and the per-brand layouts and digests
     (:func:`repro.scan.corpus.encode_corpus`), so corruption is both
-    *detected* (sqlite-level damage, truncation, any flipped byte in a
-    column blob) and *localised* to the brand slice it landed in.
-    Never raises on a damaged file; unreadable is just another finding.
+    detected and localised to the brand slice it landed in.  Given a
+    ``calibration`` it also requires that calibration's seed and scale.
+    A meta value of the wrong type or shape is a finding, never raised.
     """
-    from repro.scan import corpus
-
-    path = Path(path)
-    if not path.exists():
-        return ["store file does not exist"]
-    try:
-        arrays, meta = read_corpus(path)
-    except Exception as exc:
-        return [f"unreadable store: {type(exc).__name__}: {exc}"]
     problems: list[str] = []
     if meta.get("format") != corpus.CORPUS_FORMAT:
         problems.append(f"unsupported corpus format {meta.get('format')!r}")
+    if calibration is not None and (meta.get("seed"), meta.get("scale")) != (
+        calibration.seed, repr(calibration.scale)
+    ):
+        problems.append("corpus was generated under a different calibration")
     missing = [name for name in corpus.ALL_COLUMNS if name not in arrays]
     if missing:
         problems.append(f"missing columns: {', '.join(missing)}")
         return problems
+    for key in ("leaf_count", "entry_count", "crl_count"):
+        prefix, count = key.removesuffix("count"), meta.get(key)
+        rows = {arrays[c].shape[:1] for c in corpus.ALL_COLUMNS if c.startswith(prefix)}
+        if type(count) is not int or rows != {(count,)}:
+            problems.append(f"meta {key} {count!r} does not count the {prefix}* rows")
     try:
         digest = corpus.corpus_digest(arrays)
     except Exception as exc:
@@ -165,32 +229,41 @@ def verify_store(path: str | Path) -> list[str]:
             f"computed {digest!r}"
         )
     # Always cross-check the per-brand digests: a tampered digest in the
-    # meta table leaves the whole-corpus digest intact but would still
-    # read as a datastore miss, so ``corpus verify`` must flag it too.
-    layouts = meta.get("brand_layouts") or []
-    expected = meta.get("brand_digests") or {}
+    # meta table leaves the whole-corpus digest intact.
+    layouts, expected = meta.get("brand_layouts"), meta.get("brand_digests")
+    if not (isinstance(layouts, list) and layouts and isinstance(expected, dict)):
+        return problems + ["meta brand_layouts or brand_digests is malformed"]
     for row in layouts:
         try:
-            actual = corpus.brand_digests(arrays, [row])[row[0]]
+            brand = row[0]
+            sound = corpus.brand_digests(arrays, [row])[brand] == expected.get(brand)
         except Exception:
-            problems.append(f"brand {row[0]}: slice unreadable")
+            problems.append(f"meta brand_layouts row {row!r} is unreadable")
             continue
-        if actual != expected.get(row[0]):
-            problems.append(f"brand {row[0]}: slice digest mismatch")
+        if not sound:
+            problems.append(f"brand {brand}: slice digest mismatch")
     return problems
 
 
-def reuse_or_quarantine(path: str | Path) -> bool:
-    """Whether a corpus build may reuse the store at ``path``: only when
-    :func:`verify_store` finds no problem.  A store that fails is
-    quarantined, so the build that follows starts clean."""
+def read_store(
+    path: str | Path, calibration: Calibration | None = None
+) -> tuple[dict[str, np.ndarray], dict, list[str]]:
+    """Read the store at ``path`` once and :func:`check_corpus` what was
+    read: ``(arrays, meta, problems)``.  Never raises on a damaged file;
+    a missing or unreadable one is a finding, with nothing read."""
     path = Path(path)
     if not path.exists():
-        return False
-    if not verify_store(path):
-        return True
-    quarantine_store(path)
-    return False
+        return {}, {}, ["store file does not exist"]
+    try:
+        arrays, meta = read_corpus(path)
+    except Exception as exc:
+        return {}, {}, [f"unreadable store: {type(exc).__name__}: {exc}"]
+    return arrays, meta, check_corpus(arrays, meta, calibration)
+
+
+def verify_store(path: str | Path) -> list[str]:
+    """Integrity-check a store file; returns problems (empty == sound)."""
+    return read_store(path)[2]
 
 
 def quarantine_store(path: str | Path) -> Path:

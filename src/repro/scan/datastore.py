@@ -14,177 +14,27 @@ Layout of an export directory::
     crl_series.csv       per-CRL daily entry counts over the crawl window
     crlset_daily.csv     CRLSet entry counts / additions / removals per day
 
-:class:`ArtifactCache` is the opt-in on-disk cache behind
-``MeasurementStudy(cache_dir=...)`` and the one writer of corpus stores:
-generated ecosystems are persisted as columnar SQLite corpus stores
-(:mod:`repro.scan.corpus_store`) keyed on a digest of the full
-calibration, verified after every write, so repeated runs with the same
-scale/seed/calibration skip regeneration and ``run_all`` workers load
-the corpus out-of-core instead of rebuilding it.
+The corpus store behind ``MeasurementStudy(cache_dir=...)`` is not a
+data release; :mod:`repro.scan.corpus_store` owns it.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import datetime
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.core.pipeline import MeasurementStudy
-from repro.obs import NULL_OBS, Observability
-from repro.scan import corpus, corpus_store
-from repro.scan.calibration import Calibration
-from repro.scan.ecosystem import Ecosystem
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.faults import ExecFaultPlan
-
-__all__ = [
-    "ArtifactCache",
-    "ExportedStudy",
-    "calibration_digest",
-    "export_study",
-    "load_export",
-]
+__all__ = ["ExportedStudy", "export_study", "load_export"]
 
 _DATE = "%Y-%m-%d"
-
-#: total tries for a store write (first + rewrites after quarantine);
-#: injected write faults default to attempt 0 only, so one rewrite
-#: normally suffices.
-_WRITE_ATTEMPTS = 3
 
 
 def _iso(day: datetime.date) -> str:
     return day.strftime(_DATE)
-
-
-# -- artifact cache ----------------------------------------------------------
-
-
-def calibration_digest(calibration: Calibration) -> str:
-    """Stable hex digest over every calibration field.
-
-    Any calibration change -- not just scale/seed -- must miss the cache,
-    so the digest covers the full field dict (scalars and dates only, so
-    ``repr`` is deterministic across processes).
-    """
-    payload = repr(sorted(dataclasses.asdict(calibration).items()))
-    return hashlib.sha256(payload.encode()).hexdigest()[:20]
-
-
-class ArtifactCache:
-    """Out-of-core corpus cache for expensive study substrates.
-
-    Each entry is a ``corpus-<digest>.sqlite`` columnar store holding only
-    the corpus's generated randomness (the deterministic scaffold is
-    rebuilt from the calibration on load).  Writes are atomic (temp file +
-    ``os.replace``) so a crashed or concurrent run can never leave a
-    truncated store behind; readers open the file read-only, and anything
-    unreadable -- missing, truncated, foreign format, stale schema -- is
-    treated as a miss.
-    """
-
-    def __init__(
-        self, directory: str | Path, obs: Observability | None = None
-    ) -> None:
-        self.directory = Path(directory)
-        self.obs = obs if obs is not None else NULL_OBS
-
-    def ecosystem_path(self, calibration: Calibration) -> Path:
-        digest = calibration_digest(calibration)
-        return self.directory / f"corpus-{digest}.sqlite"
-
-    def has_ecosystem(self, calibration: Calibration) -> bool:
-        """Cheap store-presence probe: meta readable and matching.
-
-        Lets ``run_all`` pre-warm the store without materialising the
-        ecosystem in the parent process (workers load it themselves;
-        a small parent heap keeps fork cheap).
-        """
-        path = self.ecosystem_path(calibration)
-        try:
-            meta = corpus_store.read_meta(path)
-            return (
-                meta.get("format") == corpus.CORPUS_FORMAT
-                and meta.get("seed") == calibration.seed
-                and meta.get("scale") == repr(calibration.scale)
-            )
-        except Exception:
-            return False
-
-    def load_ecosystem(self, calibration: Calibration) -> Ecosystem | None:
-        path = self.ecosystem_path(calibration)
-        digest = calibration_digest(calibration)
-        try:
-            arrays, meta = corpus_store.read_corpus(path)
-            # Digest checks inside the try: silent corruption (a flipped
-            # byte in a column blob parses fine) must be a miss too, and
-            # per-brand digests catch damage the decoder would absorb.
-            if meta.get("corpus_digest") != corpus.corpus_digest(arrays):
-                raise ValueError("corpus digest mismatch")
-            layouts = meta.get("brand_layouts") or []
-            if layouts and meta.get("brand_digests") != corpus.brand_digests(
-                arrays, layouts
-            ):
-                raise ValueError("brand digest mismatch")
-            loaded = Ecosystem.from_corpus(calibration, arrays, meta)
-        except Exception:
-            # A cache read must never fail a run: missing, unreadable,
-            # truncated, or garbage entries (sqlite and the decoder raise
-            # arbitrary exception types on corrupt input) are all misses.
-            if self.obs.enabled:
-                self.obs.tracer.event("artifact_cache.miss", calibration=digest)
-                self.obs.metrics.counter("artifact_cache.misses").inc()
-            return None
-        if self.obs.enabled:
-            self.obs.tracer.event("artifact_cache.hit", calibration=digest)
-            self.obs.metrics.counter("artifact_cache.hits").inc()
-        return loaded
-
-    def store_ecosystem(
-        self,
-        calibration: Calibration,
-        ecosystem: Ecosystem,
-        *,
-        faults: ExecFaultPlan | None = None,
-    ) -> Path:
-        """Encode and write the corpus store, then verify what landed.
-
-        A store that fails :func:`corpus_store.verify_store` is
-        quarantined and rewritten, at most :data:`_WRITE_ATTEMPTS` times
-        in all; ``faults`` injects corrupt writes
-        (:meth:`ExecFaultPlan.decide_write`).  Raises ``RuntimeError``
-        when no attempt verifies.
-        """
-        path = self.ecosystem_path(calibration)
-        if self.obs.enabled:
-            self.obs.tracer.event(
-                "artifact_cache.store",
-                calibration=calibration_digest(calibration),
-            )
-            self.obs.metrics.counter("artifact_cache.stores").inc()
-        arrays, meta = corpus.encode_corpus(ecosystem)
-        for attempt in range(_WRITE_ATTEMPTS):
-            fault = faults.decide_write("corpus", attempt) if faults else None
-            corpus_store.write_corpus(path, arrays, meta, fault=fault)
-            problems = corpus_store.verify_store(path)
-            if not problems:
-                return path
-            corpus_store.quarantine_store(path)
-            if self.obs.enabled:
-                self.obs.tracer.event(
-                    "exec.store_corrupt", attempt=attempt, problems=len(problems)
-                )
-                self.obs.metrics.counter("exec.store_rewrites").inc()
-        raise RuntimeError(
-            f"corpus store failed verification after {_WRITE_ATTEMPTS} "
-            f"write attempts: {problems[0]}"
-        )
 
 
 def export_study(study: MeasurementStudy, directory: str | Path) -> Path:

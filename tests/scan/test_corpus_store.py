@@ -1,14 +1,19 @@
 """Out-of-core corpus store round-trip lockdown.
 
 Generate -> persist (SQLite columnar store) -> reload must reproduce the
-corpus byte-for-byte: same corpus digest, same report bytes.  Unreadable
-or mismatched stores are cache misses, never crashes -- ``run_all``
-workers depend on that.
+corpus byte-for-byte: same corpus digest, same report bytes.  A store
+that is missing, unreadable, damaged or malformed is never reused: the
+builder quarantines it and rebuilds the same corpus, on every path
+(``corpus build``, a study's ``cache_dir``), and never crashes --
+``run_all`` workers depend on that.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
+import json
+import shutil
 import sqlite3
 from pathlib import Path
 
@@ -16,11 +21,12 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.__main__ import main
 from repro.core.pipeline import MeasurementStudy
-from repro.exec.corpusbuild import build_corpus
+from repro.exec.corpusbuild import build_corpus, reuse_or_build
+from repro.obs import Observability
 from repro.scan import corpus, corpus_store
 from repro.scan.calibration import Calibration
-from repro.scan.datastore import ArtifactCache
 from repro.scan.ecosystem import Ecosystem
 
 SCALE = 0.0005
@@ -38,8 +44,14 @@ def generated(calibration) -> Ecosystem:
 
 @pytest.fixture(scope="module")
 def store_path(calibration, generated, tmp_path_factory):
-    cache = ArtifactCache(tmp_path_factory.mktemp("store"))
-    return cache.store_ecosystem(calibration, generated)
+    path = corpus_store.store_path(tmp_path_factory.mktemp("store"), calibration)
+    arrays, meta = corpus.encode_corpus(generated)
+    return corpus_store.write_verified(path, arrays, meta)
+
+
+@pytest.fixture(scope="module")
+def fresh_digest(store_path) -> str:
+    return corpus_store.read_meta(store_path)["corpus_digest"]
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +67,11 @@ def from_workers(calibration, tmp_path_factory) -> Ecosystem:
     store the builder wrote."""
     directory = tmp_path_factory.mktemp("workers")
     build_corpus(directory, calibration=calibration, workers=2)
-    return ArtifactCache(directory).load_ecosystem(calibration)
+    ecosystem, _, reused = reuse_or_build(
+        directory, calibration, lambda: pytest.fail("regenerated"), decode=True
+    )
+    assert reused
+    return ecosystem
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +79,75 @@ def decoded(reloaded, from_workers) -> dict[str, Ecosystem]:
     """Both build paths, read back: the in-process corpus and the one
     merged from worker-built parts."""
     return {"store": reloaded, "workers": from_workers}
+
+
+def flip_blob_byte(path: Path, column: str = "leaf_not_after") -> None:
+    """Flip one byte of a column blob in place; sqlite still opens the
+    file, so only the content digests can tell."""
+    with contextlib.closing(sqlite3.connect(path)) as connection:
+        (data,) = connection.execute(
+            "SELECT data FROM arrays WHERE name = ?", (column,)
+        ).fetchone()
+        flipped = bytearray(data)
+        flipped[len(flipped) // 2] ^= 0x01
+        connection.execute(
+            "UPDATE arrays SET data = ? WHERE name = ?", (bytes(flipped), column)
+        )
+        connection.commit()
+
+
+def set_meta(path: Path, key: str, value) -> None:
+    """Overwrite one meta value in place (no digest is recomputed)."""
+    with contextlib.closing(sqlite3.connect(path)) as connection:
+        connection.execute(
+            "UPDATE meta SET value = ? WHERE key = ?", (json.dumps(value), key)
+        )
+        connection.commit()
+
+
+def traced_study(calibration, directory) -> MeasurementStudy:
+    return MeasurementStudy(
+        calibration=calibration,
+        cache_dir=directory,
+        obs=Observability(enabled=True),
+    )
+
+
+def source(study: MeasurementStudy) -> str:
+    """Where the study's ecosystem came from: ``store`` or ``generated``."""
+    (span,) = [
+        record
+        for record in study.obs.tracer.records()
+        if record["name"] == "substrate.ecosystem"
+    ]
+    return span["attrs"]["source"]
+
+
+def assert_build_heals(directory, calibration, fresh_digest) -> None:
+    """``corpus build`` does not reuse the store under ``directory``: it
+    quarantines it byte for byte and writes a sound store holding the
+    fresh build's corpus."""
+    path = corpus_store.store_path(directory, calibration)
+    damaged = path.read_bytes()
+    info = build_corpus(directory, calibration=calibration)
+    assert info["reused"] is False
+    assert info["corpus_digest"] == fresh_digest
+    assert path.with_name(path.name + ".quarantined").read_bytes() == damaged
+    assert corpus_store.verify_store(path) == []
+
+
+def assert_study_heals(directory, calibration, fresh_digest) -> None:
+    """A study with that ``cache_dir`` does the same, and generates the
+    ecosystem it returns."""
+    path = corpus_store.store_path(directory, calibration)
+    damaged = path.read_bytes()
+    study = traced_study(calibration, directory)
+    ecosystem = study.ecosystem
+    assert source(study) == "generated"
+    assert corpus.corpus_digest(corpus.encode_corpus(ecosystem)[0]) == fresh_digest
+    assert path.with_name(path.name + ".quarantined").read_bytes() == damaged
+    assert corpus_store.verify_store(path) == []
+    assert corpus_store.read_meta(path)["corpus_digest"] == fresh_digest
 
 
 class TestRoundTrip:
@@ -164,64 +249,83 @@ class TestReportBytesUnchanged:
 
 
 class TestMissSemantics:
-    def test_missing_store_is_a_miss(self, calibration, tmp_path):
-        assert ArtifactCache(tmp_path).load_ecosystem(calibration) is None
+    """A store that is not there, or not a corpus store, is a miss: it is
+    never reused, the build quarantines what it found and rebuilds the
+    same corpus, and nothing raises."""
 
-    def test_garbage_store_is_a_miss(self, calibration, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.ecosystem_path(calibration).write_bytes(b"not a sqlite file")
-        assert cache.load_ecosystem(calibration) is None
-        assert not cache.has_ecosystem(calibration)
+    def test_missing_store_is_a_miss(self, calibration, fresh_digest, tmp_path):
+        info = build_corpus(tmp_path, calibration=calibration)
+        assert info["reused"] is False
+        assert info["corpus_digest"] == fresh_digest
+        # Nothing was there, so nothing is quarantined.
+        assert [p.name for p in tmp_path.iterdir()] == [Path(info["path"]).name]
 
-    def test_schema_mismatch_is_a_miss(self, calibration, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        path = cache.ecosystem_path(calibration)
+    def test_garbage_store_is_a_miss(self, calibration, fresh_digest, tmp_path):
+        path = corpus_store.store_path(tmp_path, calibration)
+        path.write_bytes(b"not a sqlite file")
+        assert corpus_store.verify_store(path)
+        assert_build_heals(tmp_path, calibration, fresh_digest)
+
+    def test_schema_mismatch_is_a_miss(self, calibration, fresh_digest, tmp_path):
+        path = corpus_store.store_path(tmp_path, calibration)
         connection = sqlite3.connect(path)
         connection.execute("CREATE TABLE wrong (x)")
         connection.commit()
         connection.close()
-        assert cache.load_ecosystem(calibration) is None
+        assert_build_heals(tmp_path, calibration, fresh_digest)
 
-    def test_other_calibration_never_hits(
-        self, calibration, generated, tmp_path
-    ):
-        cache = ArtifactCache(tmp_path)
-        cache.store_ecosystem(calibration, generated)
+    def test_other_calibration_never_hits(self, calibration, store_path, tmp_path):
+        path = corpus_store.store_path(tmp_path, calibration)
+        shutil.copyfile(store_path, path)
         other = Calibration(scale=SCALE, seed=calibration.seed + 1)
-        assert cache.load_ecosystem(other) is None
-        assert cache.has_ecosystem(calibration)
-        assert not cache.has_ecosystem(other)
+        assert corpus_store.store_path(tmp_path, other) != path
+        assert build_corpus(tmp_path, calibration=other)["reused"] is False
+        assert build_corpus(tmp_path, calibration=calibration)["reused"] is True
+        assert not list(tmp_path.glob("*.quarantined"))
+
+    def test_other_calibration_under_this_name_is_a_miss(
+        self, calibration, fresh_digest, tmp_path
+    ):
+        """A sound store whose meta names another seed is refused by the
+        build, which does not decode, as the decoder would refuse it."""
+        other = Calibration(scale=SCALE, seed=calibration.seed + 1)
+        foreign = Path(build_corpus(tmp_path / "other", calibration=other)["path"])
+        path = corpus_store.store_path(tmp_path, calibration)
+        shutil.copyfile(foreign, path)
+        assert corpus_store.verify_store(path) == []
+        assert_build_heals(tmp_path, calibration, fresh_digest)
 
 
 class TestCorruptionSemantics:
-    """Damaged stores are cache misses and verify findings -- never
-    exceptions (truncation, bit rot, tampered digests, torn writes)."""
+    """Damaged stores are verify findings and misses -- never exceptions
+    (truncation, bit rot, tampered digests, torn writes, malformed meta
+    values): every path quarantines them and rebuilds the same corpus."""
 
     @pytest.fixture()
-    def cache(self, calibration, store_path, tmp_path):
-        """A private ArtifactCache seeded with a pristine copy of the
-        module's store file (each test corrupts its own copy)."""
-        cache = ArtifactCache(tmp_path)
-        target = cache.ecosystem_path(calibration)
-        target.write_bytes(store_path.read_bytes())
-        return cache
+    def path(self, calibration, store_path, tmp_path):
+        """A pristine copy of the module's store file in a private
+        directory (each test damages its own copy)."""
+        target = corpus_store.store_path(tmp_path, calibration)
+        shutil.copyfile(store_path, target)
+        return target
 
-    def _path(self, cache, calibration):
-        return cache.ecosystem_path(calibration)
+    def test_pristine_copy_hits_and_verifies(self, calibration, path, tmp_path):
+        assert corpus_store.verify_store(path) == []
+        study = traced_study(calibration, tmp_path)
+        study.ecosystem
+        assert source(study) == "store"
+        assert build_corpus(tmp_path, calibration=calibration)["reused"] is True
+        assert not list(tmp_path.glob("*.quarantined"))
 
-    def test_pristine_copy_hits_and_verifies(self, calibration, cache):
-        assert cache.load_ecosystem(calibration) is not None
-        assert corpus_store.verify_store(self._path(cache, calibration)) == []
-
-    def test_truncated_store_is_a_miss(self, calibration, cache):
-        path = self._path(cache, calibration)
+    def test_truncated_store_is_a_miss(
+        self, calibration, path, tmp_path, fresh_digest
+    ):
         with open(path, "r+b") as handle:
             handle.truncate(path.stat().st_size // 2)
-        assert cache.load_ecosystem(calibration) is None
         assert corpus_store.verify_store(path)
+        assert_build_heals(tmp_path, calibration, fresh_digest)
 
-    def test_flipped_byte_is_a_miss(self, calibration, cache):
-        path = self._path(cache, calibration)
+    def test_flipped_byte_is_a_miss(self, calibration, path, tmp_path, fresh_digest):
         size = path.stat().st_size
         index = size // 2 + size // 4  # land in the column blobs
         with open(path, "r+b") as handle:
@@ -229,49 +333,123 @@ class TestCorruptionSemantics:
             original = handle.read(1)
             handle.seek(index)
             handle.write(bytes([original[0] ^ 0x01]))
-        assert cache.load_ecosystem(calibration) is None
         assert corpus_store.verify_store(path)
+        assert_build_heals(tmp_path, calibration, fresh_digest)
 
-    def test_tampered_brand_digest_is_a_miss(self, calibration, cache):
-        path = self._path(cache, calibration)
+    def test_tampered_brand_digest_is_a_miss(
+        self, calibration, path, tmp_path, fresh_digest
+    ):
         arrays, meta = corpus_store.read_corpus(path)
         brand = meta["brand_layouts"][0][0]
         meta["brand_digests"][brand] = "0" * 40
         corpus_store.write_corpus(path, arrays, meta)
-        assert cache.load_ecosystem(calibration) is None
         problems = corpus_store.verify_store(path)
         assert any(
             f"brand {brand}: slice digest mismatch" in p for p in problems
         )
+        assert_build_heals(tmp_path, calibration, fresh_digest)
 
-    def test_crash_mid_write_is_a_miss(self, calibration, cache):
-        path = self._path(cache, calibration)
+    def test_crash_mid_write_is_a_miss(
+        self, calibration, path, tmp_path, fresh_digest
+    ):
         partial = path.read_bytes()
         path.write_bytes(partial[: len(partial) // 3])
-        assert cache.load_ecosystem(calibration) is None
         problems = corpus_store.verify_store(path)
         assert problems and "unreadable" in problems[0]
+        assert_build_heals(tmp_path, calibration, fresh_digest)
 
-    def test_injected_write_faults_are_misses(self, calibration, cache):
+    def test_injected_write_faults_are_misses(
+        self, calibration, path, tmp_path, fresh_digest
+    ):
         from repro.exec.faults import plan_from_exec_profile
 
-        path = self._path(cache, calibration)
         arrays, meta = corpus_store.read_corpus(path)
         fault = plan_from_exec_profile("torn-write", seed=5).decide_write(
             "corpus", 0
         )
         corpus_store.write_corpus(path, arrays, meta, fault=fault)
-        assert cache.load_ecosystem(calibration) is None
         assert corpus_store.verify_store(path)
+        assert_build_heals(tmp_path, calibration, fresh_digest)
 
-    def test_quarantine_moves_the_store_aside(self, calibration, cache):
-        path = self._path(cache, calibration)
+    def test_quarantine_moves_the_store_aside(
+        self, calibration, path, tmp_path, fresh_digest
+    ):
         with open(path, "r+b") as handle:
             handle.truncate(path.stat().st_size // 2)
+        truncated = path.read_bytes()
         target = corpus_store.quarantine_store(path)
         assert not path.exists()
         assert target.name == path.name + ".quarantined"
-        assert cache.load_ecosystem(calibration) is None  # just a miss
+        # Just a miss: the build rebuilds and leaves the quarantined file.
+        info = build_corpus(tmp_path, calibration=calibration)
+        assert info["reused"] is False
+        assert info["corpus_digest"] == fresh_digest
+        assert target.read_bytes() == truncated
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("brand_layouts", [5]),
+            ("brand_layouts", "abc"),
+            ("brand_digests", ["x"]),
+            ("leaf_count", "x"),
+        ],
+        ids=["layouts-int-row", "layouts-string", "digests-list", "leaf-count-string"],
+    )
+    def test_malformed_meta_value_is_a_miss_everywhere(
+        self, calibration, path, tmp_path, fresh_digest, capsys, key, value
+    ):
+        """A meta value of the wrong type or shape is a finding, never an
+        exception, and no path reuses the store."""
+        set_meta(path, key, value)
+        assert main(["corpus", "verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"{path}: meta " in out and key in out
+        study_dir = tmp_path / "study"
+        study_dir.mkdir()
+        shutil.copyfile(path, corpus_store.store_path(study_dir, calibration))
+        assert_build_heals(tmp_path, calibration, fresh_digest)
+        assert_study_heals(study_dir, calibration, fresh_digest)
+
+
+class TestStudyPath:
+    """A study's ``cache_dir`` runs the builder's reuse rule."""
+
+    def test_damaged_store_heals_once_then_loads(
+        self, calibration, store_path, fresh_digest, tmp_path, monkeypatch
+    ):
+        path = corpus_store.store_path(tmp_path, calibration)
+        shutil.copyfile(store_path, path)
+        flip_blob_byte(path)
+        reads: list[Path] = []
+        read_corpus = corpus_store.read_corpus
+
+        def counting_read(store):
+            reads.append(Path(store))
+            return read_corpus(store)
+
+        monkeypatch.setattr(corpus_store, "read_corpus", counting_read)
+
+        damaged = path.read_bytes()
+        healing = traced_study(calibration, tmp_path)
+        healing.ecosystem
+        assert source(healing) == "generated"
+        assert path.with_name(path.name + ".quarantined").read_bytes() == damaged
+        # The refused store's one read, then the written store's check.
+        assert reads == [path, path]
+        counters = healing.obs.metrics.counter_snapshot()
+        assert counters["artifact_cache.misses"] == 1
+        assert counters["artifact_cache.stores"] == 1
+        assert "exec.store_rewrites" not in counters
+
+        reads.clear()
+        loading = traced_study(calibration, tmp_path)
+        ecosystem = loading.ecosystem
+        assert source(loading) == "store"
+        assert reads == [path]  # one read of the file per load
+        assert corpus.corpus_digest(corpus.encode_corpus(ecosystem)[0]) == fresh_digest
+        assert loading.obs.metrics.counter_snapshot()["artifact_cache.hits"] == 1
+        assert len(list(tmp_path.glob("*.quarantined"))) == 1
 
 
 class TestApiSurface:
