@@ -456,7 +456,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _render_corpus_info(info: dict) -> str:
     order = (
-        "path", "bytes", "format", "seed", "scale",
+        "path", "bytes", "format", "seed", "scale", "calibration_digest",
         "leaf_count", "crl_count", "entry_count", "corpus_digest",
     )
     lines = [f"{key:14s} {info[key]}" for key in order if key in info]

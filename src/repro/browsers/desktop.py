@@ -8,7 +8,6 @@ an encoding mistake shows up as a Table 2 mismatch.
 from __future__ import annotations
 
 from repro.browsers.policy import BrowserModel, Position, UnavailableAction
-from repro.pki.certificate import Certificate
 
 __all__ = ["Chrome", "Firefox", "InternetExplorer", "Opera12", "Opera31", "Safari"]
 
@@ -36,23 +35,19 @@ class Chrome(BrowserModel):
         return is_ev  # only EV certificates are checked at all
 
     def protocols_for(
-        self, position: Position, certificate: Certificate, is_ev: bool
+        self, position: Position, has_crl: bool, has_ocsp: bool, is_ev: bool
     ) -> list[str]:
         if is_ev:
             # EV: all elements, OCSP preferred, CRL otherwise.
-            if certificate.ocsp_urls:
+            if has_ocsp:
                 return ["ocsp"]
-            if certificate.crl_urls:
+            if has_crl:
                 return ["crl"]
             return []
         if self.os == "windows":
             # Non-EV: only the first intermediate, and only if it has
             # *only* a CRL listed (no OCSP responders are checked).
-            if (
-                position is Position.INT1
-                and certificate.crl_urls
-                and not certificate.ocsp_urls
-            ):
+            if position is Position.INT1 and has_crl and not has_ocsp:
                 return ["crl"]
         return []
 
@@ -60,7 +55,8 @@ class Chrome(BrowserModel):
         self,
         position: Position,
         protocol: str,
-        certificate: Certificate,
+        has_crl: bool,
+        has_ocsp: bool,
         is_ev: bool,
         has_intermediates: bool,
     ) -> UnavailableAction:
@@ -85,10 +81,10 @@ class Firefox(BrowserModel):
         return True  # the only browser family that gets this right
 
     def protocols_for(
-        self, position: Position, certificate: Certificate, is_ev: bool
+        self, position: Position, has_crl: bool, has_ocsp: bool, is_ev: bool
     ) -> list[str]:
         # Never any CRLs.  OCSP: leaf only for non-EV, whole chain for EV.
-        if not certificate.ocsp_urls:
+        if not has_ocsp:
             return []
         if position is Position.LEAF or is_ev:
             return ["ocsp"]
@@ -108,12 +104,12 @@ class Opera12(BrowserModel):
         return True
 
     def protocols_for(
-        self, position: Position, certificate: Certificate, is_ev: bool
+        self, position: Position, has_crl: bool, has_ocsp: bool, is_ev: bool
     ) -> list[str]:
         # CRLs for every element; OCSP for the leaf only.
-        if position is Position.LEAF and certificate.ocsp_urls:
+        if position is Position.LEAF and has_ocsp:
             return ["ocsp"]
-        if certificate.crl_urls:
+        if has_crl:
             return ["crl"]
         return []
 
@@ -138,11 +134,11 @@ class Opera31(BrowserModel):
         return self.os in ("linux", "windows")
 
     def protocols_for(
-        self, position: Position, certificate: Certificate, is_ev: bool
+        self, position: Position, has_crl: bool, has_ocsp: bool, is_ev: bool
     ) -> list[str]:
-        if certificate.ocsp_urls:
+        if has_ocsp:
             return ["ocsp"]
-        if certificate.crl_urls:
+        if has_crl:
             return ["crl"]
         return []
 
@@ -150,7 +146,8 @@ class Opera31(BrowserModel):
         self,
         position: Position,
         protocol: str,
-        certificate: Certificate,
+        has_crl: bool,
+        has_ocsp: bool,
         is_ev: bool,
         has_intermediates: bool,
     ) -> UnavailableAction:
@@ -188,11 +185,11 @@ class Safari(BrowserModel):
         return True
 
     def protocols_for(
-        self, position: Position, certificate: Certificate, is_ev: bool
+        self, position: Position, has_crl: bool, has_ocsp: bool, is_ev: bool
     ) -> list[str]:
-        if certificate.ocsp_urls:
+        if has_ocsp:
             return ["ocsp"]
-        if certificate.crl_urls:
+        if has_crl:
             return ["crl"]
         return []
 
@@ -200,7 +197,8 @@ class Safari(BrowserModel):
         self,
         position: Position,
         protocol: str,
-        certificate: Certificate,
+        has_crl: bool,
+        has_ocsp: bool,
         is_ev: bool,
         has_intermediates: bool,
     ) -> UnavailableAction:
@@ -209,7 +207,7 @@ class Safari(BrowserModel):
         first_element = position is Position.INT1 or (
             position is Position.LEAF and not has_intermediates
         )
-        if first_element and certificate.crl_urls:
+        if first_element and has_crl:
             return UnavailableAction.REJECT
         return UnavailableAction.ACCEPT
 
@@ -238,11 +236,11 @@ class InternetExplorer(BrowserModel):
         return True
 
     def protocols_for(
-        self, position: Position, certificate: Certificate, is_ev: bool
+        self, position: Position, has_crl: bool, has_ocsp: bool, is_ev: bool
     ) -> list[str]:
-        if certificate.ocsp_urls:
+        if has_ocsp:
             return ["ocsp"]
-        if certificate.crl_urls:
+        if has_crl:
             return ["crl"]
         return []
 
@@ -250,7 +248,8 @@ class InternetExplorer(BrowserModel):
         self,
         position: Position,
         protocol: str,
-        certificate: Certificate,
+        has_crl: bool,
+        has_ocsp: bool,
         is_ev: bool,
         has_intermediates: bool,
     ) -> UnavailableAction:

@@ -13,12 +13,17 @@ and :mod:`repro.browsers.mobile`) override the *policy* hooks:
 * what happens when revocation information is unavailable (soft-fail
   accept, hard-fail reject, or a user-facing warning);
 * whether OCSP staples are requested, used, and respected when revoked.
+
+The hooks see a chain element only as two booleans (does it list a CRL,
+an OCSP responder), so each hook's input domain is finite and
+:func:`policy_of` can name a model's whole behaviour by its answers.
 """
 
 from __future__ import annotations
 
 import datetime
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 from repro.pki.certificate import Certificate
@@ -34,6 +39,7 @@ __all__ = [
     "UnavailableAction",
     "ValidationResult",
     "mechanism_for_protocol",
+    "policy_of",
 ]
 
 #: wire-protocol name (as recorded by the policy engine / Table 2) ->
@@ -183,10 +189,12 @@ class BrowserModel:
         return False
 
     def protocols_for(
-        self, position: Position, certificate: Certificate, is_ev: bool
+        self, position: Position, has_crl: bool, has_ocsp: bool, is_ev: bool
     ) -> list[str]:
         """Which protocols ("crl"/"ocsp") this browser consults for this
-        chain position, in preference order.  Empty list = no check."""
+        chain position, whose certificate lists a CRL (``has_crl``) and
+        an OCSP responder (``has_ocsp``), in preference order.  Empty
+        list = no check."""
         return []
 
     def tries_crl_on_ocsp_failure(self, is_ev: bool) -> bool:
@@ -196,7 +204,8 @@ class BrowserModel:
         self,
         position: Position,
         protocol: str,
-        certificate: Certificate,
+        has_crl: bool,
+        has_ocsp: bool,
         is_ev: bool,
         has_intermediates: bool,
     ) -> UnavailableAction:
@@ -245,7 +254,12 @@ class BrowserModel:
             position = Position.of(index)
             if position is Position.LEAF and leaf_satisfied_by_staple:
                 continue
-            protocols = self.protocols_for(position, certificate, ctx.is_ev)
+            protocols = self.protocols_for(
+                position,
+                bool(certificate.crl_urls),
+                bool(certificate.ocsp_urls),
+                ctx.is_ev,
+            )
             if not protocols:
                 continue
             decision = self._check_element(ctx, index, position, protocols, result)
@@ -292,7 +306,8 @@ class BrowserModel:
             action = self.on_unavailable(
                 position,
                 protocol_used,
-                certificate,
+                bool(certificate.crl_urls),
+                bool(certificate.ocsp_urls),
                 ctx.is_ev,
                 ctx.has_intermediates,
             )
@@ -310,3 +325,43 @@ class BrowserModel:
             return ctx.checker.check_crl(certificate, ctx.at)
         issuer = ctx.issuer_of(index)
         return ctx.checker.check_ocsp(certificate, issuer.spki_hash, ctx.at)
+
+
+#: the engine methods a policy resolves on the model's class.
+_ENGINE = ("validate", "_check_element", "_run_protocol")
+_FLAGS = (False, True)
+
+
+def policy_of(browser: BrowserModel) -> tuple:
+    """The browser's policy: every hook's answer over the hook's whole
+    input domain, plus the engine methods its class resolves.
+
+    Run against the same chain, two models with equal policies return
+    equal validations: the engine reads nothing of a model but these
+    methods and hooks.  ``on_unavailable`` is asked for "crl" (the
+    fallback) and for each protocol that ``protocols_for`` answers
+    first, the only protocols the engine passes it.
+    """
+    cls = type(browser)
+    protocols = tuple(
+        tuple(browser.protocols_for(*args))
+        for args in itertools.product(Position, _FLAGS, _FLAGS, _FLAGS)
+    )
+    named = tuple(
+        dict.fromkeys(["crl", *(answer[0] for answer in protocols if answer)])
+    )
+    return (
+        tuple(getattr(cls, name) for name in _ENGINE),
+        browser.requests_staple(),
+        browser.uses_staple(),
+        browser.respects_revoked_staple(),
+        browser.rejects_unknown_ocsp(),
+        tuple(browser.tries_crl_on_ocsp_failure(is_ev) for is_ev in _FLAGS),
+        protocols,
+        tuple(
+            browser.on_unavailable(*args)
+            for args in itertools.product(
+                Position, named, _FLAGS, _FLAGS, _FLAGS, _FLAGS
+            )
+        ),
+    )

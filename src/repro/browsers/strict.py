@@ -11,7 +11,6 @@ used by the extension studies (multi-stapling, hard-fail ablations).
 from __future__ import annotations
 
 from repro.browsers.policy import BrowserModel, Position, UnavailableAction
-from repro.pki.certificate import Certificate
 
 __all__ = ["StrictClient"]
 
@@ -35,11 +34,11 @@ class StrictClient(BrowserModel):
         return True
 
     def protocols_for(
-        self, position: Position, certificate: Certificate, is_ev: bool
+        self, position: Position, has_crl: bool, has_ocsp: bool, is_ev: bool
     ) -> list[str]:
-        if certificate.ocsp_urls:
+        if has_ocsp:
             return ["ocsp"]
-        if certificate.crl_urls:
+        if has_crl:
             return ["crl"]
         return []
 
@@ -47,7 +46,8 @@ class StrictClient(BrowserModel):
         self,
         position: Position,
         protocol: str,
-        certificate: Certificate,
+        has_crl: bool,
+        has_ocsp: bool,
         is_ev: bool,
         has_intermediates: bool,
     ) -> UnavailableAction:

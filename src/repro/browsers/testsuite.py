@@ -20,10 +20,15 @@ revoked: 1 + 2 + 3 + 4.)
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.browsers.certgen import TestPki
-from repro.browsers.policy import BrowserModel, ChainContext, ValidationResult
+from repro.browsers.policy import (
+    BrowserModel,
+    ChainContext,
+    ValidationResult,
+    policy_of,
+)
 from repro.revocation.ocsp import CertStatus
 
 __all__ = [
@@ -218,13 +223,20 @@ class TestOutcome:
 
 @dataclass
 class BrowserTestHarness:
-    """Builds each case's PKI once and runs browser models against it."""
+    """Builds each case's PKI once and runs browser models against it.
+
+    :meth:`run_suite` runs each case once per distinct browser policy
+    (:func:`~repro.browsers.policy.policy_of`); :meth:`run_case` is
+    always one real run.  Both memos live and die with the harness.
+    """
 
     now: datetime.datetime = datetime.datetime(
         2015, 3, 31, 12, 0, tzinfo=datetime.timezone.utc
     )
     #: TestCase -> its PKI, built on the case's first run.
     _pki_cache: dict = field(default_factory=dict)
+    #: policy -> {TestCase -> the outcome of its one real run}.
+    _outcomes: dict = field(default_factory=dict)
 
     def build_pki(self, case: TestCase) -> TestPki:
         """The case's PKI with its scenario applied.
@@ -293,5 +305,17 @@ class BrowserTestHarness:
     def run_suite(
         self, browser: BrowserModel, cases: list[TestCase] | None = None
     ) -> list[TestOutcome]:
+        """``run_case`` for every case, except that a case this harness
+        already ran for a browser with the same policy is not run again:
+        that run's outcome is returned under this browser's label."""
         cases = cases if cases is not None else generate_test_suite()
-        return [self.run_case(browser, case) for case in cases]
+        ran = self._outcomes.setdefault(policy_of(browser), {})
+        outcomes = []
+        for case in cases:
+            outcome = ran.get(case)
+            if outcome is None:
+                outcome = ran[case] = self.run_case(browser, case)
+            else:
+                outcome = replace(outcome, browser_label=browser.label)
+            outcomes.append(outcome)
+        return outcomes

@@ -2,7 +2,8 @@
 keeps.
 
 A publisher or responder asked for the same response twice -- the
-browser suite replays every test PKI for 30 browsers -- signs it once.
+browser suite replays every test PKI once per browser policy -- signs it
+once.
 The key is every signed input, so a change to what would be signed (a
 recorded revocation, ``force_unknown``, a new window or CRL number) is a
 new key and nothing is ever invalidated.

@@ -195,7 +195,13 @@ def reuse_or_build(
     no problem and, with ``decode``, :meth:`Ecosystem.from_corpus`
     accepts the arrays it read (else the ecosystem is None).  Any other
     store is quarantined, and ``generate``'s ecosystem is written.
+    Raises ``NotADirectoryError`` before anything is read or generated
+    when ``directory`` is an existing file.
     """
+    if Path(directory).exists() and not Path(directory).is_dir():
+        raise NotADirectoryError(
+            f"corpus store directory {str(directory)!r} is a file"
+        )
     obs = obs if obs is not None else NULL_OBS
     path = corpus_store.store_path(directory, calibration)
     digest = calibration_digest(calibration)

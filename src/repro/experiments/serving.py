@@ -73,20 +73,26 @@ def serving_blocks(study: MeasurementStudy) -> dict[str, str]:
     return {report.mechanism: report.render_block() for report in sweep(study)}
 
 
-def fault_sweep(study: MeasurementStudy) -> list[dict]:
-    """The OCSP fleet under rising flaky-responder probability."""
+def fault_sweep(study: MeasurementStudy, clean: MechanismServingReport) -> list[dict]:
+    """The OCSP fleet under rising flaky-responder probability.
+
+    ``clean`` is that fleet's report without faults, as :func:`sweep`
+    ran it: the fault-free row reads it instead of running the fleet
+    again (an empty fault plan delivers as no plan does).
+    """
     config = fleet_config(study)
     rows = []
     for probability in FAULT_SWEEP:
-        plan = FaultPlan(seed=config.seed)
+        report = clean
         if probability:
+            plan = FaultPlan(seed=config.seed)
             plan.add("*", FaultSpec(FaultKind.FLAKY, probability=probability))
-        report = ClientFleet(
-            study,
-            _ocsp_like(study),
-            replace(config, fault_plan=plan),
-            obs=study.obs,
-        ).run()
+            report = ClientFleet(
+                study,
+                _ocsp_like(study),
+                replace(config, fault_plan=plan),
+                obs=study.obs,
+            ).run()
         rows.append(
             {
                 "probability": probability,
@@ -116,9 +122,11 @@ def run(study: MeasurementStudy) -> ExperimentResult:
         by_endpoint.setdefault(report.endpoint, []).append(report)
 
     with stage(study, "serving_fault_sweep"):
-        fault_rows = (
-            fault_sweep(study) if _ocsp_like(study) is not None else []
-        )
+        ocsp_like = _ocsp_like(study)
+        fault_rows = []
+        if ocsp_like is not None:
+            (clean,) = [r for r in reports if r.mechanism == ocsp_like.name]
+            fault_rows = fault_sweep(study, clean)
 
     rendered = "\n\n".join(report.render_block() for report in reports)
     if fault_rows:

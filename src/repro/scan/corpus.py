@@ -47,6 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.revocation.reason import ReasonCode
+from repro.scan.calibration import calibration_digest
 from repro.scan.hidden import HiddenPopulation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -359,7 +360,9 @@ def encode_corpus(ecosystem) -> tuple[dict[str, np.ndarray], dict]:
 
     ``meta`` carries the whole-corpus content digest *and* the per-brand
     layout + digests, so :func:`repro.scan.corpus_store.verify_store`
-    can localise corruption to a brand slice without the calibration.
+    can localise corruption to a brand slice without the calibration,
+    and the calibration's digest, so a store renamed to another
+    calibration's file is refused.
     """
     arrays = ecosystem.leaves.arrays()
     arrays.update(_encode_crls(ecosystem.crls))
@@ -378,6 +381,7 @@ def encode_corpus(ecosystem) -> tuple[dict[str, np.ndarray], dict]:
         "format": CORPUS_FORMAT,
         "seed": calibration.seed,
         "scale": repr(calibration.scale),
+        "calibration_digest": calibration_digest(calibration),
         "leaf_count": len(ecosystem.leaves),
         "crl_count": len(ecosystem.crls),
         "entry_count": int(arrays["crl_entry_count"].sum()),

@@ -200,15 +200,16 @@ def check_corpus(
     whole-corpus content digest and the per-brand layouts and digests
     (:func:`repro.scan.corpus.encode_corpus`), so corruption is both
     detected and localised to the brand slice it landed in.  Given a
-    ``calibration`` it also requires that calibration's seed and scale.
+    ``calibration`` it also requires that calibration's digest, which
+    covers every calibration field, not only the seed and scale.
     A meta value of the wrong type or shape is a finding, never raised.
     """
     problems: list[str] = []
     if meta.get("format") != corpus.CORPUS_FORMAT:
         problems.append(f"unsupported corpus format {meta.get('format')!r}")
-    if calibration is not None and (meta.get("seed"), meta.get("scale")) != (
-        calibration.seed, repr(calibration.scale)
-    ):
+    if calibration is not None and meta.get(
+        "calibration_digest"
+    ) != calibration_digest(calibration):
         problems.append("corpus was generated under a different calibration")
     missing = [name for name in corpus.ALL_COLUMNS if name not in arrays]
     if missing:

@@ -32,14 +32,16 @@ class CheckEverything(BrowserModel):
     def tries_crl_on_ocsp_failure(self, is_ev):
         return True
 
-    def protocols_for(self, position, certificate, is_ev):
-        if certificate.ocsp_urls:
+    def protocols_for(self, position, has_crl, has_ocsp, is_ev):
+        if has_ocsp:
             return ["ocsp"]
-        if certificate.crl_urls:
+        if has_crl:
             return ["crl"]
         return []
 
-    def on_unavailable(self, position, protocol, certificate, is_ev, has_ints):
+    def on_unavailable(
+        self, position, protocol, has_crl, has_ocsp, is_ev, has_ints
+    ):
         return UnavailableAction.REJECT
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro import api
+from repro.core import pipeline
 from repro.core.pipeline import MeasurementStudy
 from repro.exec import supervisor
 from repro.experiments.runner import ALL_EXPERIMENTS, run_all
@@ -150,15 +151,20 @@ class TestArtifactCache:
         )
         assert corpus_store.read_meta(path)["corpus_digest"] == small_digest
 
-    def test_cache_dir_is_a_file_reads_as_miss(self, tmp_path):
+    def test_cache_dir_is_a_file_reads_as_miss(self, tmp_path, monkeypatch):
         target = tmp_path / "notadir"
         target.write_text("occupied")
+        generated = []
+        monkeypatch.setattr(
+            pipeline, "Ecosystem", lambda *args: generated.append(args)
+        )
         study = traced_study(SMALL, target)
-        # The read is a miss, not a crash; no store can then be written
-        # under a file, and that write fails loudly.
-        with pytest.raises(OSError):
+        # No store can be written under a file, so the study refuses the
+        # directory, naming it, before it reads or generates anything.
+        with pytest.raises(NotADirectoryError) as refused:
             study.ecosystem
+        assert str(target) in str(refused.value)
+        assert generated == []
         counters = study.obs.metrics.counter_snapshot()
-        assert counters["artifact_cache.misses"] == 1
-        assert "artifact_cache.hits" not in counters
+        assert not any(name.startswith("artifact_cache.") for name in counters)
         assert target.read_text() == "occupied"

@@ -11,6 +11,7 @@ builder quarantines it and rebuilds the same corpus, on every path
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import datetime
 import json
 import shutil
@@ -26,10 +27,20 @@ from repro.core.pipeline import MeasurementStudy
 from repro.exec.corpusbuild import build_corpus, reuse_or_build
 from repro.obs import Observability
 from repro.scan import corpus, corpus_store
-from repro.scan.calibration import Calibration
+from repro.scan.calibration import Calibration, calibration_digest
 from repro.scan.ecosystem import Ecosystem
 
 SCALE = 0.0005
+
+#: one changed value per calibration field beyond seed and scale that
+#: changes the corpus; a store built with it is another calibration's.
+FOREIGN_FIELDS = {
+    "scan_count": 60,
+    "scan_period_days": 6,
+    "birth_lag_max_days": 10,
+    "heartbleed_window_days": 60,
+    "expiry_overrun_max_days": 60,
+}
 
 
 @pytest.fixture(scope="module")
@@ -209,11 +220,12 @@ class TestRoundTrip:
                     assert b.removals_on(day) == a.removals_on(day), (path, day)
                     day += datetime.timedelta(days=1)
 
-    def test_meta_describes_the_corpus(self, store_path, generated):
+    def test_meta_describes_the_corpus(self, store_path, generated, calibration):
         meta = corpus_store.read_meta(store_path)
         assert meta["format"] == corpus.CORPUS_FORMAT
         assert meta["leaf_count"] == len(generated.leaves)
         assert meta["scale"] == repr(SCALE)
+        assert meta["calibration_digest"] == calibration_digest(calibration)
 
     def test_no_temp_files_left_behind(self, store_path):
         leftovers = [
@@ -294,6 +306,28 @@ class TestMissSemantics:
         shutil.copyfile(foreign, path)
         assert corpus_store.verify_store(path) == []
         assert_build_heals(tmp_path, calibration, fresh_digest)
+
+    @pytest.mark.parametrize("field, value", sorted(FOREIGN_FIELDS.items()))
+    def test_other_calibration_field_under_this_name_is_a_miss(
+        self, field, value, tmp_path
+    ):
+        """A sound store of the same seed and scale built with one other
+        calibration field is refused by the build and by a study alike:
+        quarantined and rebuilt, never reused or decoded."""
+        base = Calibration(scale=SCALE, seed=3)
+        other = dataclasses.replace(base, **{field: value})
+        digest = build_corpus(tmp_path / "fresh", calibration=base)["corpus_digest"]
+        built = build_corpus(tmp_path / "other", calibration=other)
+        assert built["corpus_digest"] != digest
+        for name, heals in (
+            ("build", assert_build_heals),
+            ("study", assert_study_heals),
+        ):
+            path = corpus_store.store_path(tmp_path / name, base)
+            path.parent.mkdir()
+            shutil.copyfile(built["path"], path)
+            assert corpus_store.verify_store(path) == []
+            heals(tmp_path / name, base, digest)
 
 
 class TestCorruptionSemantics:
